@@ -3,7 +3,7 @@
 Each family's determinant factors completely.  This script expands both sides
 for small sizes (exact polynomial equality via the memoized cofactor engine)
 and spot-checks a large size at random integer points with the fraction-free
-rational engine.
+rational engine, evaluating the formula factor by factor without expanding it.
 """
 
 from spiraldet import (
@@ -12,12 +12,10 @@ from spiraldet import (
     build_qpower,
     det_cofactor,
     numeric_matrix,
+    theorem,
     thm1_even,
-    thm1_odd,
     thm2_even,
-    thm2_odd,
     thm3_even,
-    thm3_odd,
     to_string,
     verify_identity,
 )
@@ -25,12 +23,9 @@ from spiraldet import (
 print("Symbolic check, n = 1..6, all three families:")
 for n in range(1, 7):
     additive = [[f.to_poly() for f in row] for row in build_additive(n)]
-    t1 = thm1_even(n // 2) if n % 2 == 0 else thm1_odd(n // 2)
-    t2 = thm2_even(n // 2) if n % 2 == 0 else thm2_odd(n // 2)
-    t3 = thm3_even(n // 2) if n % 2 == 0 else thm3_odd(n // 2)
-    marks = (det_cofactor(additive) == t1,
-             det_cofactor(build_qpower(n)) == t2,
-             det_cofactor(build_bracket_xx(n)) == t3)
+    marks = (det_cofactor(additive) == theorem(1, n).expand(),
+             det_cofactor(build_qpower(n)) == theorem(2, n).expand(),
+             det_cofactor(build_bracket_xx(n)) == theorem(3, n).expand())
     print(f"    n={n}: additive {marks[0]}, q-power {marks[1]}, bracket {marks[2]}")
 
 print("\nThe smallest nontrivial cases in full:")
@@ -40,6 +35,6 @@ print("    det(bracket, 2x2)  =", to_string(thm3_even(1)))
 
 print("\nRandomized check at size 9 (20 random integer points, exact rationals):")
 matrix = build_bracket_xx(9)
-report = verify_identity(lambda pt: numeric_matrix(matrix, pt), thm3_odd(4),
+report = verify_identity(lambda pt: numeric_matrix(matrix, pt), theorem(3, 9),
                          trials=20, seed=1)
 print(f"    bracket family, n=9: {report.failures}/{report.trials} failures")

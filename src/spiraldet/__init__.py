@@ -2,6 +2,7 @@
 
 from .exponent_algebra import (
     ExponentVector,
+    Factored,
     LaurentPoly,
     ZeroCoordinateError,
     angle,
@@ -44,9 +45,11 @@ from .determinant_engine import (
 )
 from .closed_forms import (
     ReductionData,
+    ReductionSkipError,
     qreduction_check,
     reduce_even,
     reduce_odd,
+    theorem,
     thm1_even,
     thm1_odd,
     thm2_even,

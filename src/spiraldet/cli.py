@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import closed_forms, determinant_engine, funceq, sequences, spiral_builder
-from .exponent_algebra import LaurentPoly, evaluate, to_records, to_string
+from .exponent_algebra import LaurentPoly, to_records, to_string
 from .spiral_builder import Family
 
 _FAMILIES = {f.value: f for f in Family}
@@ -29,12 +29,19 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SPIRALDET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SPIRALDET_SEED must be an integer, got {env!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _random_generalized_spec(n: int, seed: int) -> spiral_builder.SpiralSpec:
@@ -97,16 +104,6 @@ def _cmd_det(args, seed: int):
     return config, {"determinant": to_records(det), "string": to_string(det)}, 0
 
 
-def _theorem_formula(theorem: int, n: int) -> LaurentPoly:
-    table = {
-        1: (closed_forms.thm1_even, closed_forms.thm1_odd),
-        2: (closed_forms.thm2_even, closed_forms.thm2_odd),
-        3: (closed_forms.thm3_even, closed_forms.thm3_odd),
-    }
-    even, odd = table[theorem]
-    return even(n // 2) if n % 2 == 0 else odd(n // 2)
-
-
 def _theorem_matrix(theorem: int, n: int):
     if theorem == 1:
         return [[form.to_poly() for form in row] for row in spiral_builder.build_additive(n)]
@@ -119,10 +116,10 @@ def _cmd_verify(args, seed: int):
     checks = []
     failures = 0
     for n in range(1, args.n_max + 1):
-        formula = _theorem_formula(args.theorem, n)
+        formula = closed_forms.theorem(args.theorem, n)
         matrix = _theorem_matrix(args.theorem, n)
         if n <= determinant_engine.COFACTOR_SIZE_GUARD:
-            ok = determinant_engine.det_cofactor(matrix) == formula
+            ok = determinant_engine.det_cofactor(matrix) == formula.expand()
             checks.append({"n": n, "mode": "symbolic", "match": ok})
         else:
             rep = determinant_engine.verify_identity(
@@ -196,9 +193,9 @@ def _cmd_bench(args, seed: int):
     for n in range(1, args.n_max + 1):
         point = determinant_engine.sample_point(seed, n)
         matrix = spiral_builder.specialize_additive(n, point)
-        formula = _theorem_formula(1, n)
+        formula = closed_forms.theorem(1, n)
         methods = {"bareiss": lambda: determinant_engine.det_bareiss_rational(matrix),
-                   "formula": lambda: evaluate(formula, point)}
+                   "formula": lambda: formula.evaluate(point)}
         if n <= determinant_engine.COFACTOR_SIZE_GUARD:
             methods["cofactor"] = lambda: determinant_engine.det_cofactor(matrix)
         results = {}
@@ -248,20 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a determinant formula against the matrices")
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=_positive_int, default=4)
     p.add_argument("--trials", type=int, default=20,
                    help="random trials per size beyond the symbolic guard")
     common(p, ("json", "text"))
 
     p = sub.add_parser("reduce", help="check the size-reduction relations")
     p.add_argument("--n", type=int, default=1, help="reduction index")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     common(p, ("json", "text"))
 
     p = sub.add_parser("seq", help="verify integer-sequence specializations")
     p.add_argument("--seq", choices=[s.value for s in sequences.SequenceId],
                    default="inward")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_positive_int, default=8)
     common(p, ("json", "csv", "text"))
 
     p = sub.add_parser("funceq", help="check the functional-equation relations")
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "text"))
 
     p = sub.add_parser("bench", help="time the determinant engines against each other")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_positive_int, default=6)
     p.add_argument("--trials", type=int, default=3, help="timing repeats per method")
     common(p, ("csv", "json"), default_format="csv")
 
@@ -296,8 +293,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _resolve_seed(args)
     try:
+        seed = _resolve_seed(args)
         config, report, exit_code = _HANDLERS[args.command](args, seed)
     except (determinant_engine.SizeGuardError, spiral_builder.LengthMismatchError,
             ValueError) as exc:

@@ -12,6 +12,9 @@ Theorem 3 (bracket family with equal horizontal multipliers): det is a signed
 product of brackets and angle brackets, some of whose factors carry
 half-integer exponents even though the expanded product never does.
 
+:func:`theorem` builds each formula as a :class:`Factored` product, which
+numeric checks evaluate factor by factor; the ``thm*`` functions expand it.
+
 Theorem 1 polynomials reuse the LaurentPoly container with all exponents
 nonnegative and the variables reinterpreted as additive indeterminates; there
 is no separate dense-polynomial type.
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 from .determinant_engine import VerificationReport, Witness, sample_point
 from .exponent_algebra import (
+    Factored,
     LaurentPoly,
     angle,
     bracket,
@@ -39,38 +43,59 @@ _X = LaurentPoly.variable("x")
 _Y = LaurentPoly.variable("y")
 
 
-def _linear_product(count: int) -> LaurentPoly:
-    """prod_{i=1..count} (i(b+c) + (i+1)(x+y)); empty products are 1."""
-    out = LaurentPoly.one()
-    for i in range(1, count + 1):
-        out = out * (i * (_B + _C) + (i + 1) * (_X + _Y))
-    return out
+def theorem(k: int, size: int) -> Factored:
+    """Closed-form determinant of the size x size matrix of theorem k, as factors.
+
+    This is the single source of theorems 1-3: the ``thm*`` functions expand
+    it, and randomized checks evaluate it factor by factor.
+    """
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    n = size // 2
+    if k == 1:
+        return _thm1_odd(n) if size % 2 else _thm1_even(n)
+    if k == 2:
+        return _thm2_odd(n) if size % 2 else _thm2_even(n)
+    if k == 3:
+        return _thm3_odd(n) if size % 2 else _thm3_even(n)
+    raise ValueError(f"theorem must be 1, 2 or 3, got {k!r}")
+
+
+def _parity_sign(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
+def _linear_factors(count: int) -> list[LaurentPoly]:
+    """i(b+c) + (i+1)(x+y) for i = 1..count."""
+    return [i * (_B + _C) + (i + 1) * (_X + _Y) for i in range(1, count + 1)]
+
+
+def _thm1_even(n: int) -> Factored:
+    if n == 0:
+        return Factored(1, ())
+    quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
+            + _A * _Y + (n - 1) * (n - 1) * _B * _Y + n * (n - 1) * _C * _Y
+            + n * (n - 1) * _Y * _Y + n * (2 * n - 1) * _X * _Y)
+    return Factored(_parity_sign(n + 1), [quad, *_linear_factors(2 * n - 2)])
+
+
+def _thm1_odd(n: int) -> Factored:
+    if n == 0:
+        return Factored(1, (_A,))
+    quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
+            + _A * _Y + n * n * _B * _Y + n * (n + 1) * _C * _Y
+            + n * (n + 1) * _Y * _Y + n * (2 * n + 1) * _X * _Y)
+    return Factored(_parity_sign(n), [quad, *_linear_factors(2 * n - 1)])
 
 
 def thm1_even(n: int) -> LaurentPoly:
     """Closed-form determinant of the 2n x 2n additive spiral matrix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return LaurentPoly.one()
-    quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
-            + _A * _Y + (n - 1) * (n - 1) * _B * _Y + n * (n - 1) * _C * _Y
-            + n * (n - 1) * _Y * _Y + n * (2 * n - 1) * _X * _Y)
-    sign = 1 if (n + 1) % 2 == 0 else -1
-    return sign * quad * _linear_product(2 * n - 2)
+    return theorem(1, 2 * n).expand()
 
 
 def thm1_odd(n: int) -> LaurentPoly:
     """Closed-form determinant of the (2n+1) x (2n+1) additive spiral matrix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return _A
-    quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
-            + _A * _Y + n * n * _B * _Y + n * (n + 1) * _C * _Y
-            + n * (n + 1) * _Y * _Y + n * (2 * n + 1) * _X * _Y)
-    sign = 1 if n % 2 == 0 else -1
-    return sign * quad * _linear_product(2 * n - 1)
+    return theorem(1, 2 * n + 1).expand()
 
 
 def _exact_third(value: int) -> int:
@@ -80,48 +105,38 @@ def _exact_third(value: int) -> int:
     return q
 
 
-def _qpower_tail(count: int) -> LaurentPoly:
-    """prod_{i=0..count-1} (1 - b^i c^i x^(i+1) y^(i+1))."""
-    out = LaurentPoly.one()
-    for i in range(count):
-        out = out * (1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1)))
-    return out
+def _qpower_tail(count: int) -> list[LaurentPoly]:
+    """1 - b^i c^i x^(i+1) y^(i+1) for i = 0..count-1."""
+    return [1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
+            for i in range(count)]
+
+
+def _thm2_even(n: int) -> Factored:
+    bx = _exact_third(n * (2 * n * n + 1))
+    cy = _exact_third(2 * (n - 1) * n * (n + 1))
+    prefactor = LaurentPoly.monomial(exponents(a=2 * n, b=bx, c=cy, x=bx, y=cy))
+    return Factored(_parity_sign(n), [prefactor, *_qpower_tail(2 * n - 1)])
+
+
+def _thm2_odd(n: int) -> Factored:
+    e = _exact_third(n * (n + 1) * (2 * n + 1))
+    prefactor = LaurentPoly.monomial(exponents(a=2 * n + 1, b=e, c=e, x=e, y=e))
+    return Factored(_parity_sign(n), [prefactor, *_qpower_tail(2 * n)])
 
 
 def thm2_even(n: int) -> LaurentPoly:
     """Closed-form determinant of the 2n x 2n q-power spiral matrix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    bx = _exact_third(n * (2 * n * n + 1))
-    cy = _exact_third(2 * (n - 1) * n * (n + 1))
-    prefactor = LaurentPoly.monomial(exponents(a=2 * n, b=bx, c=cy, x=bx, y=cy))
-    sign = 1 if n % 2 == 0 else -1
-    return sign * prefactor * _qpower_tail(2 * n - 1)
+    return theorem(2, 2 * n).expand()
 
 
 def thm2_odd(n: int) -> LaurentPoly:
     """Closed-form determinant of the (2n+1) x (2n+1) q-power spiral matrix."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    e = _exact_third(n * (n + 1) * (2 * n + 1))
-    prefactor = LaurentPoly.monomial(exponents(a=2 * n + 1, b=e, c=e, x=e, y=e))
-    sign = 1 if n % 2 == 0 else -1
-    return sign * prefactor * _qpower_tail(2 * n)
+    return theorem(2, 2 * n + 1).expand()
 
 
-def _assert_integer_exponents(p: LaurentPoly) -> LaurentPoly:
-    for vec in p.terms:
-        if any(d % 2 for d in vec):
-            raise AssertionError("expanded product has a half-integer exponent")
-    return p
-
-
-def _bracket_run(count: int) -> LaurentPoly:
-    """prod_{k=0..count-1} [(bc)^(k/2) x^(k+1)]."""
-    out = LaurentPoly.one()
-    for k in range(count):
-        out = out * bracket(exponents(b=Fraction(k, 2), c=Fraction(k, 2), x=k + 1))
-    return out
+def _run_bracket(k: int) -> LaurentPoly:
+    """[(bc)^(k/2) x^(k+1)], the k-th factor of the bracket run."""
+    return bracket(exponents(b=Fraction(k, 2), c=Fraction(k, 2), x=k + 1))
 
 
 def _angle_first(k: int) -> LaurentPoly:
@@ -133,39 +148,47 @@ def _angle_second(k: int) -> LaurentPoly:
                            c=Fraction(2 * k * k - 1, 2), x=k * (2 * k - 1)))
 
 
+def _bracket_factors(run: int, firsts: int, seconds: int) -> list[LaurentPoly]:
+    """The bracket run of length ``run`` and the angle factors of theorem 3.
+
+    The odd-k brackets of the run and every second angle carry odd doubled
+    exponents on exactly b and c.  Bracket 2k-1 is paired with angle k into
+    [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents; the run
+    holds exactly one odd bracket per second angle.
+    """
+    factors = [_run_bracket(k) for k in range(0, run, 2)]
+    factors += [_angle_first(k) for k in range(1, firsts + 1)]
+    factors += [_run_bracket(2 * k - 1) * _angle_second(k) for k in range(1, seconds + 1)]
+    return factors
+
+
+def _thm3_even(n: int) -> Factored:
+    if n == 0:
+        return Factored(1, ())
+    head = bracket(exponents(a=2, b=2 * n * n - 2 * n + 1, c=2 * n * n - 2 * n,
+                             x=2 * n * (2 * n - 1)))
+    return Factored(_parity_sign(n + 1), [head, *_bracket_factors(2 * n - 1, n - 1, n - 1)])
+
+
+def _thm3_odd(n: int) -> Factored:
+    if n == 0:
+        return Factored(1, (bracket(exponents(a=1)),))
+    head = bracket(exponents(a=2, b=2 * n * n, c=2 * n * n, x=2 * n * (2 * n + 1)))
+    return Factored(_parity_sign(n), [head, *_bracket_factors(2 * n, n - 1, n)])
+
+
 def thm3_even(n: int) -> LaurentPoly:
     """Closed-form determinant of the 2n x 2n bracket spiral with y = x.
 
-    Individual factors carry half-integer exponents of b and c; the expanded
-    result is asserted to have integer exponents only.
+    Some factors of the published form carry half-integer exponents of b and
+    c; :func:`theorem` pairs them into factors with integer exponents only.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return LaurentPoly.one()
-    out = bracket(exponents(a=2, b=2 * n * n - 2 * n + 1, c=2 * n * n - 2 * n,
-                            x=2 * n * (2 * n - 1)))
-    out = out * _bracket_run(2 * n - 1)
-    for k in range(1, n):
-        out = out * _angle_first(k) * _angle_second(k)
-    sign = 1 if (n + 1) % 2 == 0 else -1
-    return _assert_integer_exponents(sign * out)
+    return theorem(3, 2 * n).expand()
 
 
 def thm3_odd(n: int) -> LaurentPoly:
     """Closed-form determinant of the (2n+1) x (2n+1) bracket spiral with y = x."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return bracket(exponents(a=1))
-    out = bracket(exponents(a=2, b=2 * n * n, c=2 * n * n, x=2 * n * (2 * n + 1)))
-    out = out * _bracket_run(2 * n)
-    for k in range(1, n):
-        out = out * _angle_first(k)
-    for k in range(1, n + 1):
-        out = out * _angle_second(k)
-    sign = 1 if n % 2 == 0 else -1
-    return _assert_integer_exponents(sign * out)
+    return theorem(3, 2 * n + 1).expand()
 
 
 # -- reduction procedures ----------------------------------------------------
@@ -241,24 +264,38 @@ def reduce_even(n: int) -> ReductionData:
     return ReductionData("even", n, numerator, _B, b2, c2, -_B, {"D2": d2, "E": companion})
 
 
+class ReductionSkipError(ValueError):
+    """Too many sample points of a reduction check were skipped."""
+
+    def __init__(self, skipped: int, attempts: int):
+        self.skipped = skipped
+        self.attempts = attempts
+        super().__init__(f"reduction check skipped {skipped} of {attempts} sample points "
+                         "whose derived parameters hit zero")
+
+
 def verify_reduction(parity: str, n: int, trials: int, seed: int) -> VerificationReport:
     """Check the reduction relation at random integer points with exact rationals.
 
     Points whose derived parameters hit zero (where the closed forms cannot be
-    evaluated as Laurent polynomials) are skipped deterministically.
+    evaluated as Laurent polynomials) are skipped deterministically; after
+    ``10 * trials + 100`` attempts :class:`ReductionSkipError` is raised.
     """
     if parity == "odd":
         data = reduce_odd(n)
-        small, big = thm1_even(n), thm1_odd(n)
+        small, big = theorem(1, 2 * n), theorem(1, 2 * n + 1)
     elif parity == "even":
         data = reduce_even(n)
-        small, big = thm1_odd(n - 1), thm1_even(n)
+        small, big = theorem(1, 2 * n - 1), theorem(1, 2 * n)
     else:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     witnesses = []
     done = 0
     attempt = 0
+    max_attempts = 10 * trials + 100
     while done < trials:
+        if attempt == max_attempts:
+            raise ReductionSkipError(attempt - done, attempt)
         point = sample_point(seed, attempt)
         attempt += 1
         pivot = evaluate(data.pivot, point)
@@ -268,8 +305,8 @@ def verify_reduction(parity: str, n: int, trials: int, seed: int) -> Verificatio
         if any(v == 0 for v in derived):
             continue
         done += 1
-        lhs = evaluate(data.scalar_factor, point) * evaluate(small, derived)
-        rhs = evaluate(big, point)
+        lhs = evaluate(data.scalar_factor, point) * small.evaluate(derived)
+        rhs = big.evaluate(point)
         if lhs != rhs:
             witnesses.append(Witness(point, lhs, rhs))
     return VerificationReport(seed, trials, len(witnesses), tuple(witnesses))

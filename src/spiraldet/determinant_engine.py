@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exponent_algebra import LaurentPoly, angle, bracket, evaluate, exponents
+from .exponent_algebra import Factored, LaurentPoly, angle, bracket, evaluate, exponents
 
 COFACTOR_SIZE_GUARD = 8
 
@@ -164,10 +164,11 @@ def sample_point(seed: int, index: int, lo: int = -50, hi: int = 50) -> tuple[in
 
 
 def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
-                    rhs: LaurentPoly, trials: int, seed: int) -> VerificationReport:
+                    rhs: LaurentPoly | Factored, trials: int, seed: int) -> VerificationReport:
     """Compare det(lhs_gen(point)) against rhs evaluated at the same random points.
 
-    All arithmetic is exact, so every recorded mismatch is a genuine
+    A Factored rhs is evaluated factor by factor and never expanded.  All
+    arithmetic is exact, so every recorded mismatch is a genuine
     counterexample.  Each trial's point depends only on (seed, trial index),
     making the report independent of evaluation order.
     """
@@ -177,7 +178,7 @@ def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
     for t in range(trials):
         point = sample_point(seed, t)
         lhs = det_bareiss_rational(lhs_gen(point))
-        rhs_value = evaluate(rhs, point)
+        rhs_value = rhs.evaluate(point) if isinstance(rhs, Factored) else evaluate(rhs, point)
         if lhs != rhs_value:
             witnesses.append(Witness(point, lhs, rhs_value))
     return VerificationReport(seed, trials, len(witnesses), tuple(witnesses))
@@ -219,7 +220,7 @@ def _odd_zero_cells(n: int):
         for j in range(i, 2 * n - i + 1):
             yield i, j
     for i in range(n + 2, big + 1):
-        for j in range(2 * n + 2 - i, 2 * n - 1 + 1):
+        for j in range(2 * n + 2 - i, min(i - 1, 2 * n - 1) + 1):
             yield i, j
 
 

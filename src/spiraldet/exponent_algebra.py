@@ -19,11 +19,16 @@ The two building blocks used throughout the package are
 
 for a monomial m, which satisfy  bracket(a)*angle(x) = bracket(a*x) +
 bracket(a/x)  and  bracket(a)*bracket(x) = angle(a*x) - angle(a/x).
+
+:class:`Factored` keeps a product of integer-exponent polynomials unexpanded
+and evaluates it factor by factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log2, prod
+from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
 VARIABLES = ("a", "b", "c", "x", "y")
@@ -72,10 +77,6 @@ def as_exponent_vector(seq: Iterable[int]) -> ExponentVector:
 
 def _negate(vec: ExponentVector) -> ExponentVector:
     return tuple(-d for d in vec)
-
-
-def _vadd(u: ExponentVector, v: ExponentVector) -> ExponentVector:
-    return tuple(p + q for p, q in zip(u, v))
 
 
 class LaurentPoly:
@@ -175,14 +176,22 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[ExponentVector, int] = {}
+        # A new key shares its exponent ints with the keys made before it.
+        # CPython caches only ints up to 256, so a large product would
+        # otherwise hold a separate int object per big exponent per term.
+        share = {}.setdefault
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                w = _vadd(u, v)
-                s = out.get(w, 0) + cu * cv
-                if s:
-                    out[w] = s
+                w = tuple(map(_add, u, v))
+                s = out.get(w)
+                if s is None:
+                    out[tuple(map(share, w, w))] = cu * cv
                 else:
-                    out.pop(w, None)
+                    s += cu * cv
+                    if s:
+                        out[w] = s
+                    else:
+                        del out[w]
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
@@ -231,16 +240,6 @@ class LaurentPoly:
     __str__ = __repr__
 
 
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Canonical sum of two polynomials."""
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Canonical product; exponent vectors add componentwise."""
-    return p * q
-
-
 def bracket(vec: ExponentVector) -> LaurentPoly:
     """m - 1/m for the monomial m with the given exponents; 0 for the empty monomial."""
     vec = as_exponent_vector(vec)
@@ -257,6 +256,17 @@ def angle(vec: ExponentVector) -> LaurentPoly:
     return LaurentPoly._raw({vec: 1, _negate(vec): 1})
 
 
+def _coordinates(point: Sequence[ExponentLike]) -> list[Fraction]:
+    """The point as 5 nonzero Fractions; raises on a wrong length or a zero."""
+    coords = [Fraction(v) for v in point]
+    if len(coords) != NVARS:
+        raise ValueError(f"evaluation point must have {NVARS} coordinates")
+    for v in coords:
+        if v == 0:
+            raise ZeroCoordinateError("evaluation point has a zero coordinate")
+    return coords
+
+
 def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
     """Exact rational value of p at a point of 5 nonzero rationals.
 
@@ -265,48 +275,109 @@ def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
     substitute squares for those slots elsewhere), so the result stays an
     exact rational.  Variables with integer exponents only are read directly.
     """
-    coords = [Fraction(v) for v in point]
-    if len(coords) != NVARS:
-        raise ValueError(f"evaluation point must have {NVARS} coordinates")
-    for v in coords:
-        if v == 0:
-            raise ZeroCoordinateError("evaluation point has a zero coordinate")
+    coords = _coordinates(point)
     if not p.terms:
         return Fraction(0)
     half = p.half_support()
     # Factor out the per-variable minimum exponent so the inner loop runs on
-    # nonnegative powers; big formulas then evaluate in pure integer
-    # arithmetic when the point is integral.
+    # nonnegative powers.  At a non-integral point v_i = n_i/d_i, a term with
+    # shifted exponents e_i is prod n_i^e_i * d_i^(span_i - e_i) over the
+    # common denominator prod d_i^span_i, span_i being the exponent range.
+    # Big formulas thus evaluate in pure integer arithmetic at every point.
     effective = {
         vec: tuple((d if half[i] else d // 2) for i, d in enumerate(vec))
         for vec in p.terms
     }
     mins = [min(es[i] for es in effective.values()) for i in range(NVARS)]
-    caches: list[dict[int, object]] = [{} for _ in range(NVARS)]
-    integral = all(v.denominator == 1 for v in coords)
-    bases = [v.numerator if integral else v for v in coords]
+    if all(v.denominator == 1 for v in coords):
+        spans = [0] * NVARS
+    else:
+        spans = [max(es[i] for es in effective.values()) - mins[i] for i in range(NVARS)]
+    caches: list[dict[int, int]] = [{} for _ in range(NVARS)]
 
-    def power(i: int, e: int):
+    def power(i: int, e: int) -> int:
         value = caches[i].get(e)
         if value is None:
-            value = bases[i] ** e
+            value = coords[i].numerator ** e
+            if spans[i]:
+                value *= coords[i].denominator ** (spans[i] - e)
             caches[i][e] = value
         return value
 
-    total = 0 if integral else Fraction(0)
+    total = 0
     for vec, coeff in p.terms.items():
         term = coeff
         es = effective[vec]
         for i in range(NVARS):
             e = es[i] - mins[i]
-            if e:
+            if e or spans[i]:
                 term = term * power(i, e)
         total = total + term
-    scale = Fraction(1)
+    scale = Fraction(1, prod(v.denominator ** span for v, span in zip(coords, spans)))
     for i, m in enumerate(mins):
         if m:
             scale *= coords[i] ** m
     return total * scale
+
+
+class Factored:
+    """A product sign * factors[0] * factors[1] * ..., kept unexpanded.
+
+    A closed-form determinant is a product of O(n) factors of a few terms
+    each, while its expansion grows exponentially in n.  Evaluating the
+    factors one by one and multiplying the values gives the expansion's value
+    at a fraction of the cost.  That is exact only because every factor has
+    integer exponents: :func:`evaluate` reads a half-exponent variable's
+    coordinate as its square root, which is not multiplicative across
+    factors, so such factors are refused.
+    """
+
+    __slots__ = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: Iterable[LaurentPoly]):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        factors = tuple(factors)
+        for factor in factors:
+            if not isinstance(factor, LaurentPoly):
+                raise TypeError(f"factor {factor!r} is not a LaurentPoly")
+            if factor.has_half_exponents():
+                raise ValueError(f"factor {factor} has a half-integer exponent")
+        self.sign = sign
+        self.factors = factors
+
+    def expand(self) -> LaurentPoly:
+        """The product as one canonical polynomial.
+
+        The factors are multiplied in two runs whose term-count bounds are
+        about equal, and then the two runs together.  Multiplying one by one
+        would hold a partial product of nearly the final size beside the
+        result: for theorem 3 at sizes 9-11 the peak memory is then 24-44%
+        higher, though 16-45% fewer term pairs are multiplied.
+        """
+        weights = [log2(len(factor.terms)) if factor.terms else 0.0
+                   for factor in self.factors]
+        budget = sum(weights) / 2
+        head = LaurentPoly.constant(self.sign)
+        k = 0
+        while k < len(self.factors) and budget > 0:
+            head = head * self.factors[k]
+            budget -= weights[k]
+            k += 1
+        if k == len(self.factors):
+            return head
+        tail = self.factors[k]
+        for factor in self.factors[k + 1:]:
+            tail = tail * factor
+        return head * tail
+
+    def evaluate(self, point: Sequence[ExponentLike]) -> Fraction:
+        """Exact value at the point; equals ``evaluate(self.expand(), point)``."""
+        _coordinates(point)  # a bad point raises even when there are no factors
+        value = Fraction(self.sign)
+        for factor in self.factors:
+            value *= evaluate(factor, point)
+        return value
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .closed_forms import thm1_even, thm1_odd, thm2_even, thm2_odd
+from .closed_forms import theorem
 from .determinant_engine import (
     VerificationReport,
     Witness,
     det_bareiss_rational,
     det_cofactor,
 )
-from .exponent_algebra import LaurentPoly, evaluate
+from .exponent_algebra import LaurentPoly
 from .spiral_builder import build_qpower, specialize_additive
 
 
@@ -84,21 +84,13 @@ def q_series_string(series: dict[int, int]) -> str:
     return " ".join(chunks)
 
 
-def _thm1(n: int) -> LaurentPoly:
-    return thm1_even(n // 2) if n % 2 == 0 else thm1_odd(n // 2)
-
-
-def _thm2(n: int) -> LaurentPoly:
-    return thm2_even(n // 2) if n % 2 == 0 else thm2_odd(n // 2)
-
-
 def term(spec: SequenceSpec, n: int):
     """Formula value of the n-th term: an int, or a q-power dict for qspiral."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.id is SequenceId.QSPIRAL:
-        return q_series(_thm2(n))
-    value = evaluate(_thm1(n), spec.additive_point(n))
+        return q_series(theorem(2, n).expand())
+    value = theorem(1, n).evaluate(spec.additive_point(n))
     assert value.denominator == 1, "specialized determinant must be an integer"
     return int(value)
 

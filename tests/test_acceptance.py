@@ -9,15 +9,7 @@ the functional-equation residuals, which are verified against an absolute
 import math
 import random
 
-from spiraldet.closed_forms import (
-    thm1_even,
-    thm1_odd,
-    thm2_even,
-    thm2_odd,
-    thm3_even,
-    thm3_odd,
-    verify_reduction,
-)
+from spiraldet.closed_forms import theorem, verify_reduction
 from spiraldet.determinant_engine import (
     antidiagonal_entry_formulas,
     det_cofactor,
@@ -56,12 +48,6 @@ def _announce(number, text):
     print(f"criterion {number:2d}: PASS - {text}")
 
 
-def _thm(theorem, n):
-    table = {1: (thm1_even, thm1_odd), 2: (thm2_even, thm2_odd), 3: (thm3_even, thm3_odd)}
-    even, odd = table[theorem]
-    return even(n // 2) if n % 2 == 0 else odd(n // 2)
-
-
 def _matrix(theorem, n):
     if theorem == 1:
         return [[form.to_poly() for form in row] for row in build_additive(n)]
@@ -72,19 +58,21 @@ def _matrix(theorem, n):
 
 def test_criterion_01_theorem1_identity():
     for n in range(1, 7):
-        assert det_cofactor(_matrix(1, n)) == _thm(1, n), f"additive mismatch at n={n}"
+        assert det_cofactor(_matrix(1, n)) == theorem(1, n).expand(), \
+            f"additive mismatch at n={n}"
     _announce(1, "additive determinants equal the closed form for n = 1..6, exactly")
 
 
 def test_criterion_02_theorem2_identity():
     for n in range(1, 7):
-        assert det_cofactor(_matrix(2, n)) == _thm(2, n), f"q-power mismatch at n={n}"
+        assert det_cofactor(_matrix(2, n)) == theorem(2, n).expand(), \
+            f"q-power mismatch at n={n}"
     _announce(2, "q-power determinants equal the closed form for n = 1..6, exactly")
 
 
 def test_criterion_03_theorem3_identity():
     for n in range(1, 7):
-        formula = _thm(3, n)
+        formula = theorem(3, n).expand()
         assert det_cofactor(_matrix(3, n)) == formula, f"bracket mismatch at n={n}"
         assert not formula.has_half_exponents(), f"half exponent survives at n={n}"
     _announce(3, "bracket determinants equal the closed form for n = 1..6, "
@@ -93,12 +81,12 @@ def test_criterion_03_theorem3_identity():
 
 def test_criterion_04_randomized_large_sizes():
     for n in (7, 8, 9):
-        for theorem in (1, 2, 3):
-            matrix = _matrix(theorem, n)
+        for k in (1, 2, 3):
+            matrix = _matrix(k, n)
             report = verify_identity(
                 lambda pt, m=matrix: numeric_matrix(m, pt),
-                _thm(theorem, n), trials=20, seed=20_000 + 10 * n + theorem)
-            assert report.failures == 0, (n, theorem, report.witnesses[:1])
+                theorem(k, n), trials=20, seed=20_000 + 10 * n + k)
+            assert report.failures == 0, (n, k, report.witnesses[:1])
     _announce(4, "all three families match their formulas at 20 random points "
                  "for n = 7, 8, 9, exact rationals")
 

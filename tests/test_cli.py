@@ -82,6 +82,19 @@ class TestVerify:
         modes = {c["n"]: c["mode"] for c in blob["report"]["checks"]}
         assert modes[8] == "symbolic" and modes[9] == "randomized"
 
+    def test_bracket_family_to_12(self, capsys):
+        # the expansion at n = 12 has 249,911 terms; the factored form is
+        # evaluated factor by factor instead
+        code, blob = run_json(["verify", "--theorem", "3", "--n-max", "12",
+                               "--trials", "2"], capsys)
+        assert code == 0 and blob["report"]["failures"] == 0
+        assert [c["n"] for c in blob["report"]["checks"]] == list(range(1, 13))
+
+    def test_empty_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--theorem", "1", "--n-max", "0"])
+        assert excinfo.value.code == 2
+
 
 class TestReduce:
     def test_reduction_reports(self, capsys):
@@ -90,6 +103,11 @@ class TestReduce:
         assert code == 0
         assert blob["report"]["odd"]["failures"] == 0
         assert blob["report"]["even"]["failures"] == 0
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reduce", "--n", "1", "--trials", "0"])
+        assert excinfo.value.code == 2
 
 
 class TestSeq:
@@ -104,6 +122,12 @@ class TestSeq:
     def test_json(self, capsys):
         code, blob = run_json(["seq", "--seq", "outward", "--n-max", "6"], capsys)
         assert code == 0 and blob["report"]["failures"] == 0
+
+    def test_empty_range_is_usage_error(self, capsys):
+        # the CSV format would otherwise print a bare header and exit 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["seq", "--seq", "inward", "--n-max", "0", "--format", "csv"])
+        assert excinfo.value.code == 2
 
 
 class TestFunceq:
@@ -148,6 +172,11 @@ class TestBench:
         assert {row.split(",")[1] for row in rows_10} == {"bareiss", "formula"}
         assert len({row.split(",")[3] for row in rows_10}) == 1
 
+    def test_empty_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--n-max", "0"])
+        assert excinfo.value.code == 2
+
 
 class TestContract:
     def test_usage_error_exit_2(self, capsys):
@@ -181,6 +210,13 @@ class TestContract:
         _, blob = run_json(["verify", "--theorem", "1", "--n-max", "2",
                             "--seed", "4"], capsys)
         assert blob["config"]["seed"] == 4
+
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPIRALDET_SEED", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--theorem", "1", "--n-max", "2"])
+        assert excinfo.value.code == 2
+        assert "SPIRALDET_SEED" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=SRC)

@@ -1,8 +1,12 @@
 """Tests for the closed-form determinants and the reduction procedures."""
 
+from fractions import Fraction
+
 import pytest
 
+from spiraldet import closed_forms
 from spiraldet.closed_forms import (
+    ReductionSkipError,
     qreduction_check,
     reduce_even,
     reduce_odd,
@@ -12,9 +16,10 @@ from spiraldet.closed_forms import (
     thm2_odd,
     thm3_even,
     thm3_odd,
+    theorem,
     verify_reduction,
 )
-from spiraldet.determinant_engine import det_bareiss_rational, det_cofactor
+from spiraldet.determinant_engine import det_bareiss_rational, det_cofactor, sample_point
 from spiraldet.exponent_algebra import (
     LaurentPoly,
     bracket,
@@ -122,6 +127,35 @@ class TestTheorem3:
             assert not formula.has_half_exponents()
 
 
+EXPANDED = {1: (thm1_even, thm1_odd), 2: (thm2_even, thm2_odd), 3: (thm3_even, thm3_odd)}
+RATIONAL_POINT = (Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 4), Fraction(-1, 3))
+
+
+class TestFactoredTheorems:
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("size", range(0, 13))
+    def test_factored_value_equals_expanded_value(self, k, size):
+        even, odd = EXPANDED[k]
+        expanded = (odd if size % 2 else even)(size // 2)
+        factored = theorem(k, size)
+        for point in (sample_point(60, 0), sample_point(60, 1), RATIONAL_POINT):
+            assert factored.evaluate(point) == evaluate(expanded, point)
+
+    @pytest.mark.parametrize("size", range(0, 8))
+    def test_bracket_factors_have_integer_exponents(self, size):
+        for factor in theorem(3, size).factors:
+            assert not factor.has_half_exponents()
+            assert len(factor.terms) <= 4
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            theorem(4, 2)
+        with pytest.raises(ValueError):
+            theorem(1, -1)
+        with pytest.raises(ValueError):
+            thm3_even(-1)
+
+
 class TestReductions:
     def test_odd_1_data(self):
         data = reduce_odd(1)
@@ -169,6 +203,14 @@ class TestReductions:
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
             verify_reduction("sideways", 1, 1, 0)
+
+    def test_skip_loop_is_bounded(self, monkeypatch):
+        # b + c + x + y = 0 zeroes the odd step's up increment at every point
+        monkeypatch.setattr(closed_forms, "sample_point", lambda seed, index: (1, 1, 1, -1, -1))
+        with pytest.raises(ReductionSkipError) as excinfo:
+            verify_reduction("odd", 1, 3, seed=0)
+        assert excinfo.value.skipped == excinfo.value.attempts == 10 * 3 + 100
+        assert "skipped 130 of 130" in str(excinfo.value)
 
 
 class TestQReduction:

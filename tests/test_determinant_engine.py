@@ -18,8 +18,9 @@ from spiraldet.determinant_engine import (
     wedge_eliminate_even,
     wedge_eliminate_odd,
 )
-from spiraldet.closed_forms import thm1_odd, thm3_odd
+from spiraldet.closed_forms import theorem, thm1_odd, thm3_even, thm3_odd
 from spiraldet.exponent_algebra import (
+    Factored,
     LaurentPoly,
     angle,
     bracket,
@@ -153,6 +154,17 @@ class TestVerifyIdentity:
             pt = sample_point(123, t)
             assert all(v != 0 and -50 <= v <= 50 for v in pt)
 
+    def test_factored_rhs_catches_a_wrong_sign(self):
+        matrix = build_bracket_xx(9)
+        formula = theorem(3, 9)
+        report = verify_identity(lambda pt: numeric_matrix(matrix, pt), formula, 2, seed=5)
+        assert report.failures == 0
+        negated = Factored(-formula.sign, formula.factors)
+        wrong = verify_identity(lambda pt: numeric_matrix(matrix, pt), negated, 2, seed=5)
+        # the negation differs from the truth wherever the truth is nonzero
+        assert wrong.failures == sum(formula.evaluate(sample_point(5, t)) != 0 for t in range(2))
+        assert wrong.failures > 0
+
     def test_json_shape(self):
         p = thm1_odd(1)
         report = verify_identity(lambda pt: [[evaluate(p, pt)]], p + 1, 2, seed=3)
@@ -193,6 +205,15 @@ class TestWedgeElimination:
             z = build_bracket_xx(n)
             _, fac = wedge_eliminate_odd(z)
             assert fac.product() == det_cofactor(z) == expected
+
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_product_equals_theorem_3(self, size):
+        # sizes 7 and 9 reach the cells (i, i) of the odd lower wedge, which
+        # are antidiagonal entries, not wedge cells
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        expected = (thm3_odd if size % 2 else thm3_even)(size // 2)
+        _, fac = eliminate(build_bracket_xx(size))
+        assert fac.product() == expected
 
     def test_odd_1_single_entry(self):
         z = build_bracket_xx(1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from spiraldet.exponent_algebra import (
+    Factored,
     LaurentPoly,
     ZeroCoordinateError,
     angle,
@@ -133,11 +134,75 @@ class TestEvaluate:
         with pytest.raises(ZeroCoordinateError):
             evaluate(X, (1, 1, 1, 0, 1))
 
+    def test_non_integral_point_matches_termwise_fractions(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            p = random_poly(rng)
+            point = tuple(Fraction(v, rng.randint(1, 9)) for v in random_point(rng))
+            half = p.half_support()
+            expected = Fraction(0)
+            for vec, coeff in p.terms.items():
+                term = Fraction(coeff)
+                for i, d in enumerate(vec):
+                    term *= point[i] ** (d if half[i] else d // 2)
+                expected += term
+            value = evaluate(p, point)
+            assert type(value) is Fraction and value == expected
+
     def test_half_exponent_coordinates_are_square_roots(self):
         # [(bc)^(1/2) x^2] at sqrt(b)=3, sqrt(c)=2, x=5: 6*25 - 1/150
         p = bracket(exponents(b=Fraction(1, 2), c=Fraction(1, 2), x=2))
         value = evaluate(p, (1, 3, 2, 5, 1))
         assert value == Fraction(150) - Fraction(1, 150)
+
+
+class TestFactored:
+    def test_expand_is_the_signed_product(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            sign = rng.choice((1, -1))
+            factors = [random_integer_poly(rng, max_terms=4) for _ in range(rng.randint(0, 6))]
+            expected = LaurentPoly.constant(sign)
+            for factor in factors:
+                expected = expected * factor
+            assert Factored(sign, factors).expand() == expected
+
+    def test_evaluate_equals_evaluate_of_expansion(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            factored = Factored(rng.choice((1, -1)),
+                                [random_integer_poly(rng, max_terms=4) for _ in range(3)])
+            point = random_point(rng)
+            rational = tuple(Fraction(v, rng.randint(1, 7)) for v in point)
+            for pt in (point, rational):
+                assert factored.evaluate(pt) == evaluate(factored.expand(), pt)
+
+    def test_empty_product(self):
+        assert Factored(1, ()).expand() == LaurentPoly.one()
+        assert Factored(-1, ()).evaluate((1, 2, 3, 4, 5)) == -1
+
+    def test_half_exponent_factor_refused(self):
+        with pytest.raises(ValueError):
+            Factored(1, [X, bracket(exponents(b=Fraction(1, 2)))])
+
+    def test_half_exponent_evaluation_is_not_multiplicative(self):
+        # why such factors are refused: [b^(1/2)] at b = 3 is 8/3 read as a
+        # square root, but its square b - 2 + 1/b is 4/3 read directly
+        p = bracket(exponents(b=Fraction(1, 2)))
+        point = (1, 3, 1, 1, 1)
+        assert evaluate(p * p, point) == Fraction(4, 3)
+        assert evaluate(p, point) ** 2 == Fraction(64, 9)
+
+    def test_sign_must_be_unit(self):
+        with pytest.raises(ValueError):
+            Factored(2, [X])
+
+    def test_bad_point_raises_like_evaluate(self):
+        for factors in ((), (X,)):
+            with pytest.raises(ValueError):
+                Factored(1, factors).evaluate((1, 2, 3))
+            with pytest.raises(ZeroCoordinateError):
+                Factored(1, factors).evaluate((1, 1, 1, 0, 1))
 
 
 class TestRingAxioms:
