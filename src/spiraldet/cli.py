@@ -104,20 +104,12 @@ def _cmd_det(args, seed: int):
     return config, {"determinant": to_records(det), "string": to_string(det)}, 0
 
 
-def _theorem_matrix(theorem: int, n: int):
-    if theorem == 1:
-        return [[form.to_poly() for form in row] for row in spiral_builder.build_additive(n)]
-    if theorem == 2:
-        return spiral_builder.build_qpower(n)
-    return spiral_builder.build_bracket_xx(n)
-
-
 def _cmd_verify(args, seed: int):
     checks = []
     failures = 0
     for n in range(1, args.n_max + 1):
         formula = closed_forms.theorem(args.theorem, n)
-        matrix = _theorem_matrix(args.theorem, n)
+        matrix = spiral_builder.theorem_matrix(args.theorem, n)
         if n <= determinant_engine.COFACTOR_SIZE_GUARD:
             ok = determinant_engine.det_cofactor(matrix) == formula.expand()
             checks.append({"n": n, "mode": "symbolic", "match": ok})
@@ -201,7 +193,7 @@ def _cmd_bench(args, seed: int):
         results = {}
         for name, fn in methods.items():
             times = []
-            for _ in range(max(1, args.trials)):
+            for _ in range(args.trials):
                 t0 = time.perf_counter_ns()
                 value = fn()
                 times.append(time.perf_counter_ns() - t0)
@@ -246,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a determinant formula against the matrices")
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--n-max", type=_positive_int, default=4)
-    p.add_argument("--trials", type=int, default=20,
+    p.add_argument("--trials", type=_positive_int, default=20,
                    help="random trials per size beyond the symbolic guard")
     common(p, ("json", "text"))
 
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the determinant engines against each other")
     p.add_argument("--n-max", type=_positive_int, default=6)
-    p.add_argument("--trials", type=int, default=3, help="timing repeats per method")
+    p.add_argument("--trials", type=_positive_int, default=3, help="timing repeats per method")
     common(p, ("csv", "json"), default_format="csv")
 
     return parser

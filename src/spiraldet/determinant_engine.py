@@ -2,8 +2,9 @@
 
 Two determinant engines cross-check each other: a memoized cofactor expansion
 that works over any commutative ring (used symbolically on Laurent-polynomial
-matrices, guarded to n <= 8), and a fraction-free Bareiss elimination over
-exact rationals for numeric work at any size.
+matrices, guarded to n <= 8), and, for numeric work at any size, Bareiss's
+fraction-free elimination on plain ints after the rational matrix's row and
+column contents are divided out.
 
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: replacing C_j by C_j - <x>*C_{j-1} +
@@ -17,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exponent_algebra import Factored, LaurentPoly, angle, bracket, evaluate, exponents
@@ -83,15 +85,44 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
 
 
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact rational determinant by fraction-free elimination with row-swap pivoting."""
+    """Exact rational determinant of a matrix of ints, Fractions or floats.
+
+    Each row is scaled to coprime integers (by the lcm of its denominators
+    over the gcd of its numerators) and each column's gcd is divided out.
+    Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
+    is the product of those contents times the determinant of the
+    content-free integer matrix.  That one comes from Bareiss's fraction-free
+    elimination with row-swap pivoting on plain ints, whose every division
+    is exact.  A q-power matrix at a sample point carries a large common
+    monomial in each row and column, so removing the content first keeps the
+    eliminated entries small.  A zero row or column gives 0 at once.
+    """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    m = [[Fraction(v) for v in row] for row in matrix]
+    scale_num = scale_den = 1
+    m = []
+    for row in matrix:
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        content = gcd(*(v.numerator for v in row))
+        if content == 0:
+            return Fraction(0)
+        m.append([v.numerator * (den // v.denominator) // content for v in row])
+        scale_num *= content
+        scale_den *= den
+    for j in range(n):
+        content = gcd(*(row[j] for row in m))
+        if content == 0:
+            return Fraction(0)
+        if content != 1:
+            for row in m:
+                row[j] //= content
+            scale_num *= content
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -102,14 +133,15 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
             else:
                 return Fraction(0)
         pivot = m[k][k]
+        tail_k = m[k][k + 1:]
         for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
+            row_i = m[i]
             head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) / prev
-            row_i[k] = Fraction(0)
+            row_i[k + 1:] = [(pivot * a - head * b) // prev
+                             for a, b in zip(row_i[k + 1:], tail_k)]
+            row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1] * scale_num, scale_den)
 
 
 def numeric_matrix(matrix: Sequence[Sequence[LaurentPoly]], point) -> list[list[Fraction]]:

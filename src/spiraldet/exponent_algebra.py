@@ -313,11 +313,18 @@ def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
             if e or spans[i]:
                 term = term * power(i, e)
         total = total + term
-    scale = Fraction(1, prod(v.denominator ** span for v, span in zip(coords, spans)))
-    for i, m in enumerate(mins):
-        if m:
-            scale *= coords[i] ** m
-    return total * scale
+    # Put the minimum exponents back on the integer numerator and denominator
+    # and normalize once, rather than once per Fraction power.
+    num = total
+    den = prod(v.denominator ** span for v, span in zip(coords, spans))
+    for v, m in zip(coords, mins):
+        if m > 0:
+            num *= v.numerator ** m
+            den *= v.denominator ** m
+        elif m < 0:
+            num *= v.denominator ** -m
+            den *= v.numerator ** -m
+    return Fraction(num, den)
 
 
 class Factored:

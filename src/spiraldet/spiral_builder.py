@@ -192,6 +192,21 @@ def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     return out
 
 
+def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
+    """The n x n matrix whose determinant theorem 1, 2 or 3 gives in closed form.
+
+    Theorem 1 is the additive family (entries as polynomials), theorem 2 the
+    q-power family and theorem 3 the bracket family with y set to x.
+    """
+    if theorem == 1:
+        return [[form.to_poly() for form in row] for row in build_additive(n)]
+    if theorem == 2:
+        return build_qpower(n)
+    if theorem == 3:
+        return build_bracket_xx(n)
+    raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
+
+
 def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
     """Bracket spiral whose k-th up/down step multiplies by a chosen monomial.
 

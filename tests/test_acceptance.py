@@ -36,10 +36,9 @@ from spiraldet.sequences import SequenceId, SequenceSpec, verify_sequence
 from spiraldet.spiral_builder import (
     Family,
     SpiralSpec,
-    build_additive,
     build_bracket_xx,
-    build_qpower,
     step_counts,
+    theorem_matrix,
 )
 from spiraldet.spiral_builder import build_generalized_bracket
 
@@ -48,24 +47,16 @@ def _announce(number, text):
     print(f"criterion {number:2d}: PASS - {text}")
 
 
-def _matrix(theorem, n):
-    if theorem == 1:
-        return [[form.to_poly() for form in row] for row in build_additive(n)]
-    if theorem == 2:
-        return build_qpower(n)
-    return build_bracket_xx(n)
-
-
 def test_criterion_01_theorem1_identity():
     for n in range(1, 7):
-        assert det_cofactor(_matrix(1, n)) == theorem(1, n).expand(), \
+        assert det_cofactor(theorem_matrix(1, n)) == theorem(1, n).expand(), \
             f"additive mismatch at n={n}"
     _announce(1, "additive determinants equal the closed form for n = 1..6, exactly")
 
 
 def test_criterion_02_theorem2_identity():
     for n in range(1, 7):
-        assert det_cofactor(_matrix(2, n)) == theorem(2, n).expand(), \
+        assert det_cofactor(theorem_matrix(2, n)) == theorem(2, n).expand(), \
             f"q-power mismatch at n={n}"
     _announce(2, "q-power determinants equal the closed form for n = 1..6, exactly")
 
@@ -73,7 +64,7 @@ def test_criterion_02_theorem2_identity():
 def test_criterion_03_theorem3_identity():
     for n in range(1, 7):
         formula = theorem(3, n).expand()
-        assert det_cofactor(_matrix(3, n)) == formula, f"bracket mismatch at n={n}"
+        assert det_cofactor(theorem_matrix(3, n)) == formula, f"bracket mismatch at n={n}"
         assert not formula.has_half_exponents(), f"half exponent survives at n={n}"
     _announce(3, "bracket determinants equal the closed form for n = 1..6, "
                  "with integer exponents only")
@@ -82,7 +73,7 @@ def test_criterion_03_theorem3_identity():
 def test_criterion_04_randomized_large_sizes():
     for n in (7, 8, 9):
         for k in (1, 2, 3):
-            matrix = _matrix(k, n)
+            matrix = theorem_matrix(k, n)
             report = verify_identity(
                 lambda pt, m=matrix: numeric_matrix(m, pt),
                 theorem(k, n), trials=20, seed=20_000 + 10 * n + k)

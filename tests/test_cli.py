@@ -95,6 +95,16 @@ class TestVerify:
             main(["verify", "--theorem", "1", "--n-max", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("n_max", ("3", "9"))
+    @pytest.mark.parametrize("trials", ("0", "-1"))
+    def test_trials_below_one_is_usage_error(self, n_max, trials, capsys):
+        # a symbolic-only range must refuse it too, not echo "trials": 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--theorem", "1", "--n-max", n_max, "--trials", trials])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --trials: must be >= 1" in captured.err
+
 
 class TestReduce:
     def test_reduction_reports(self, capsys):
@@ -176,6 +186,14 @@ class TestBench:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--n-max", "0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("trials", ("0", "-1"))
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--n-max", "2", "--trials", trials])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --trials: must be >= 1" in captured.err
 
 
 class TestContract:

@@ -37,12 +37,38 @@ from spiraldet.spiral_builder import (
     build_qpower,
     specialize_additive,
     step_counts,
+    theorem_matrix,
 )
 
 
 def random_fraction_matrix(rng, n, lo=-9, hi=9):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n)]
             for _ in range(n)]
+
+
+def fraction_bareiss(matrix):
+    """Reference: fraction-free elimination carried out on Fractions throughout."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            head = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - head * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def random_generalized_spec(rng, n):
@@ -123,6 +149,88 @@ class TestDetBareiss:
             scaled = [list(r) for r in m]
             scaled[row] = [scale * v for v in scaled[row]]
             assert det_bareiss_rational(scaled) == scale * base
+
+
+class TestBareissContentRemoval:
+    """The integer elimination on the content-free matrix against the Fraction reference."""
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(4049)
+        for n in range(1, 9):
+            for _ in range(25):
+                m = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+                     for _ in range(n)]
+                value = det_bareiss_rational(m)
+                assert type(value) is Fraction and value == fraction_bareiss(m)
+
+    def test_matches_reference_with_large_contents(self):
+        # rows and columns carrying big common factors, as a q-power matrix does
+        rng = random.Random(8)
+        for n in range(1, 9):
+            m = random_fraction_matrix(rng, n)
+            rows = [Fraction(rng.choice((-1, 1)) * 7 ** rng.randint(0, 20), 3 ** rng.randint(0, 20))
+                    for _ in range(n)]
+            cols = [Fraction(5 ** rng.randint(0, 20), rng.choice((-2, 2)) ** rng.randint(0, 20))
+                    for _ in range(n)]
+            scaled = [[rows[i] * m[i][j] * cols[j] for j in range(n)] for i in range(n)]
+            assert det_bareiss_rational(scaled) == fraction_bareiss(scaled)
+
+    def test_zero_row_or_column(self):
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for _ in range(5):
+                m = random_fraction_matrix(rng, n)
+                k = rng.randrange(n)
+                with_row = [list(r) for r in m]
+                with_row[k] = [Fraction(0)] * n
+                with_col = [list(r) for r in m]
+                for row in with_col:
+                    row[k] = 0
+                assert det_bareiss_rational(with_row) == 0
+                assert det_bareiss_rational(with_col) == 0
+
+    def test_negative_and_all_equal_content(self):
+        assert det_bareiss_rational([[Fraction(-3, 7)]]) == Fraction(-3, 7)
+        for n in range(2, 6):
+            assert det_bareiss_rational([[Fraction(-3, 7)] * n for _ in range(n)]) == 0
+        m = [[-6, -4], [-9, -3]]  # row contents -2 and -3 with a negative sign each
+        assert det_bareiss_rational(m) == 18 - 36
+        rng = random.Random(77)
+        for n in range(1, 7):
+            m = random_fraction_matrix(rng, n)
+            negated = [[-(i + 2) * v / 5 for v in row] for i, row in enumerate(m)]
+            assert det_bareiss_rational(negated) == fraction_bareiss(negated)
+
+    def test_pivot_swap_after_content_removal(self):
+        # the leading 2x2 block [[2, 4], [3, 6]] is singular, so the second
+        # pivot is zero after one step and rows must be swapped
+        base = [[2, 4, 6], [3, 6, 1], [5, 7, 11]]
+        assert fraction_bareiss(base) == det_cofactor(base) != 0
+        rows = (Fraction(7, 3), Fraction(-10, 9), Fraction(4, 25))
+        m = [[rows[i] * v for v in row] for i, row in enumerate(base)]
+        assert det_bareiss_rational(m) == rows[0] * rows[1] * rows[2] * det_cofactor(base)
+        m = [[0, 6, 4], [3, 9, 0], [5, 0, 10]]  # zero first pivot
+        assert det_bareiss_rational(m) == det_cofactor(m) == fraction_bareiss(m)
+
+    def test_int_fraction_and_float_entries(self):
+        ints = [[4, -2, 6], [1, 3, 5], [-7, 0, 2]]
+        assert det_bareiss_rational(ints) == det_cofactor(ints)
+        floats = [[0.5, 0.25, -1.5], [2.0, 0.1, 3.0], [-0.75, 1.0, 0.3]]
+        assert det_bareiss_rational(floats) == fraction_bareiss(floats)
+        mixed = [[1, Fraction(1, 3), 0.5], [Fraction(-2, 7), 4, 0.125], [3, 0.1, Fraction(5, 2)]]
+        value = det_bareiss_rational(mixed)
+        assert type(value) is Fraction and value == fraction_bareiss(mixed)
+
+    @pytest.mark.parametrize("k,sizes", ((2, range(9, 21)), (3, range(9, 13))))
+    def test_theorem_matrices_at_integer_and_rational_points(self, k, sizes):
+        points = (sample_point(3, 0),
+                  (Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 5), Fraction(-4, 3)))
+        for n in sizes:
+            matrix = theorem_matrix(k, n)
+            formula = theorem(k, n)
+            for pt in points:
+                assert det_bareiss_rational(numeric_matrix(matrix, pt)) == formula.evaluate(pt), \
+                    (k, n, pt)
 
 
 class TestVerifyIdentity:

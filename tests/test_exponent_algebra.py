@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -154,6 +155,80 @@ class TestEvaluate:
         p = bracket(exponents(b=Fraction(1, 2), c=Fraction(1, 2), x=2))
         value = evaluate(p, (1, 3, 2, 5, 1))
         assert value == Fraction(150) - Fraction(1, 150)
+
+
+def termwise_value(p, point):
+    """Reference value: every term computed on its own with Fraction powers."""
+    half = p.half_support()
+    total = Fraction(0)
+    for vec, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for i, d in enumerate(vec):
+            term *= Fraction(point[i]) ** (d if half[i] else d // 2)
+        total += term
+    return total
+
+
+class TestEvaluateMinimumExponents:
+    """The per-variable minimum exponents go back on one numerator and denominator."""
+
+    INTEGER_POINTS = ((3, -2, 5, 7, -1), (-4, 9, -6, 2, 11))
+    RATIONAL_POINTS = (
+        (Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(-7, 5), Fraction(4, 9)),
+        (Fraction(-2, 3), 5, Fraction(1, 8), Fraction(11, 4), -3),
+    )
+
+    # exponent vectors with a positive minimum in a, a negative one in b and
+    # y, and a zero one in c; x ranges over both signs
+    MONOMIALS = (exponents(a=3, b=-2, x=5, y=-1), exponents(a=1, b=-7, c=0, x=-4, y=-3))
+    POLYS = (
+        LaurentPoly({exponents(a=2, b=-1, x=3): 5, exponents(a=4, b=-3, x=-2, y=-1): -7,
+                     exponents(a=3, b=-1, c=1, y=-2): 11}),
+        LaurentPoly({exponents(a=-3, b=2, c=-1): 1, exponents(a=-1, b=5, c=-4, x=1): -2,
+                     exponents(a=-2, b=3, c=-1, x=-6, y=2): 3}),
+    )
+    HALF_POLYS = (
+        LaurentPoly.monomial(exponents(a=2, b=Fraction(-3, 2), c=Fraction(5, 2), x=-1), 4),
+        LaurentPoly({exponents(a=1, b=Fraction(-1, 2), x=2): 3,
+                     exponents(a=3, b=Fraction(-5, 2), x=-1, y=-2): -1,
+                     exponents(a=2, b=Fraction(3, 2), c=Fraction(1, 2), y=-1): 2}),
+    )
+
+    @staticmethod
+    def assert_normalized_equal(p, point):
+        value = evaluate(p, point)
+        assert type(value) is Fraction
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+        assert value == termwise_value(p, point), (p, point)
+
+    @pytest.mark.parametrize("vec", MONOMIALS)
+    def test_monomials(self, vec):
+        for coeff in (1, -6):
+            p = LaurentPoly.monomial(vec, coeff)
+            for point in self.INTEGER_POINTS + self.RATIONAL_POINTS:
+                self.assert_normalized_equal(p, point)
+
+    @pytest.mark.parametrize("index", range(len(POLYS)))
+    def test_multi_term_polys(self, index):
+        for point in self.INTEGER_POINTS + self.RATIONAL_POINTS:
+            self.assert_normalized_equal(self.POLYS[index], point)
+
+    @pytest.mark.parametrize("index", range(len(HALF_POLYS)))
+    def test_half_exponent_variables(self, index):
+        p = self.HALF_POLYS[index]
+        assert p.has_half_exponents()
+        for point in self.INTEGER_POINTS + self.RATIONAL_POINTS:
+            self.assert_normalized_equal(p, point)
+
+    def test_random_shifted_polys(self):
+        rng = random.Random(271)
+        for _ in range(200):
+            shift = tuple(rng.randint(-8, 8) for _ in range(5))
+            p = random_poly(rng) * LaurentPoly.monomial(shift)
+            point = random_point(rng)
+            if rng.random() < 0.5:
+                point = tuple(Fraction(v, rng.choice((-3, -1, 2, 5))) for v in point)
+            self.assert_normalized_equal(p, point)
 
 
 class TestFactored:

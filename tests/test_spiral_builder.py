@@ -22,6 +22,7 @@ from spiraldet.spiral_builder import (
     spiral_exponents,
     spiral_walk,
     step_counts,
+    theorem_matrix,
 )
 
 # The canonical 4x4 and 5x5 additive displays, row by row.
@@ -160,6 +161,20 @@ class TestBracket:
             direct = build_bracket_xx(n)
             substituted = [[entry.set_y_to_x() for entry in row] for row in build_bracket(n)]
             assert direct == substituted
+
+
+class TestTheoremMatrix:
+    def test_dispatch(self):
+        for n in (1, 4, 7):
+            assert theorem_matrix(1, n) == [[form.to_poly() for form in row]
+                                            for row in build_additive(n)]
+            assert theorem_matrix(2, n) == build_qpower(n)
+            assert theorem_matrix(3, n) == build_bracket_xx(n)
+
+    @pytest.mark.parametrize("theorem", (0, 4))
+    def test_unknown_theorem(self, theorem):
+        with pytest.raises(ValueError):
+            theorem_matrix(theorem, 3)
 
 
 class TestGeneralized:
