@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -41,6 +42,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
@@ -168,7 +183,8 @@ def _cmd_funceq(args, seed: int):
                              alpha=args.alpha, imaginary=args.imaginary)
     relations = [args.relation] if args.relation else list(funceq.RELATIONS)
     reports = [funceq.check_relation(spec, rel, args.trials, seed) for rel in relations]
-    failures = sum(1 for rep in reports if rep.max_residual > args.tolerance)
+    # a NaN residual compares false with everything, so test for a pass
+    failures = sum(1 for rep in reports if not rep.max_residual <= args.tolerance)
     config = {"command": "funceq", "alpha": args.alpha, "imaginary": args.imaginary,
               "tolerance": args.tolerance, "seed": seed, "trials": args.trials,
               "format": args.format}
@@ -254,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "csv", "text"))
 
     p = sub.add_parser("funceq", help="check the functional-equation relations")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--imaginary", action="store_true",
                    help="treat --alpha as the imaginary magnitude t")
     p.add_argument("--relation", choices=funceq.RELATIONS, default=None,
                    help="single relation (default: all)")
-    p.add_argument("--trials", type=int, default=1000, help="sample count")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--trials", type=_positive_int, default=1000, help="sample count")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     common(p, ("json", "text"))
 
     p = sub.add_parser("bench", help="time the determinant engines against each other")

@@ -1,8 +1,8 @@
 """Exact determinants, wedge elimination, and randomized identity checking.
 
 Two determinant engines cross-check each other: a memoized cofactor expansion
-that works over any commutative ring (used symbolically on Laurent-polynomial
-matrices, guarded to n <= 8), and, for numeric work at any size, Bareiss's
+over packed monomial keys (used symbolically on Laurent-polynomial matrices,
+guarded to n <= 8), and, for numeric work at any size, Bareiss's
 fraction-free elimination on plain ints after the rational matrix's row and
 column contents are divided out.
 
@@ -21,7 +21,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .exponent_algebra import Factored, LaurentPoly, angle, bracket, evaluate, exponents
+from .exponent_algebra import (
+    Factored,
+    LaurentPoly,
+    _pack,
+    _unpack,
+    angle,
+    bracket,
+    evaluate,
+    exponents,
+)
 
 COFACTOR_SIZE_GUARD = 8
 
@@ -45,43 +54,76 @@ class WedgeNotZeroError(ValueError):
 def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     """Exact determinant by Laplace expansion, memoized over column subsets.
 
-    Works for any entries supporting ring arithmetic with ints (LaurentPoly,
-    Fraction, int).  O(n * 2^n) subproblems; refuses n > 8 unless
-    ``allow_large`` is set.
+    Entries are LaurentPoly, int, Fraction or float.  Each entry is packed
+    once into (key, coefficient) pairs, the key of a monomial with doubled
+    exponents d being sum d[i] * B**i with B = 2*H + 1 and H = n * max|d|
+    over all entries.  A term of a k-row minor has exponents of size at most
+    k * max|d| <= H, so no two monomials the expansion meets share a key,
+    and keys add as exponents do.  Each minor then accumulates its
+    entry-times-cofactor products into one dict of keys, dropping zero
+    coefficients once per minor.  A number is the constant key 0.
+
+    A matrix with any LaurentPoly entry returns a canonical LaurentPoly (its
+    other nonzero entries must be ints); otherwise the number comes back,
+    with a zero determinant as the int 0.  O(n * 2^n) subproblems; refuses
+    n > 8 unless ``allow_large`` is set.
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     if n > COFACTOR_SIZE_GUARD and not allow_large:
         raise SizeGuardError(f"n={n} exceeds the size guard {COFACTOR_SIZE_GUARD}")
     if n == 0:
         return 1
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    memo = {}
+    symbolic = any(isinstance(entry, LaurentPoly) for row in matrix for entry in row)
+    base = 1
+    if symbolic:
+        for row in matrix:
+            for entry in row:
+                if entry and not isinstance(entry, (LaurentPoly, int)):
+                    raise TypeError(f"entry {entry!r} of a polynomial matrix is not an int")
+        base = 2 * n * max((abs(d) for row in matrix for entry in row
+                            if isinstance(entry, LaurentPoly)
+                            for vec in entry.terms for d in vec), default=0) + 1
+    packed = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
+               if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
+               for entry in row] for row in matrix]
+    memo = {0: [(0, 1)]}
 
-    def minor(mask: int):
-        # determinant of the submatrix on rows (n - popcount(mask))..n-1
-        # and the columns set in mask
-        if mask == 0:
-            return 1
+    def minor(mask: int) -> list[tuple[int, object]]:
+        # terms of the determinant of the submatrix on rows
+        # (n - popcount(mask))..n-1 and the columns set in mask
         try:
             return memo[mask]
         except KeyError:
             pass
-        row = n - mask.bit_count()
-        sign = 1
-        total = 0
+        row = packed[n - mask.bit_count()]
+        out = {}
+        get = out.get
+        negative = False
         rest = mask
         while rest:
             low = rest & -rest
-            entry = matrix[row][low.bit_length() - 1]
+            entry = row[low.bit_length() - 1]
             if entry:
-                total = total + sign * entry * minor(mask ^ low)
-            sign = -sign
+                sub = minor(mask ^ low)
+                for u, cu in entry:
+                    if negative:
+                        cu = -cu
+                    for v, cv in sub:
+                        w = u + v
+                        out[w] = get(w, 0) + cu * cv
+            negative = not negative
             rest ^= low
-        memo[mask] = total
-        return total
+        terms = [(w, c) for w, c in out.items() if c]
+        memo[mask] = terms
+        return terms
 
-    return minor((1 << n) - 1)
+    terms = minor((1 << n) - 1)
+    del minor  # break the closure's reference cycle so the memo is freed now
+    if symbolic:
+        return LaurentPoly._raw({_unpack(key, base): c for key, c in terms})
+    return terms[0][1] if terms else 0
 
 
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:

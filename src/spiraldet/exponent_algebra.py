@@ -79,6 +79,30 @@ def _negate(vec: ExponentVector) -> ExponentVector:
     return tuple(-d for d in vec)
 
 
+# -- packed monomials ---------------------------------------------------------
+# An exponent vector d packs into the one int sum d[i] * base**i, with an odd
+# base = 2*H + 1.  Every digit in [-H, H] is recovered, so the packing is
+# injective on vectors whose entries all lie in that range, and it is
+# additive: multiplying two monomials is adding their keys.
+
+
+def _pack(vec: ExponentVector, base: int) -> int:
+    key = 0
+    for d in reversed(vec):
+        key = key * base + d
+    return key
+
+
+def _unpack(key: int, base: int) -> ExponentVector:
+    reach = base // 2
+    vec = []
+    for _ in range(NVARS):
+        digit = (key + reach) % base - reach
+        vec.append(digit)
+        key = (key - digit) // base
+    return tuple(vec)
+
+
 class LaurentPoly:
     """Canonical sparse Laurent polynomial with integer coefficients."""
 

@@ -156,7 +156,11 @@ def _sample_log_uniform(seed: int, index: int, count: int = 2) -> tuple[float, .
 
 
 def check_relation(spec: FamilySpec, relation: str, samples: int, seed: int) -> ResidualReport:
-    """Max |lhs - rhs| of the named relation over log-uniform samples in [0.1, 10]."""
+    """Max |lhs - rhs| of the named relation over log-uniform samples in [0.1, 10].
+
+    A NaN or infinite residual is the maximum, so no tolerance passes it; the
+    first such sample is the reported argmax.
+    """
     if relation not in RELATIONS:
         raise UnknownRelationError(f"unknown relation {relation!r}")
     if samples < 1:
@@ -168,7 +172,9 @@ def check_relation(spec: FamilySpec, relation: str, samples: int, seed: int) -> 
         for i in range(samples):
             a, x = _sample_log_uniform(seed, i)
             r = abs(_residual_mp(spec, relation, mpmath.mpf(a), mpmath.mpf(x)))
-            if r > worst:
+            # NaN compares false, so a NaN r enters here, and a non-finite
+            # worst is never replaced
+            if not r <= worst and (r > worst or math.isfinite(worst)):
                 worst = float(r)
                 argmax = (a, x) if two_arg else (x,)
     return ResidualReport(relation, samples, worst, argmax)
@@ -183,10 +189,13 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     for |g(x0)| < 2 the smallest t >= 0 with 2*cos(t*log 2) = g(x0) is used.
     The fitted spec is validated against the oracle on sample points and via
     check_relation on 6.17.  alpha (or t) is normalised to be >= 0, matching
-    the evenness of x^alpha + x^(-alpha).
+    the evenness of x^alpha + x^(-alpha).  A NaN or infinite oracle value is
+    unclassifiable.
     """
     x0 = 2.0
     g0 = oracle(x0)
+    if not math.isfinite(g0):
+        raise UnclassifiableError(f"g({x0}) = {g0} is not finite")
     if g0 < -2.0:
         raise UnclassifiableError(f"g({x0}) = {g0} < -2 is outside the characterized class")
     if g0 >= 2.0:
@@ -198,12 +207,14 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     mismatch = 0.0
     for i in range(samples):
         (x,) = _sample_log_uniform(seed, i, count=1)
-        mismatch = max(mismatch, abs(oracle(x) - eval_g(fitted, x)))
-    if mismatch > tolerance:
+        deviation = abs(oracle(x) - eval_g(fitted, x))
+        if deviation > mismatch or math.isnan(deviation):  # max() would skip a NaN
+            mismatch = deviation
+    if not mismatch <= tolerance:
         raise UnclassifiableError(
             f"fitted family deviates from the oracle by {mismatch:.3g} > {tolerance:.3g}")
     report = check_relation(fitted, "6.17", samples, seed)
-    if report.max_residual > tolerance:
+    if not report.max_residual <= tolerance:
         raise UnclassifiableError(
             f"fitted family violates 6.17 by {report.max_residual:.3g}")
     return fitted

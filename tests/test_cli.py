@@ -1,5 +1,6 @@
 """Tests for the spiraldet command-line frontend."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -157,6 +158,34 @@ class TestFunceq:
                                "--trials", "100"], capsys)
         assert code == 0 and blob["config"]["imaginary"] is True
 
+    @pytest.mark.parametrize("argv,message", (
+        (["--alpha", "nan"], "argument --alpha: must be finite"),
+        (["--alpha", "inf"], "argument --alpha: must be finite"),
+        (["--alpha=-inf", "--imaginary"], "argument --alpha: must be finite"),
+        (["--tolerance", "nan"], "argument --tolerance: must be finite"),
+        (["--tolerance", "inf"], "argument --tolerance: must be finite"),
+        (["--tolerance=-1e-9"], "argument --tolerance: must be >= 0"),
+        (["--trials", "0"], "argument --trials: must be >= 1"),
+        (["--trials", "-1"], "argument --trials: must be >= 1"),
+    ))
+    def test_non_finite_or_negative_arguments_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["funceq", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, blob = run_json(["funceq", "--alpha", "0", "--relation", "6.14",
+                               "--trials", "10", "--tolerance", "0"], capsys)
+        assert code == 0 and blob["report"]["failures"] == 0
+
+    def test_non_finite_residual_fails(self, capsys):
+        # a finite alpha whose residuals overflow a float must not pass
+        code, blob = run_json(["funceq", "--alpha", "1e300", "--relation", "6.1",
+                               "--trials", "1"], capsys)
+        assert code == 1 and blob["report"]["failures"] == 1
+
 
 class TestBench:
     def test_csv_hashes_agree(self, capsys):
@@ -196,7 +225,38 @@ class TestBench:
         assert captured.out == "" and "argument --trials: must be >= 1" in captured.err
 
 
+# sha256 of the default output of calls whose bytes the CLI contract fixes.
+# Recompute these only for an intended change of output, never for a
+# change of engine.
+GOLDEN_DIGESTS = {
+    "det --family additive --n 6 --seed 3":
+        "a616ef9f29efad8019ae810e0cd6339c1dde11c89fc5e9fa6a7052752cdb97b3",
+    "det --family qpower --n 6 --seed 3":
+        "750d71d881bfd77dd515eee9420382a2155853366ff9c6d3178328b6d9075b91",
+    "det --family bracket --n 6 --seed 3":
+        "007a433afde672e29fa13dd2cf58a858ffa86b32f2f232a3af8f7891ef24d73b",
+    "det --family generalized --n 6 --seed 3":
+        "e8a36140d4730de1399f9bbc9024ce617ef7e5a00b8a921f08340a43b626b608",
+    "verify --theorem 1 --n-max 8 --seed 0":
+        "aae011d76562b84c33b3c1dc8f2080e143ec7cc7f136dee10dcc35dba39a6b0f",
+    "verify --theorem 2 --n-max 8 --seed 0":
+        "ae28f0e737cba39b45e5761fd02bff5926668369691e14608cc6a12a70bec146",
+    "verify --theorem 3 --n-max 8 --seed 0":
+        "cd22aeb7fa56a9c97bb94a6fbf9940c3eb465d89712b19b852bea3007e7e8caf",
+    "seq --seq qspiral --n-max 8 --seed 0":
+        "654780c3744e6367aab66b5837992830eac069cbfa2ebb2e2ad719e17b711a14",
+    "seq --seq qspiral --n-max 8 --seed 0 --format csv":
+        "f939393e06d1f44795553a65f8267a2163ce015e8da00df417a1a83285a19531",
+}
+
+
 class TestContract:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+    def test_golden_digest(self, command, capsys):
+        code, out = run_cli(command.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify"])  # --theorem is required

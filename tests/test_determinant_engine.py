@@ -71,6 +71,39 @@ def fraction_bareiss(matrix):
     return sign * m[n - 1][n - 1]
 
 
+def generic_laplace(matrix):
+    """Reference: the memoized Laplace expansion in plain ring arithmetic."""
+    n = len(matrix)
+    memo = {}
+
+    def minor(mask):
+        if mask == 0:
+            return 1
+        if mask not in memo:
+            row = n - mask.bit_count()
+            sign, total, rest = 1, 0, mask
+            while rest:
+                low = rest & -rest
+                entry = matrix[row][low.bit_length() - 1]
+                if entry:
+                    total = total + sign * entry * minor(mask ^ low)
+                sign = -sign
+                rest ^= low
+            memo[mask] = total
+        return memo[mask]
+
+    return minor((1 << n) - 1)
+
+
+def random_entry_poly(rng, spread, max_terms=3):
+    """A few terms with doubled exponents in [-spread, spread], odd ones included."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        vec = tuple(rng.randint(-spread, spread) for _ in range(5))
+        terms[vec] = rng.choice((-3, -1, 1, 2))
+    return LaurentPoly(terms)
+
+
 def random_generalized_spec(rng, n):
     counts = step_counts(n)
 
@@ -110,6 +143,95 @@ class TestDetCofactor:
             n = rng.randint(1, 6)
             m = random_fraction_matrix(rng, n)
             assert Fraction(det_cofactor(m)) == det_bareiss_rational(m)
+
+
+class TestPackedCofactor:
+    """The packed-key kernel against the plain ring expansion it replaced."""
+
+    @staticmethod
+    def assert_matches(matrix):
+        value = det_cofactor(matrix)
+        expected = generic_laplace(matrix)
+        assert value == expected
+        if any(isinstance(e, LaurentPoly) for row in matrix for e in row):
+            # the reference is an int when every nonzero entry it used was one
+            if not isinstance(expected, LaurentPoly):
+                expected = LaurentPoly.constant(expected)
+            assert isinstance(value, LaurentPoly)
+            assert all(value.terms.values())  # canonical: no zero coefficient
+            assert value.terms == expected.terms
+        return value
+
+    @pytest.mark.parametrize("spread", (3, 5000))
+    def test_random_laurent_matrices(self, spread):
+        # spread 5000 makes H = n * max|d| reach 35,000 at n = 7, so B^5
+        # is far past 2^64; odd doubled exponents are half-integer powers
+        rng = random.Random(spread)
+        for n in range(1, 8):
+            for _ in range(3 if n < 6 else 1):
+                # sizes 6 and 7 get fewer terms and some zeros to keep the
+                # reference expansion affordable
+                m = [[random_entry_poly(rng, spread, 3) if n < 6 else
+                      rng.choice((0, 1, 2)) and random_entry_poly(rng, spread, 2)
+                      for _ in range(n)] for _ in range(n)]
+                self.assert_matches(m)
+
+    def test_large_exponents_hit_the_packing_bound(self):
+        big = exponents(a=2500, b=-2500, c=Fraction(4999, 2), x=-2500, y=2500)
+        n = 5
+        m = [[LaurentPoly.monomial(big) if i == j else
+              LaurentPoly.monomial(tuple(-d for d in big)) if j == (i + 1) % n else 0
+              for j in range(n)] for i in range(n)]
+        # diagonal m plus a cyclic 1/m: det = m^5 + m^-5, both terms at |d| = H
+        assert self.assert_matches(m) == (LaurentPoly.monomial(tuple(n * d for d in big))
+                                          + LaurentPoly.monomial(tuple(-n * d for d in big)))
+
+    def test_repeated_row_cancels_to_the_zero_polynomial(self):
+        rng = random.Random(12)
+        for n in range(2, 7):
+            m = [[random_entry_poly(rng, 9) for _ in range(n)] for _ in range(n)]
+            m[-1] = list(m[0])
+            value = self.assert_matches(m)
+            assert value.terms == {}
+
+    def test_constant_only_polynomials(self):
+        rng = random.Random(2)
+        for n in range(1, 8):
+            m = [[LaurentPoly.constant(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            self.assert_matches(m)
+
+    def test_zero_entries_and_mixed_int_and_polynomial(self):
+        rng = random.Random(99)
+        for n in range(1, 8):
+            for _ in range(3):
+                m = [[rng.choice((0, 0, rng.randint(-5, 5), LaurentPoly.zero(),
+                                  random_entry_poly(rng, 7, 2)))
+                      for _ in range(n)] for _ in range(n)]
+                m[rng.randrange(n)][rng.randrange(n)] = random_entry_poly(rng, 7)
+                self.assert_matches(m)
+
+    def test_numeric_matrices(self):
+        rng = random.Random(404)
+        for n in range(1, 8):
+            ints = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            value = self.assert_matches(ints)
+            assert type(value) is int
+            fractions = random_fraction_matrix(rng, n)
+            value = self.assert_matches(fractions)
+            assert value == 0 or type(value) is Fraction
+
+    def test_polynomial_matrix_refuses_a_fraction_entry(self):
+        a = LaurentPoly.variable("a")
+        with pytest.raises(TypeError):
+            det_cofactor([[a, Fraction(1, 2)], [1, a]])
+
+    def test_ragged_matrix_is_a_shape_error_beyond_the_guard(self):
+        ragged = [[1] * 9 for _ in range(8)] + [[1] * 8]
+        with pytest.raises(ValueError) as excinfo:
+            det_cofactor(ragged)
+        assert not isinstance(excinfo.value, SizeGuardError)
+        with pytest.raises(ValueError, match="square"):
+            det_cofactor([[1, 2], [3]])
 
 
 class TestDetBareiss:
@@ -363,6 +485,30 @@ class TestGeneralizedWedge:
                 eliminate = wedge_eliminate_even if n % 2 == 0 else wedge_eliminate_odd
                 _, fac = eliminate(z)
                 assert fac.product() == det_cofactor(z)
+
+    @pytest.mark.parametrize("size", (7, 8))
+    def test_product_equals_cofactor_past_the_index_pattern_change(self, size):
+        rng = random.Random(7000 + size)
+        z = build_generalized_bracket(random_generalized_spec(rng, size))
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        _, fac = eliminate(z)
+        assert fac.product() == det_cofactor(z)
+
+    @pytest.mark.parametrize("size", (9, 10, 11))
+    def test_numeric_determinants_beyond_the_symbolic_guard(self, size):
+        # integer-exponent increments give integer-exponent factors, so the
+        # product evaluates factor by factor
+        rng = random.Random(9000 + size)
+        z = build_generalized_bracket(random_generalized_spec(rng, size))
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        transformed, fac = eliminate(z)
+        product = Factored(fac.sign, (fac.corner_factor,) + fac.antidiagonal_factors)
+        for t in range(2):
+            pt = sample_point(3, t)  # no coordinate is +-1, so no bracket of x vanishes
+            det_z = det_bareiss_rational(numeric_matrix(z, pt))
+            assert det_z != 0
+            assert det_bareiss_rational(numeric_matrix(transformed, pt)) == det_z
+            assert product.evaluate(pt) == det_z
 
 
 class TestAntidiagonalFormulas:

@@ -3,8 +3,10 @@
 import json
 import math
 
+import mpmath
 import pytest
 
+from spiraldet import funceq
 from spiraldet.funceq import (
     RELATIONS,
     DomainError,
@@ -108,6 +110,43 @@ class TestCheckRelation:
         assert set(blob) == {"relation", "samples", "max_residual", "argmax"}
         assert blob["samples"] == 25
         assert len(blob["argmax"]) == 2  # two-argument relation
+
+
+class TestNonFiniteResiduals:
+    @pytest.mark.parametrize("alpha", (math.nan, math.inf))
+    @pytest.mark.parametrize("relation", RELATIONS)
+    def test_non_finite_alpha_reports_a_non_finite_maximum(self, alpha, relation):
+        report = check_relation(FamilySpec(POWER, alpha=alpha), relation, 20, seed=4)
+        assert not math.isfinite(report.max_residual)
+        assert not report.max_residual <= 1e-9
+        assert report.argmax  # the first non-finite sample is the witness
+
+    def test_nan_after_finite_samples_is_the_maximum(self, monkeypatch):
+        real = funceq._residual_mp
+        calls = []
+
+        def residual(spec, relation, a, x):
+            calls.append(x)
+            return mpmath.mpf("nan") if len(calls) == 4 else real(spec, relation, a, x)
+
+        monkeypatch.setattr(funceq, "_residual_mp", residual)
+        report = check_relation(FamilySpec(POWER, alpha=1.0), "6.15", 10, seed=2)
+        assert math.isnan(report.max_residual)
+        assert report.argmax == (float(calls[3]),)
+
+    @pytest.mark.parametrize("oracle", (
+        lambda x: math.nan,
+        lambda x: math.inf,
+        lambda x: 2.0 if x == 2.0 else math.nan,
+        lambda x: x + 1 / x if x < 5 else math.nan,
+    ))
+    def test_non_finite_oracle_unclassifiable(self, oracle):
+        with pytest.raises(UnclassifiableError):
+            classify(oracle, 200, seed=0)
+
+    def test_nan_tolerance_never_classifies(self):
+        with pytest.raises(UnclassifiableError):
+            classify(lambda x: x + 1 / x, 50, seed=0, tolerance=math.nan)
 
 
 class TestClassify:
