@@ -436,33 +436,39 @@ def from_records(records: Iterable[Mapping]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _format_power(name: str, doubled: int) -> str:
-    if doubled % 2 == 0:
-        e = doubled // 2
-        return name if e == 1 else f"{name}^{e}"
-    return f"{name}^({doubled}/2)"
+def _format_terms(terms: Mapping[ExponentVector, int], names: Sequence[str], times: str,
+                  gap: str, power: str, half_power: str) -> str:
+    """Terms in ascending exponent order, such as ``3 - 2*a*x^-1``.
+
+    ``times`` joins a term's magnitude and factors, ``gap`` surrounds the sign
+    between terms, and ``power``/``half_power`` format a factor from the name
+    and the exponent / doubled exponent, with exponent 1 printed bare.
+    """
+    chunks = []
+    for vec in sorted(terms):
+        coeff = terms[vec]
+        factors = [name if d == 2 else
+                   power.format(name, d // 2) if d % 2 == 0 else
+                   half_power.format(name, d)
+                   for name, d in zip(names, vec) if d]
+        mag = abs(coeff)
+        # the magnitude is left out only when it is 1 and there are factors
+        body = times.join(factors if factors and mag == 1 else [str(mag), *factors])
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"{'+' if coeff > 0 else '-'}{gap}{body}")
+    return gap.join(chunks) or "0"
 
 
 def to_string(p: LaurentPoly) -> str:
     """Human-readable form like ``a*b^2*c^(1/2)*x^-3``; terms in canonical order."""
-    if not p.terms:
-        return "0"
-    chunks = []
-    for vec in sorted(p.terms):
-        coeff = p.terms[vec]
-        factors = [_format_power(name, d) for name, d in zip(VARIABLES, vec) if d]
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    return _format_terms(p.terms, VARIABLES, "*", " ", "{}^{}", "{}^({}/2)")
+
+
+def to_latex(p: LaurentPoly) -> str:
+    """LaTeX form like ``-x^{-3}+2 a b^{2} c^{1/2}``; terms in canonical order."""
+    return _format_terms(p.terms, VARIABLES, " ", "", "{}^{{{}}}", "{}^{{{}/2}}")
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:

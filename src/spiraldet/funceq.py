@@ -74,10 +74,12 @@ class ResidualReport:
     argmax: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
+        """JSON-ready fields; a non-finite residual is the string "inf" or "nan"."""
+        residual = self.max_residual
         return {
             "relation": self.relation,
             "samples": self.samples,
-            "max_residual": self.max_residual,
+            "max_residual": residual if math.isfinite(residual) else str(residual),
             "argmax": list(self.argmax),
         }
 

@@ -26,7 +26,7 @@ from .determinant_engine import (
     det_bareiss_rational,
     det_cofactor,
 )
-from .exponent_algebra import LaurentPoly
+from .exponent_algebra import LaurentPoly, _format_terms
 from .spiral_builder import build_qpower, specialize_additive
 
 
@@ -66,22 +66,9 @@ def q_series(p: LaurentPoly) -> dict[int, int]:
 
 
 def q_series_string(series: dict[int, int]) -> str:
-    if not series:
-        return "0"
-    chunks = []
-    for deg in sorted(series):
-        coeff = series[deg]
-        mag = abs(coeff)
-        if deg == 0:
-            body = str(mag)
-        else:
-            power = "q" if deg == 1 else f"q^{deg}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+    """Human-readable form like ``-q^-2 + 3 + 2*q``; powers in ascending order."""
+    return _format_terms({(2 * deg,): coeff for deg, coeff in series.items()}, ("q",),
+                         "*", " ", "{}^{}", "{}^({}/2)")
 
 
 def term(spec: SequenceSpec, n: int):

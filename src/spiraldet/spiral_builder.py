@@ -23,21 +23,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import repeat
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .exponent_algebra import (
-    NVARS,
     ExponentVector,
     LaurentPoly,
     as_exponent_vector,
     bracket,
+    exponents,
+    to_latex,
     to_records,
 )
 
 _DIRS = {"right": (0, 1), "up": (-1, 0), "left": (0, -1), "down": (1, 0)}
 _ORDER = ("right", "up", "left", "down")
-# slot of each direction in the (e_b, e_c, e_x, e_y) counter tuple
-_COUNTER_SLOT = {"up": 0, "down": 1, "right": 2, "left": 3}
+# the monomials a, b, c, x and y as doubled exponent vectors
+_A, _B, _C, _X, _Y = (exponents(a=1), exponents(b=1), exponents(c=1),
+                      exponents(x=1), exponents(y=1))
 
 
 class Family(Enum):
@@ -112,15 +116,30 @@ class ExponentMatrix:
         return self.cells[row][col]
 
 
-def spiral_exponents(n: int) -> ExponentMatrix:
-    grid: list[list[tuple[int, int, int, int] | None]] = [[None] * n for _ in range(n)]
-    counters = [0, 0, 0, 0]
+def _walk(n: int, start: ExponentVector, right: Iterable[ExponentVector],
+          up: Iterable[ExponentVector], left: Iterable[ExponentVector],
+          down: Iterable[ExponentVector]) -> list[list[ExponentVector]]:
+    """Vectors accumulated along the path, as an n x n grid.
+
+    The centre holds ``start``; the k-th step in a direction adds the k-th
+    vector of that direction's increments (``repeat(v)`` for a constant one).
+    """
+    steps = {"right": iter(right), "up": iter(up), "left": iter(left), "down": iter(down)}
+    grid: list[list[ExponentVector | None]] = [[None] * n for _ in range(n)]
+    accum = start
     for direction, r, c in spiral_walk(n):
         if direction is not None:
-            counters[_COUNTER_SLOT[direction]] += 1
-        grid[r][c] = tuple(counters)
+            accum = tuple(map(add, accum, next(steps[direction])))
+        grid[r][c] = accum
     assert all(cell is not None for row in grid for cell in row)
-    return ExponentMatrix(n, tuple(tuple(row) for row in grid))
+    return grid
+
+
+def spiral_exponents(n: int) -> ExponentMatrix:
+    # counters (e_b, e_c, e_x, e_y) of the up, down, right and left steps
+    grid = _walk(n, (0, 0, 0, 0), repeat((0, 0, 1, 0)), repeat((1, 0, 0, 0)),
+                 repeat((0, 0, 0, 1)), repeat((0, 1, 0, 0)))
+    return ExponentMatrix(n, tuple(map(tuple, grid)))
 
 
 @dataclass(frozen=True)
@@ -163,33 +182,20 @@ def build_additive(n: int) -> list[list[LinearForm]]:
     return [[LinearForm(*exps.at(i, j)) for j in range(n)] for i in range(n)]
 
 
-def _cell_monomial(counters: tuple[int, int, int, int]) -> ExponentVector:
-    e_b, e_c, e_x, e_y = counters
-    return (2, 2 * e_b, 2 * e_c, 2 * e_x, 2 * e_y)
-
-
 def build_qpower(n: int) -> list[list[LaurentPoly]]:
-    exps = spiral_exponents(n)
-    return [[LaurentPoly.monomial(_cell_monomial(exps.at(i, j))) for j in range(n)]
-            for i in range(n)]
+    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_Y), repeat(_C))
+    return [[LaurentPoly.monomial(vec) for vec in row] for row in grid]
 
 
 def build_bracket(n: int) -> list[list[LaurentPoly]]:
-    exps = spiral_exponents(n)
-    return [[bracket(_cell_monomial(exps.at(i, j))) for j in range(n)] for i in range(n)]
+    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_Y), repeat(_C))
+    return [[bracket(vec) for vec in row] for row in grid]
 
 
 def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     """Bracket family with equal horizontal multipliers (y set to x)."""
-    exps = spiral_exponents(n)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e_b, e_c, e_x, e_y = exps.at(i, j)
-            row.append(bracket((2, 2 * e_b, 2 * e_c, 2 * (e_x + e_y), 0)))
-        out.append(row)
-    return out
+    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_X), repeat(_C))
+    return [[bracket(vec) for vec in row] for row in grid]
 
 
 def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
@@ -223,22 +229,8 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
         raise LengthMismatchError(
             f"need {counts['up']} up / {counts['down']} down increments, "
             f"got {len(ups)} / {len(downs)}")
-    n = spec.n
-    grid: list[list[LaurentPoly | None]] = [[None] * n for _ in range(n)]
-    accum = [0] * NVARS
-    accum[0] = 2  # start from the monomial a
-    n_up = n_down = 0
-    for direction, r, c in spiral_walk(n):
-        if direction in ("right", "left"):
-            accum[3] += 2
-        elif direction == "up":
-            accum = [p + q for p, q in zip(accum, ups[n_up])]
-            n_up += 1
-        elif direction == "down":
-            accum = [p + q for p, q in zip(accum, downs[n_down])]
-            n_down += 1
-        grid[r][c] = bracket(tuple(accum))
-    return [[cell for cell in row] for row in grid]
+    grid = _walk(spec.n, _A, repeat(_X), ups, repeat(_X), downs)
+    return [[bracket(vec) for vec in row] for row in grid]
 
 
 def specialize_additive(n: int, values: Sequence) -> list[list[Fraction]]:
@@ -265,37 +257,6 @@ def matrix_to_json_dict(matrix, family: Family, n: int) -> dict:
     }
 
 
-def _poly_latex(p: LaurentPoly) -> str:
-    from .exponent_algebra import VARIABLES
-
-    if not p.terms:
-        return "0"
-    chunks = []
-    for vec in sorted(p.terms):
-        coeff = p.terms[vec]
-        factors = []
-        for name, d in zip(VARIABLES, vec):
-            if not d:
-                continue
-            if d == 2:
-                factors.append(name)
-            elif d % 2 == 0:
-                factors.append(f"{name}^{{{d // 2}}}")
-            else:
-                factors.append(f"{name}^{{{d}/2}}")
-        mag = abs(coeff)
-        body = " ".join(factors) if factors else ""
-        if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag} {body}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+{body}" if coeff > 0 else f"-{body}")
-    return "".join(chunks)
-
-
 def matrix_to_latex(matrix) -> str:
     """pmatrix emission; additive entries match the displayed layout entrywise."""
     lines = []
@@ -305,7 +266,7 @@ def matrix_to_latex(matrix) -> str:
             if isinstance(cell, LinearForm):
                 cells.append(cell.to_latex())
             elif isinstance(cell, LaurentPoly):
-                cells.append(_poly_latex(cell))
+                cells.append(to_latex(cell))
             else:
                 cells.append(str(Fraction(cell)))
         lines.append(" & ".join(cells) + r" \\")

@@ -186,6 +186,17 @@ class TestFunceq:
                                "--trials", "1"], capsys)
         assert code == 1 and blob["report"]["failures"] == 1
 
+    def test_non_finite_residual_is_strict_json(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out = run_cli(["funceq", "--alpha", "1e300", "--relation", "6.14",
+                             "--trials", "1"], capsys)
+        assert code == 1
+        blob = json.loads(out, parse_constant=refuse)
+        assert blob["report"]["relations"][0]["max_residual"] == "inf"
+        assert blob["report"]["failures"] == 1
+
 
 class TestBench:
     def test_csv_hashes_agree(self, capsys):
@@ -247,6 +258,18 @@ GOLDEN_DIGESTS = {
         "654780c3744e6367aab66b5837992830eac069cbfa2ebb2e2ad719e17b711a14",
     "seq --seq qspiral --n-max 8 --seed 0 --format csv":
         "f939393e06d1f44795553a65f8267a2163ce015e8da00df417a1a83285a19531",
+    "gen --family qpower --n 5 --seed 3 --format latex":
+        "5de1f8a407654d5e328112b007914dc0d92c68dd9e987a8ac3336b0d503157f6",
+    "gen --family qpower --n 5 --seed 3 --format text":
+        "349cda246127c8bd45434fedb073939ac2df155697ad5194f09451902480323a",
+    "gen --family bracket --n 5 --seed 3 --format latex":
+        "df5483a3a24747e74dba019ddd541b1e1fa16b13733fd62c5eb98fbdba35faec",
+    "gen --family bracket --n 5 --seed 3 --format text":
+        "0335ef6aebdfaafbaa9d8badc3ab84d509367b2468822b4f649f3ea0a798b095",
+    "gen --family generalized --n 5 --seed 3 --format latex":
+        "a3a45c241471d6acbcaff75098af02612c23f8b252f8d6cb3a1d153d624ea495",
+    "gen --family generalized --n 5 --seed 3 --format text":
+        "3c7bea43e9659bd2b88a9812ebb51e76ef94604f4e590f73da70149f8aa318e9",
 }
 
 

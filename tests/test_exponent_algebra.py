@@ -17,6 +17,7 @@ from spiraldet.exponent_algebra import (
     exponents,
     from_records,
     from_string,
+    to_latex,
     to_records,
     to_string,
 )
@@ -380,3 +381,99 @@ class TestSerialization:
         (rec,) = to_records(p)
         assert rec["coefficient"] == 7
         assert rec["exponents"] == ["0", "3/2", "0", "0", "-2"]
+
+
+# -- reference printers: the term loops as they stood before the shared formatter
+
+
+def reference_to_string(p):
+    def power(name, d):
+        if d % 2 == 0:
+            return name if d // 2 == 1 else f"{name}^{d // 2}"
+        return f"{name}^({d}/2)"
+
+    if not p.terms:
+        return "0"
+    chunks = []
+    for vec in sorted(p.terms):
+        coeff = p.terms[vec]
+        factors = [power(name, d) for name, d in zip("abcxy", vec) if d]
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+def reference_latex(p):
+    if not p.terms:
+        return "0"
+    chunks = []
+    for vec in sorted(p.terms):
+        coeff = p.terms[vec]
+        factors = []
+        for name, d in zip("abcxy", vec):
+            if not d:
+                continue
+            if d == 2:
+                factors.append(name)
+            elif d % 2 == 0:
+                factors.append(f"{name}^{{{d // 2}}}")
+            else:
+                factors.append(f"{name}^{{{d}/2}}")
+        mag = abs(coeff)
+        body = " ".join(factors) if factors else ""
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag} {body}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+{body}" if coeff > 0 else f"-{body}")
+    return "".join(chunks)
+
+
+def printer_cases():
+    """The zero polynomial, then random ones with every sign and exponent shape."""
+    yield LaurentPoly.zero()
+    rng = random.Random(31)
+    for _ in range(400):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.2:
+                vec = (0,) * 5  # a constant term
+            else:
+                # odd doubled values are half-integer exponents; +-2 print bare or ^-1
+                vec = tuple(rng.choice((0, 0, 1, -1, 2, -2, 3, -5, 4, -6)) for _ in range(5))
+            terms[vec] = rng.choice((1, -1, rng.randint(2, 99), -rng.randint(2, 99)))
+        yield LaurentPoly(terms)
+
+
+class TestPrintersAgainstReferences:
+    def test_cases_reach_every_branch(self):
+        polys = list(printer_cases())
+        vecs = [vec for p in polys for vec in p.terms]
+        coeffs = {c for p in polys for c in p.terms.values()}
+        assert any(d % 2 for vec in vecs for d in vec)
+        assert (0,) * 5 in vecs and {1, -1} <= coeffs
+        assert any(c > 1 for c in coeffs) and any(c < -1 for c in coeffs)
+
+    def test_to_string(self):
+        for p in printer_cases():
+            assert to_string(p) == reference_to_string(p)
+
+    def test_to_latex(self):
+        for p in printer_cases():
+            assert to_latex(p) == reference_latex(p)
+
+    def test_latex_half_integer_exponent(self):
+        p = LaurentPoly({exponents(b=Fraction(1, 2), c=Fraction(-3, 2)): -4, (0,) * 5: 1})
+        assert to_latex(p) == "1-4 b^{1/2} c^{-3/2}"

@@ -121,6 +121,13 @@ class TestNonFiniteResiduals:
         assert not report.max_residual <= 1e-9
         assert report.argmax  # the first non-finite sample is the witness
 
+    @pytest.mark.parametrize("residual,text", ((math.nan, "nan"), (math.inf, "inf")))
+    def test_non_finite_maximum_serializes_as_a_string(self, residual, text):
+        report = funceq.ResidualReport("6.15", 5, residual, (2.0,))
+        blob = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert blob == {"relation": "6.15", "samples": 5, "max_residual": text,
+                        "argmax": [2.0]}
+
     def test_nan_after_finite_samples_is_the_maximum(self, monkeypatch):
         real = funceq._residual_mp
         calls = []

@@ -1,5 +1,7 @@
 """Tests for the integer-sequence specializations."""
 
+import random
+
 import pytest
 
 from spiraldet.determinant_engine import det_bareiss_rational
@@ -80,3 +82,40 @@ class TestCsv:
     def test_qspiral_rows_serialize_polynomials(self):
         lines = sequence_csv(QSPIRAL, 2).strip().splitlines()
         assert lines[2].startswith("2,-q^4 + q^6,")
+
+
+def reference_q_series_string(series):
+    """The q-series term loop as it stood before the shared formatter."""
+    if not series:
+        return "0"
+    chunks = []
+    for deg in sorted(series):
+        coeff = series[deg]
+        mag = abs(coeff)
+        if deg == 0:
+            body = str(mag)
+        else:
+            power = "q" if deg == 1 else f"q^{deg}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+class TestQSeriesString:
+    def test_matches_reference(self):
+        rng = random.Random(17)
+        cases = [{}, {0: 1}, {0: -7}, {1: 1}, {1: -1}, {-1: 1}, {2: -3, 0: 5, -2: 1}]
+        for _ in range(300):
+            degrees = rng.sample(range(-6, 7), rng.randint(1, 5))
+            cases.append({deg: rng.choice((1, -1, rng.randint(2, 50), -rng.randint(2, 50)))
+                          for deg in degrees})
+        for series in cases:
+            assert q_series_string(series) == reference_q_series_string(series)
+
+    def test_qspiral_terms_match_reference(self):
+        for n in range(1, 7):
+            series = term(QSPIRAL, n)
+            assert q_series_string(series) == reference_q_series_string(series)

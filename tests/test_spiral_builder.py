@@ -207,6 +207,75 @@ class TestGeneralized:
             build_generalized_bracket(SpiralSpec(3, Family.BRACKET))
 
 
+# -- reference builders: the walks as they stood before the shared one
+
+
+def reference_spiral_exponents(n):
+    slot = {"up": 0, "down": 1, "right": 2, "left": 3}
+    grid = [[None] * n for _ in range(n)]
+    counters = [0, 0, 0, 0]
+    for direction, r, c in spiral_walk(n):
+        if direction is not None:
+            counters[slot[direction]] += 1
+        grid[r][c] = tuple(counters)
+    return grid
+
+
+def reference_generalized(n, ups, downs):
+    grid = [[None] * n for _ in range(n)]
+    accum = [2, 0, 0, 0, 0]
+    n_up = n_down = 0
+    for direction, r, c in spiral_walk(n):
+        if direction in ("right", "left"):
+            accum[3] += 2
+        elif direction == "up":
+            accum = [p + q for p, q in zip(accum, ups[n_up])]
+            n_up += 1
+        elif direction == "down":
+            accum = [p + q for p, q in zip(accum, downs[n_down])]
+            n_down += 1
+        grid[r][c] = bracket(tuple(accum))
+    return grid
+
+
+class TestWalkAgainstReferences:
+    SIZES = range(1, 13)
+
+    def test_spiral_exponents(self):
+        for n in self.SIZES:
+            exps = spiral_exponents(n)
+            assert [list(row) for row in exps.cells] == reference_spiral_exponents(n)
+
+    def test_monomial_families(self):
+        for n in self.SIZES:
+            ref = reference_spiral_exponents(n)
+            qpower = [[LaurentPoly.monomial((2, 2 * eb, 2 * ec, 2 * ex, 2 * ey))
+                       for eb, ec, ex, ey in row] for row in ref]
+            brackets = [[bracket((2, 2 * eb, 2 * ec, 2 * ex, 2 * ey))
+                         for eb, ec, ex, ey in row] for row in ref]
+            brackets_xx = [[bracket((2, 2 * eb, 2 * ec, 2 * (ex + ey), 0))
+                            for eb, ec, ex, ey in row] for row in ref]
+            assert build_qpower(n) == qpower
+            assert build_bracket(n) == brackets
+            assert build_bracket_xx(n) == brackets_xx
+
+    def test_generalized_random_increments(self):
+        rng = random.Random(23)
+        for n in self.SIZES:
+            counts = step_counts(n)
+            if n <= 2:
+                assert counts["down"] == 0
+            for _ in range(3):
+                # odd doubled exponents are half-integer powers
+                ups = tuple(tuple(rng.randint(-7, 7) for _ in range(5))
+                            for _ in range(counts["up"]))
+                downs = tuple(tuple(rng.randint(-7, 7) for _ in range(5))
+                              for _ in range(counts["down"]))
+                spec = SpiralSpec(n, Family.GENERALIZED_BRACKET,
+                                  up_increments=ups, down_increments=downs)
+                assert build_generalized_bracket(spec) == reference_generalized(n, ups, downs)
+
+
 class TestSpecialize:
     def test_inward_displays(self):
         assert specialize_additive(4, (16, -1, -1, -1, -1)) == [
