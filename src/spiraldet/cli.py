@@ -108,9 +108,10 @@ def _cmd_gen(args, seed: int):
 
 def _cmd_det(args, seed: int):
     family = _FAMILIES[args.family]
-    matrix = _build_family_matrix(family, args.n, seed)
     if family is Family.ADDITIVE:
-        matrix = [[form.to_poly() for form in row] for row in matrix]
+        matrix = spiral_builder.theorem_matrix(1, args.n)
+    else:
+        matrix = _build_family_matrix(family, args.n, seed)
     det = determinant_engine.det_cofactor(matrix)
     config = {"command": "det", "family": args.family, "n": args.n,
               "seed": seed, "trials": 0, "format": args.format}
@@ -119,18 +120,29 @@ def _cmd_det(args, seed: int):
     return config, {"determinant": to_records(det), "string": to_string(det)}, 0
 
 
+def _symbolic_check(n: int, det: LaurentPoly, expected: LaurentPoly) -> dict:
+    # a function of its own, so that both polynomials are freed before the
+    # next size is expanded
+    check = {"n": n, "mode": "symbolic", "match": det == expected}
+    if not check["match"]:
+        # the lowest exponent vector of det - formula and its coefficient
+        check["witness"] = to_records(det - expected)[0]
+    return check
+
+
 def _cmd_verify(args, seed: int):
     checks = []
     failures = 0
     for n in range(1, args.n_max + 1):
         formula = closed_forms.theorem(args.theorem, n)
-        matrix = spiral_builder.theorem_matrix(args.theorem, n)
         if n <= determinant_engine.COFACTOR_SIZE_GUARD:
-            ok = determinant_engine.det_cofactor(matrix) == formula.expand()
-            checks.append({"n": n, "mode": "symbolic", "match": ok})
+            check = _symbolic_check(n, determinant_engine.det_cofactor(
+                spiral_builder.theorem_matrix(args.theorem, n)), formula.expand())
+            ok = check["match"]
+            checks.append(check)
         else:
             rep = determinant_engine.verify_identity(
-                lambda pt, m=matrix: determinant_engine.numeric_matrix(m, pt),
+                lambda pt, n=n: spiral_builder.numeric_theorem_matrix(args.theorem, n, pt),
                 formula, args.trials, seed)
             ok = rep.failures == 0
             checks.append({"n": n, "mode": "randomized", "match": ok,

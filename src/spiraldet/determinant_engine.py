@@ -187,7 +187,11 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
 
 
 def numeric_matrix(matrix: Sequence[Sequence[LaurentPoly]], point) -> list[list[Fraction]]:
-    """Evaluate every polynomial entry at the point."""
+    """Evaluate every polynomial entry at the point.
+
+    The reference that ``spiral_builder.numeric_theorem_matrix``, which walks
+    the spiral in the rationals instead, is cross-checked against.
+    """
     return [[evaluate(entry, point) for entry in row] for row in matrix]
 
 

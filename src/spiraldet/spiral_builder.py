@@ -16,6 +16,8 @@ Four families share the path:
 * bracket   -- the bracket m - 1/m of that monomial;
 * generalized bracket -- like bracket, but each up/down step multiplies by a
   caller-chosen monomial; horizontal steps multiply by x in both directions.
+
+The numeric builders walk the same path in the rationals, at a point.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from operator import add
-from typing import Iterable, Iterator, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exponent_algebra import (
     ExponentVector,
     LaurentPoly,
+    _coordinates,
     as_exponent_vector,
     bracket,
     exponents,
@@ -116,20 +119,25 @@ class ExponentMatrix:
         return self.cells[row][col]
 
 
-def _walk(n: int, start: ExponentVector, right: Iterable[ExponentVector],
-          up: Iterable[ExponentVector], left: Iterable[ExponentVector],
-          down: Iterable[ExponentVector]) -> list[list[ExponentVector]]:
-    """Vectors accumulated along the path, as an n x n grid.
+def _vector_add(u: ExponentVector, v: ExponentVector) -> ExponentVector:
+    return tuple(map(add, u, v))
 
-    The centre holds ``start``; the k-th step in a direction adds the k-th
-    vector of that direction's increments (``repeat(v)`` for a constant one).
+
+def _walk(n: int, start, right: Iterable, up: Iterable, left: Iterable, down: Iterable,
+          combine: Callable = _vector_add) -> list[list]:
+    """Values accumulated along the path, as an n x n grid.
+
+    The centre holds ``start``; the k-th step in a direction combines the
+    running value with the k-th item of that direction's increments
+    (``repeat(v)`` for a constant one).  ``combine`` adds exponent vectors by
+    default; ``operator.add`` or ``operator.mul`` walk numbers instead.
     """
     steps = {"right": iter(right), "up": iter(up), "left": iter(left), "down": iter(down)}
-    grid: list[list[ExponentVector | None]] = [[None] * n for _ in range(n)]
+    grid: list[list] = [[None] * n for _ in range(n)]
     accum = start
     for direction, r, c in spiral_walk(n):
         if direction is not None:
-            accum = tuple(map(add, accum, next(steps[direction])))
+            accum = combine(accum, next(steps[direction]))
         grid[r][c] = accum
     assert all(cell is not None for row in grid for cell in row)
     return grid
@@ -157,10 +165,6 @@ class LinearForm:
             if coeff:
                 poly = poly + coeff * LaurentPoly.variable(name)
         return poly
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        a, b, c, x, y = (Fraction(v) for v in point)
-        return a + self.e_b * b + self.e_c * c + self.e_x * x + self.e_y * y
 
     def _render(self, sep: str) -> str:
         parts = ["a"]
@@ -213,6 +217,24 @@ def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
     raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
 
 
+def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[Fraction]]:
+    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 nonzero rationals.
+
+    Walks the spiral in the rationals instead of evaluating each entry: a
+    running sum for theorem 1, a running product for theorem 2 and, for
+    theorem 3, a running product m with y set to x, each cell then m - 1/m.
+    Every spiral entry has integer exponents, so no half-exponent reading of
+    the point applies; a bad point raises as ``numeric_matrix`` does.
+    """
+    if theorem not in (1, 2, 3):
+        raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
+    a, b, c, x, y = _coordinates(point)
+    if theorem == 3:
+        grid = _walk(n, a, repeat(x), repeat(b), repeat(x), repeat(c), mul)
+        return [[m - 1 / m for m in row] for row in grid]
+    return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), add if theorem == 1 else mul)
+
+
 def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
     """Bracket spiral whose k-th up/down step multiplies by a chosen monomial.
 
@@ -234,8 +256,9 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
 
 
 def specialize_additive(n: int, values: Sequence) -> list[list[Fraction]]:
-    """Numeric additive spiral at the given (a, b, c, x, y) values."""
-    return [[form.evaluate(values) for form in row] for row in build_additive(n)]
+    """Numeric additive spiral at the given (a, b, c, x, y) values, zeros allowed."""
+    a, b, c, x, y = (Fraction(v) for v in values)
+    return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), add)
 
 
 # -- serialization ----------------------------------------------------------

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from spiraldet import closed_forms, determinant_engine, spiral_builder
 from spiraldet.cli import main
+from spiraldet.exponent_algebra import Factored, LaurentPoly, exponents
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -90,6 +92,47 @@ class TestVerify:
                                "--trials", "2"], capsys)
         assert code == 0 and blob["report"]["failures"] == 0
         assert [c["n"] for c in blob["report"]["checks"]] == list(range(1, 13))
+
+    @pytest.mark.parametrize("theorem", (1, 3))
+    def test_symbolic_mismatch_names_a_witness(self, theorem, capsys, monkeypatch):
+        real = determinant_engine.det_cofactor
+        # two terms no spiral determinant of size 2 carries; x^-1 is the lower
+        extra = 3 * LaurentPoly.monomial(exponents(x=-1)) - 2 * LaurentPoly.monomial(
+            exponents(a=5))
+        monkeypatch.setattr(determinant_engine, "det_cofactor",
+                            lambda m: real(m) + extra if len(m) == 2 else real(m))
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "3"], capsys)
+        assert code == 1 and blob["report"]["failures"] == 1
+        checks = blob["report"]["checks"]
+        assert checks[1] == {"n": 2, "mode": "symbolic", "match": False,
+                             "witness": {"coefficient": 3,
+                                         "exponents": ["0", "0", "0", "-1", "0"]}}
+        assert all("witness" not in c for c in (checks[0], checks[2]))
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_randomized_checks_walk_and_catch_a_wrong_formula(self, theorem, capsys,
+                                                              monkeypatch):
+        built = []
+        real_matrix, real_theorem = spiral_builder.theorem_matrix, closed_forms.theorem
+
+        def theorem_matrix(k, n):
+            built.append(n)
+            return real_matrix(k, n)
+
+        def doubled(k, n):
+            formula = real_theorem(k, n)
+            if n <= 8:
+                return formula
+            return Factored(formula.sign, formula.factors + (LaurentPoly.constant(2),))
+
+        monkeypatch.setattr(spiral_builder, "theorem_matrix", theorem_matrix)
+        monkeypatch.setattr(closed_forms, "theorem", doubled)
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "10",
+                               "--trials", "2"], capsys)
+        assert built == list(range(1, 9))  # no symbolic matrix past the guard
+        assert code == 1 and blob["report"]["failures"] == 2
+        assert [(c["match"], c.get("failures")) for c in blob["report"]["checks"][8:]] == \
+            [(False, 2), (False, 2)]
 
     def test_empty_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -270,6 +313,15 @@ GOLDEN_DIGESTS = {
         "a3a45c241471d6acbcaff75098af02612c23f8b252f8d6cb3a1d153d624ea495",
     "gen --family generalized --n 5 --seed 3 --format text":
         "3c7bea43e9659bd2b88a9812ebb51e76ef94604f4e590f73da70149f8aa318e9",
+    # the randomized checks past the symbolic guard (n >= 9)
+    "verify --theorem 1 --n-max 12 --trials 3 --seed 0":
+        "89d0de82738bfbc8a84237008a24709f873ed1ac9a0c1f06d4a2a8365cb8934d",
+    "verify --theorem 2 --n-max 12 --trials 3 --seed 0":
+        "3a8b837bd4366c4cf66b2e52270d25a9fdaf3fa958867e86e106166a3530af98",
+    "verify --theorem 3 --n-max 12 --trials 3 --seed 0":
+        "e6faf399446bb227f11a5dba2549d183263a05eb8712407e46cfa3e2416ab3da",
+    "verify --theorem 2 --n-max 20 --trials 3 --seed 0":
+        "28a78816ab1e1cd6c8b4cc23fecc21d2b753dc7185d287a78ab2694c17a3bd12",
 }
 
 

@@ -112,6 +112,52 @@ class TestCheckRelation:
         assert len(blob["argmax"]) == 2  # two-argument relation
 
 
+class TestLargeAlpha:
+    """Terms reach 10^(3*alpha) on the sampling box; the residuals must not."""
+
+    @pytest.mark.parametrize("imaginary", (False, True))
+    @pytest.mark.parametrize("alpha", (20.0, 50.0, -20.0))
+    def test_every_relation_passes(self, alpha, imaginary):
+        spec = FamilySpec(POWER, alpha=alpha, imaginary=imaginary)
+        for relation in RELATIONS:
+            report = check_relation(spec, relation, 200, seed=0)
+            assert report.max_residual <= 1e-9, (alpha, imaginary, relation)
+
+    def test_cli_alpha_20_exits_0(self, capsys):
+        from spiraldet.cli import main
+
+        assert main(["funceq", "--alpha", "20", "--trials", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["failures"] == 0
+
+    @pytest.mark.parametrize("relation,off_by_one", (
+        ("6.16", lambda f, g, a, x: g(x ** 3) + 1 - (g(x) ** 3 - 3 * g(x))),
+        ("6.1", lambda f, g, a, x: f(a) * g(x) + 1 - f(a * x) - f(a / x)),
+    ))
+    def test_wrong_relation_still_fails(self, monkeypatch, relation, off_by_one):
+        def residual(spec, rel, a, x):
+            return off_by_one(lambda v: funceq._f_mp(spec, v),
+                              lambda v: funceq._g_mp(spec, v), a, x)
+
+        monkeypatch.setattr(funceq, "_residual_mp", residual)
+        report = check_relation(FamilySpec(POWER, alpha=20.0), relation, 200, seed=0)
+        assert not report.max_residual <= 1e-9
+        # the +1 survives next to terms of size 10^60
+        assert abs(report.max_residual - 1) < 1e-9
+
+    @pytest.mark.parametrize("alpha", (0.0, 1.5, 6.0, -6.0, 6.5))
+    def test_digits_unchanged_up_to_alpha_6(self, alpha):
+        assert funceq._working_digits(FamilySpec(POWER, alpha=alpha)) == 40
+        assert funceq._working_digits(FamilySpec(POWER, alpha=alpha * 10, imaginary=True)) == 40
+
+    @pytest.mark.parametrize("alpha,digits", ((7.0, 41), (-20.0, 80), (50.0, 170), (326.5, 1000)))
+    def test_digits_grow_with_alpha(self, alpha, digits):
+        assert funceq._working_digits(FamilySpec(POWER, alpha=alpha)) == digits
+
+    @pytest.mark.parametrize("alpha", (327.0, -400.0, 1e300, math.nan, math.inf))
+    def test_unresolvable_alpha_keeps_the_default_digits(self, alpha):
+        assert funceq._working_digits(FamilySpec(POWER, alpha=alpha)) == 40
+
+
 class TestNonFiniteResiduals:
     @pytest.mark.parametrize("alpha", (math.nan, math.inf))
     @pytest.mark.parametrize("relation", RELATIONS)

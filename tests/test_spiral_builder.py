@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from spiraldet.exponent_algebra import LaurentPoly, bracket, exponents
+from spiraldet.determinant_engine import numeric_matrix, sample_point
+from spiraldet.exponent_algebra import LaurentPoly, ZeroCoordinateError, bracket, exponents
 from spiraldet.spiral_builder import (
     Family,
     LengthMismatchError,
@@ -18,6 +19,7 @@ from spiraldet.spiral_builder import (
     centre_cell,
     matrix_to_json_dict,
     matrix_to_latex,
+    numeric_theorem_matrix,
     specialize_additive,
     spiral_exponents,
     spiral_walk,
@@ -300,8 +302,68 @@ class TestSpecialize:
         for n in (2, 3, 4, 6):
             point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5))
             direct = specialize_additive(n, point)
-            entrywise = [[form.evaluate(point) for form in row] for row in build_additive(n)]
+            entrywise = [[reference_linear_form_value(form, point) for form in row]
+                         for row in build_additive(n)]
             assert direct == entrywise
+
+    @pytest.mark.parametrize("point", [
+        (0, 0, 0, 0, 0),
+        (3, 0, -2, 0, 5),
+        ("1/2", -3, "7/3", 0, 1),
+        (1.5, 2, -0.25, 4, -1),
+    ])
+    def test_walk_equals_form_evaluation_zeros_included(self, point):
+        for n in range(1, 13):
+            entrywise = [[reference_linear_form_value(form, point) for form in row]
+                         for row in build_additive(n)]
+            assert specialize_additive(n, point) == entrywise
+
+    def test_entries_are_fractions(self):
+        matrix = specialize_additive(3, (1, 2, 3, 4, 5))
+        assert all(type(v) is Fraction for row in matrix for v in row)
+
+
+def reference_linear_form_value(form, point):
+    """An additive entry's value at a point, term by term: the reference for the walk."""
+    a, b, c, x, y = (Fraction(v) for v in point)
+    return a + form.e_b * b + form.e_c * c + form.e_x * x + form.e_y * y
+
+
+class TestNumericTheoremMatrix:
+    """The rational walk against entrywise evaluation of the symbolic matrix."""
+
+    POINTS = (sample_point(0, 0), sample_point(60493, 2),
+              (Fraction(-3, 2), Fraction(5, 7), Fraction(-2, 9), Fraction(4, 3), Fraction(-7, 5)))
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_equals_numeric_matrix_up_to_20(self, theorem):
+        for n in range(1, 21):
+            symbolic = theorem_matrix(theorem, n)
+            for point in self.POINTS:
+                walked = numeric_theorem_matrix(theorem, n, point)
+                assert walked == numeric_matrix(symbolic, point), (theorem, n, point)
+                assert all(type(v) is Fraction for row in walked for v in row)
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_bad_points_raise_as_numeric_matrix_does(self, theorem):
+        symbolic = theorem_matrix(theorem, 3)
+        for point, error in (((1, 2, 3, 4), ValueError),
+                             ((1, 2, 0, 4, 5), ZeroCoordinateError),
+                             ((1, 2, "0/3", 4, 5), ZeroCoordinateError)):
+            with pytest.raises(error) as expected:
+                numeric_matrix(symbolic, point)
+            with pytest.raises(error) as walked:
+                numeric_theorem_matrix(theorem, 3, point)
+            assert str(walked.value) == str(expected.value)
+
+    @pytest.mark.parametrize("theorem", (0, 4))
+    def test_unknown_theorem(self, theorem):
+        with pytest.raises(ValueError):
+            numeric_theorem_matrix(theorem, 3, (1, 2, 3, 4, 5))
+
+    def test_size_below_one(self):
+        with pytest.raises(ValueError):
+            numeric_theorem_matrix(2, 0, (1, 2, 3, 4, 5))
 
 
 class TestSerialization:
