@@ -12,7 +12,6 @@ wedges only need the horizontal steps to multiply by x on both sides.
 import random
 
 from spiraldet import (
-    Family,
     SpiralSpec,
     build_bracket_xx,
     build_generalized_bracket,
@@ -39,7 +38,7 @@ print("\nNow with random monomial up/down increments (seeded):")
 rng = random.Random(42)
 counts = step_counts(6)
 spec = SpiralSpec(
-    6, Family.GENERALIZED_BRACKET,
+    6,
     up_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
                         for _ in range(counts["up"])),
     down_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))

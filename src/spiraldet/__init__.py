@@ -3,6 +3,7 @@
 from .exponent_algebra import (
     ExponentVector,
     Factored,
+    HalfExponentError,
     LaurentPoly,
     ZeroCoordinateError,
     angle,
@@ -15,7 +16,6 @@ from .exponent_algebra import (
     to_string,
 )
 from .spiral_builder import (
-    ExponentMatrix,
     Family,
     LengthMismatchError,
     LinearForm,
@@ -26,8 +26,8 @@ from .spiral_builder import (
     build_generalized_bracket,
     build_qpower,
     matrix_to_latex,
+    matrix_to_text,
     specialize_additive,
-    spiral_exponents,
     step_counts,
 )
 from .determinant_engine import (

@@ -69,10 +69,8 @@ def _random_generalized_spec(n: int, seed: int) -> spiral_builder.SpiralSpec:
     def monomials(count):
         return tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
 
-    return spiral_builder.SpiralSpec(
-        n, Family.GENERALIZED_BRACKET,
-        up_increments=monomials(counts["up"]),
-        down_increments=monomials(counts["down"]))
+    return spiral_builder.SpiralSpec(n, up_increments=monomials(counts["up"]),
+                                     down_increments=monomials(counts["down"]))
 
 
 def _build_family_matrix(family: Family, n: int, seed: int):
@@ -85,14 +83,6 @@ def _build_family_matrix(family: Family, n: int, seed: int):
     return spiral_builder.build_generalized_bracket(_random_generalized_spec(n, seed))
 
 
-def _matrix_text(matrix) -> str:
-    return "\n".join(
-        "  ".join(str(c) if isinstance(c, spiral_builder.LinearForm) else
-                  (to_string(c) if isinstance(c, LaurentPoly) else str(c))
-                  for c in row)
-        for row in matrix) + "\n"
-
-
 def _cmd_gen(args, seed: int):
     family = _FAMILIES[args.family]
     matrix = _build_family_matrix(family, args.n, seed)
@@ -101,7 +91,7 @@ def _cmd_gen(args, seed: int):
     if args.format == "latex":
         return config, spiral_builder.matrix_to_latex(matrix) + "\n", 0
     if args.format == "text":
-        return config, _matrix_text(matrix), 0
+        return config, spiral_builder.matrix_to_text(matrix), 0
     report = spiral_builder.matrix_to_json_dict(matrix, family, args.n)
     return config, report, 0
 

@@ -153,8 +153,9 @@ def _bracket_factors(run: int, firsts: int, seconds: int) -> list[LaurentPoly]:
 
     The odd-k brackets of the run and every second angle carry odd doubled
     exponents on exactly b and c.  Bracket 2k-1 is paired with angle k into
-    [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents; the run
-    holds exactly one odd bracket per second angle.
+    [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents, which
+    ``evaluate`` can value at a point; the run holds exactly one odd bracket
+    per second angle.
     """
     factors = [_run_bracket(k) for k in range(0, run, 2)]
     factors += [_angle_first(k) for k in range(1, firsts + 1)]

@@ -22,10 +22,10 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exponent_algebra import (
+    NVARS,
+    ExponentVector,
     Factored,
     LaurentPoly,
-    _pack,
-    _unpack,
     angle,
     bracket,
     evaluate,
@@ -51,6 +51,36 @@ class WedgeNotZeroError(ValueError):
         super().__init__(f"wedge cell ({row}, {col}) is nonzero: {value!r}")
 
 
+def _check_square(z) -> int:
+    size = len(z)
+    if any(len(row) != size for row in z):
+        raise ValueError("matrix must be square")
+    return size
+
+
+# An exponent vector d packs into the one int sum d[i] * base**i, with an odd
+# base = 2*H + 1.  Every digit in [-H, H] is recovered, so the packing is
+# injective on vectors whose entries all lie in that range, and it is
+# additive: multiplying two monomials is adding their keys.
+
+
+def _pack(vec: ExponentVector, base: int) -> int:
+    key = 0
+    for d in reversed(vec):
+        key = key * base + d
+    return key
+
+
+def _unpack(key: int, base: int) -> ExponentVector:
+    reach = base // 2
+    vec = []
+    for _ in range(NVARS):
+        digit = (key + reach) % base - reach
+        vec.append(digit)
+        key = (key - digit) // base
+    return tuple(vec)
+
+
 def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     """Exact determinant by Laplace expansion, memoized over column subsets.
 
@@ -68,9 +98,7 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     with a zero determinant as the int 0.  O(n * 2^n) subproblems; refuses
     n > 8 unless ``allow_large`` is set.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
+    n = _check_square(matrix)
     if n > COFACTOR_SIZE_GUARD and not allow_large:
         raise SizeGuardError(f"n={n} exceeds the size guard {COFACTOR_SIZE_GUARD}")
     if n == 0:
@@ -139,11 +167,9 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
     monomial in each row and column, so removing the content first keeps the
     eliminated entries small.  A zero row or column gives 0 at once.
     """
-    n = len(matrix)
+    n = _check_square(matrix)
     if n == 0:
         return Fraction(1)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     scale_num = scale_den = 1
     m = []
     for row in matrix:
@@ -300,13 +326,6 @@ def _odd_zero_cells(n: int):
     for i in range(n + 2, big + 1):
         for j in range(2 * n + 2 - i, min(i - 1, 2 * n - 1) + 1):
             yield i, j
-
-
-def _check_square(z) -> int:
-    size = len(z)
-    if any(len(row) != size for row in z):
-        raise ValueError("matrix must be square")
-    return size
 
 
 def wedge_eliminate_even(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:

@@ -4,7 +4,8 @@ Exponents live in half-integer units: every exponent is stored as a *doubled*
 integer, so the monomial b**(1/2) has the doubled vector (0, 1, 0, 0, 0) and an
 ordinary integer exponent is an even doubled value.  This keeps all arithmetic
 in plain Python integers while still admitting the half-integer powers that
-show up inside bracket/angle factorisations.
+show up inside bracket/angle factorisations.  Such a polynomial has no value
+at a rational point, and :func:`evaluate` refuses it.
 
 A polynomial is a dict mapping exponent vectors (5-tuples of doubled ints) to
 nonzero arbitrary-precision integer coefficients; the zero polynomial is the
@@ -20,8 +21,8 @@ The two building blocks used throughout the package are
 for a monomial m, which satisfy  bracket(a)*angle(x) = bracket(a*x) +
 bracket(a/x)  and  bracket(a)*bracket(x) = angle(a*x) - angle(a/x).
 
-:class:`Factored` keeps a product of integer-exponent polynomials unexpanded
-and evaluates it factor by factor.
+:class:`Factored` keeps a product of polynomials unexpanded and evaluates it
+factor by factor.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ ExponentLike = Union[int, Fraction]
 
 class ZeroCoordinateError(ValueError):
     """An evaluation point contains a zero coordinate."""
+
+
+class HalfExponentError(ValueError):
+    """A polynomial with a half-integer exponent has no value at a rational point."""
 
 
 def exponents(a: ExponentLike = 0, b: ExponentLike = 0, c: ExponentLike = 0,
@@ -77,30 +82,6 @@ def as_exponent_vector(seq: Iterable[int]) -> ExponentVector:
 
 def _negate(vec: ExponentVector) -> ExponentVector:
     return tuple(-d for d in vec)
-
-
-# -- packed monomials ---------------------------------------------------------
-# An exponent vector d packs into the one int sum d[i] * base**i, with an odd
-# base = 2*H + 1.  Every digit in [-H, H] is recovered, so the packing is
-# injective on vectors whose entries all lie in that range, and it is
-# additive: multiplying two monomials is adding their keys.
-
-
-def _pack(vec: ExponentVector, base: int) -> int:
-    key = 0
-    for d in reversed(vec):
-        key = key * base + d
-    return key
-
-
-def _unpack(key: int, base: int) -> ExponentVector:
-    reach = base // 2
-    vec = []
-    for _ in range(NVARS):
-        digit = (key + reach) % base - reach
-        vec.append(digit)
-        key = (key - digit) // base
-    return tuple(vec)
 
 
 class LaurentPoly:
@@ -234,17 +215,8 @@ class LaurentPoly:
 
     # -- structure queries -------------------------------------------------
 
-    def half_support(self) -> tuple[bool, ...]:
-        """Per-variable flag: does any term carry a half-integer exponent?"""
-        flags = [False] * NVARS
-        for vec in self.terms:
-            for i, d in enumerate(vec):
-                if d % 2:
-                    flags[i] = True
-        return tuple(flags)
-
     def has_half_exponents(self) -> bool:
-        return any(self.half_support())
+        return any(d % 2 for vec in self.terms for d in vec)
 
     def set_y_to_x(self) -> "LaurentPoly":
         """Substitute y := x (fold every y exponent onto x)."""
@@ -294,24 +266,21 @@ def _coordinates(point: Sequence[ExponentLike]) -> list[Fraction]:
 def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
     """Exact rational value of p at a point of 5 nonzero rationals.
 
-    For a variable on which p carries half-integer exponents, the supplied
-    coordinate is read as the value of the variable's *square root* (callers
-    substitute squares for those slots elsewhere), so the result stays an
-    exact rational.  Variables with integer exponents only are read directly.
+    Each coordinate is its variable's value, so evaluation is a ring
+    homomorphism: the value of p*q is the product of the values.  A
+    polynomial with a half-integer exponent raises HalfExponentError.
     """
     coords = _coordinates(point)
+    if p.has_half_exponents():
+        raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
     if not p.terms:
         return Fraction(0)
-    half = p.half_support()
     # Factor out the per-variable minimum exponent so the inner loop runs on
     # nonnegative powers.  At a non-integral point v_i = n_i/d_i, a term with
     # shifted exponents e_i is prod n_i^e_i * d_i^(span_i - e_i) over the
     # common denominator prod d_i^span_i, span_i being the exponent range.
     # Big formulas thus evaluate in pure integer arithmetic at every point.
-    effective = {
-        vec: tuple((d if half[i] else d // 2) for i, d in enumerate(vec))
-        for vec in p.terms
-    }
+    effective = {vec: tuple(d // 2 for d in vec) for vec in p.terms}
     mins = [min(es[i] for es in effective.values()) for i in range(NVARS)]
     if all(v.denominator == 1 for v in coords):
         spans = [0] * NVARS
@@ -357,10 +326,7 @@ class Factored:
     A closed-form determinant is a product of O(n) factors of a few terms
     each, while its expansion grows exponentially in n.  Evaluating the
     factors one by one and multiplying the values gives the expansion's value
-    at a fraction of the cost.  That is exact only because every factor has
-    integer exponents: :func:`evaluate` reads a half-exponent variable's
-    coordinate as its square root, which is not multiplicative across
-    factors, so such factors are refused.
+    at a fraction of the cost.
     """
 
     __slots__ = ("sign", "factors")
@@ -372,8 +338,6 @@ class Factored:
         for factor in factors:
             if not isinstance(factor, LaurentPoly):
                 raise TypeError(f"factor {factor!r} is not a LaurentPoly")
-            if factor.has_half_exponents():
-                raise ValueError(f"factor {factor} has a half-integer exponent")
         self.sign = sign
         self.factors = factors
 
@@ -403,7 +367,11 @@ class Factored:
         return head * tail
 
     def evaluate(self, point: Sequence[ExponentLike]) -> Fraction:
-        """Exact value at the point; equals ``evaluate(self.expand(), point)``."""
+        """Exact value at the point; equals ``evaluate(self.expand(), point)``.
+
+        A factor with a half-integer exponent raises HalfExponentError, even
+        where the product has integer exponents only.
+        """
         _coordinates(point)  # a bad point raises even when there are no factors
         value = Fraction(self.sign)
         for factor in self.factors:

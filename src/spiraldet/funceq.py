@@ -91,54 +91,40 @@ def _check_positive(x: float) -> float:
     return x
 
 
-def eval_g(spec: FamilySpec, x: float) -> float:
-    """x^alpha + x^(-alpha), 2*cos(t*log x) for imaginary alpha, else 2."""
-    _check_positive(x)
+def _g(spec: FamilySpec, x, lib):
+    """g at x, computed with ``lib``, the module ``math`` or ``mpmath``."""
     if spec.kind is FamilyKind.POWER_SYMMETRIC:
         if spec.imaginary:
-            return 2.0 * math.cos(spec.alpha * math.log(x))
-        return math.pow(x, spec.alpha) + math.pow(x, -spec.alpha)
+            return 2 * lib.cos(spec.alpha * lib.log(x))
+        return x ** spec.alpha + x ** -spec.alpha
     return 2.0
+
+
+def _f(spec: FamilySpec, x, lib):
+    """f at x, computed with ``lib``, the module ``math`` or ``mpmath``."""
+    if spec.kind is FamilyKind.ZERO:
+        return 0.0
+    if spec.kind is FamilyKind.LOG_AFFINE:
+        return spec.c1 + spec.c2 * lib.log(x)
+    if spec.imaginary:
+        t = spec.alpha * lib.log(x)
+        return spec.c1 * lib.cos(t) + spec.c2 * lib.sin(t)
+    return spec.c1 * x ** spec.alpha + spec.c2 * x ** -spec.alpha
+
+
+def eval_g(spec: FamilySpec, x: float) -> float:
+    """x^alpha + x^(-alpha), 2*cos(t*log x) for imaginary alpha, else 2."""
+    return _g(spec, _check_positive(x), math)
 
 
 def eval_f(spec: FamilySpec, x: float) -> float:
     """The f member of the family at x."""
-    _check_positive(x)
-    if spec.kind is FamilyKind.ZERO:
-        return 0.0
-    if spec.kind is FamilyKind.LOG_AFFINE:
-        return spec.c1 + spec.c2 * math.log(x)
-    if spec.imaginary:
-        t = spec.alpha * math.log(x)
-        return spec.c1 * math.cos(t) + spec.c2 * math.sin(t)
-    return spec.c1 * math.pow(x, spec.alpha) + spec.c2 * math.pow(x, -spec.alpha)
-
-
-def _g_mp(spec: FamilySpec, x):
-    if spec.kind is FamilyKind.POWER_SYMMETRIC:
-        alpha = mpmath.mpf(spec.alpha)
-        if spec.imaginary:
-            return 2 * mpmath.cos(alpha * mpmath.log(x))
-        return mpmath.power(x, alpha) + mpmath.power(x, -alpha)
-    return mpmath.mpf(2)
-
-
-def _f_mp(spec: FamilySpec, x):
-    if spec.kind is FamilyKind.ZERO:
-        return mpmath.mpf(0)
-    c1, c2 = mpmath.mpf(spec.c1), mpmath.mpf(spec.c2)
-    if spec.kind is FamilyKind.LOG_AFFINE:
-        return c1 + c2 * mpmath.log(x)
-    alpha = mpmath.mpf(spec.alpha)
-    if spec.imaginary:
-        t = alpha * mpmath.log(x)
-        return c1 * mpmath.cos(t) + c2 * mpmath.sin(t)
-    return c1 * mpmath.power(x, alpha) + c2 * mpmath.power(x, -alpha)
+    return _f(spec, _check_positive(x), math)
 
 
 def _residual_mp(spec: FamilySpec, relation: str, a, x):
-    g = lambda v: _g_mp(spec, v)
-    f = lambda v: _f_mp(spec, v)
+    g = lambda v: _g(spec, v, mpmath)
+    f = lambda v: _f(spec, v, mpmath)
     if relation == "6.1":
         return f(a) * g(x) - f(a * x) - f(a / x)
     if relation == "6.14":

@@ -8,11 +8,11 @@ this convention reproduces the standard displays of all families.
 
 Four families share the path:
 
-* additive  -- entries a + e_b*b + e_c*c + e_x*x + e_y*y, where the step
-  counters e_* record how many up/down/right/left steps reach the cell;
-* qpower    -- the same data read multiplicatively: the monomial
-  a * b^e_b * c^e_c * x^e_x * y^e_y (the five variables standing for
-  q^a, ..., q^y, so the entry encodes q to the additive entry);
+* qpower    -- the monomial a * b^e_b * c^e_c * x^e_x * y^e_y, where the
+  step counters e_* record how many up/down/right/left steps reach the cell;
+* additive  -- the same exponents read additively: a + e_b*b + e_c*c +
+  e_x*x + e_y*y (the five variables stand for q^a, ..., q^y, so the q-power
+  entry is q to the additive entry);
 * bracket   -- the bracket m - 1/m of that monomial;
 * generalized bracket -- like bracket, but each up/down step multiplies by a
   caller-chosen monomial; horizontal steps multiply by x in both directions.
@@ -38,6 +38,7 @@ from .exponent_algebra import (
     exponents,
     to_latex,
     to_records,
+    to_string,
 )
 
 _DIRS = {"right": (0, 1), "up": (-1, 0), "left": (0, -1), "down": (1, 0)}
@@ -56,10 +57,9 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class SpiralSpec:
-    """Size, family and (for the generalized family) per-step increments."""
+    """Size and per-step increments of a generalized bracket spiral."""
 
     n: int
-    family: Family
     up_increments: tuple[ExponentVector, ...] | None = None
     down_increments: tuple[ExponentVector, ...] | None = None
 
@@ -107,18 +107,6 @@ def step_counts(n: int) -> dict[str, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Per-cell step counters (e_b, e_c, e_x, e_y); the centre cell is all zeros."""
-
-    n: int
-    cells: tuple[tuple[tuple[int, int, int, int], ...], ...]
-
-    def at(self, row: int, col: int) -> tuple[int, int, int, int]:
-        """0-based access."""
-        return self.cells[row][col]
-
-
 def _vector_add(u: ExponentVector, v: ExponentVector) -> ExponentVector:
     return tuple(map(add, u, v))
 
@@ -143,11 +131,9 @@ def _walk(n: int, start, right: Iterable, up: Iterable, left: Iterable, down: It
     return grid
 
 
-def spiral_exponents(n: int) -> ExponentMatrix:
-    # counters (e_b, e_c, e_x, e_y) of the up, down, right and left steps
-    grid = _walk(n, (0, 0, 0, 0), repeat((0, 0, 1, 0)), repeat((1, 0, 0, 0)),
-                 repeat((0, 0, 0, 1)), repeat((0, 1, 0, 0)))
-    return ExponentMatrix(n, tuple(map(tuple, grid)))
+def _monomials(n: int, left: ExponentVector = _Y) -> list[list[ExponentVector]]:
+    """The q-power exponents: a at the centre, then x right, b up, ``left`` left and c down."""
+    return _walk(n, _A, repeat(_X), repeat(_B), repeat(left), repeat(_C))
 
 
 @dataclass(frozen=True)
@@ -174,32 +160,26 @@ class LinearForm:
             parts.append(f"+{name}" if coeff == 1 else f"+{coeff}{sep}{name}")
         return "".join(parts)
 
-    def to_latex(self) -> str:
-        return self._render(" ")
-
     def __str__(self) -> str:
         return self._render("")
 
 
 def build_additive(n: int) -> list[list[LinearForm]]:
-    exps = spiral_exponents(n)
-    return [[LinearForm(*exps.at(i, j)) for j in range(n)] for i in range(n)]
+    # each coefficient is the q-power exponent of b, c, x or y, halved
+    return [[LinearForm(*(d // 2 for d in vec[1:])) for vec in row] for row in _monomials(n)]
 
 
 def build_qpower(n: int) -> list[list[LaurentPoly]]:
-    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_Y), repeat(_C))
-    return [[LaurentPoly.monomial(vec) for vec in row] for row in grid]
+    return [[LaurentPoly.monomial(vec) for vec in row] for row in _monomials(n)]
 
 
 def build_bracket(n: int) -> list[list[LaurentPoly]]:
-    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_Y), repeat(_C))
-    return [[bracket(vec) for vec in row] for row in grid]
+    return [[bracket(vec) for vec in row] for row in _monomials(n)]
 
 
 def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     """Bracket family with equal horizontal multipliers (y set to x)."""
-    grid = _walk(n, _A, repeat(_X), repeat(_B), repeat(_X), repeat(_C))
-    return [[bracket(vec) for vec in row] for row in grid]
+    return [[bracket(vec) for vec in row] for row in _monomials(n, _X)]
 
 
 def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
@@ -223,8 +203,7 @@ def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[F
     Walks the spiral in the rationals instead of evaluating each entry: a
     running sum for theorem 1, a running product for theorem 2 and, for
     theorem 3, a running product m with y set to x, each cell then m - 1/m.
-    Every spiral entry has integer exponents, so no half-exponent reading of
-    the point applies; a bad point raises as ``numeric_matrix`` does.
+    A bad point raises as ``numeric_matrix`` does.
     """
     if theorem not in (1, 2, 3):
         raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
@@ -242,8 +221,6 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
     multipliers as well would break the wedge elimination, so only the
     vertical increments are parameters.
     """
-    if spec.family is not Family.GENERALIZED_BRACKET:
-        raise ValueError("spec.family must be GENERALIZED_BRACKET")
     counts = step_counts(spec.n)
     ups = tuple(as_exponent_vector(v) for v in (spec.up_increments or ()))
     downs = tuple(as_exponent_vector(v) for v in (spec.down_increments or ()))
@@ -280,17 +257,22 @@ def matrix_to_json_dict(matrix, family: Family, n: int) -> dict:
     }
 
 
+def _cell_string(cell, latex: bool) -> str:
+    """One cell as text or LaTeX; a number prints as a reduced fraction."""
+    if isinstance(cell, LinearForm):
+        return cell._render(" " if latex else "")
+    if isinstance(cell, LaurentPoly):
+        return to_latex(cell) if latex else to_string(cell)
+    return str(Fraction(cell))
+
+
+def matrix_to_text(matrix) -> str:
+    """One line per row, cells separated by two spaces."""
+    return "\n".join("  ".join(_cell_string(cell, False) for cell in row)
+                     for row in matrix) + "\n"
+
+
 def matrix_to_latex(matrix) -> str:
     """pmatrix emission; additive entries match the displayed layout entrywise."""
-    lines = []
-    for row in matrix:
-        cells = []
-        for cell in row:
-            if isinstance(cell, LinearForm):
-                cells.append(cell.to_latex())
-            elif isinstance(cell, LaurentPoly):
-                cells.append(to_latex(cell))
-            else:
-                cells.append(str(Fraction(cell)))
-        lines.append(" & ".join(cells) + r" \\")
+    lines = [" & ".join(_cell_string(cell, True) for cell in row) + r" \\" for row in matrix]
     return "\\begin{pmatrix}\n" + "\n".join(lines) + "\n\\end{pmatrix}"

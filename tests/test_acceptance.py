@@ -34,7 +34,6 @@ from spiraldet.funceq import (
 )
 from spiraldet.sequences import SequenceId, SequenceSpec, verify_sequence
 from spiraldet.spiral_builder import (
-    Family,
     SpiralSpec,
     build_bracket_xx,
     step_counts,
@@ -117,7 +116,7 @@ def test_criterion_07_generalized_increments():
         counts = step_counts(n)
         for _ in range(5):
             spec = SpiralSpec(
-                n, Family.GENERALIZED_BRACKET,
+                n,
                 up_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
                                     for _ in range(counts["up"])),
                 down_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))

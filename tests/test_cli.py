@@ -322,6 +322,30 @@ GOLDEN_DIGESTS = {
         "e6faf399446bb227f11a5dba2549d183263a05eb8712407e46cfa3e2416ab3da",
     "verify --theorem 2 --n-max 20 --trials 3 --seed 0":
         "28a78816ab1e1cd6c8b4cc23fecc21d2b753dc7185d287a78ab2694c17a3bd12",
+    # every family's cells in each format, the additive sequences, reduce
+    # and funceq
+    "gen --family additive --n 5 --seed 3 --format json":
+        "490a3295fed4f08bdc76152d6e5994a19c6911bbbcc420cfa51aae194e6102e5",
+    "gen --family additive --n 5 --seed 3 --format latex":
+        "fbe51002c4a63265ffc5626a279d39bec9c81fff8154f07f0b35be3c7151af22",
+    "gen --family additive --n 5 --seed 3 --format text":
+        "302de68f2bb90319409fe0f3136981a0f85079e2a78d8c6a53b032a6663a4a45",
+    "gen --family qpower --n 5 --seed 3":
+        "4413753079550a36e8c520c745ead3c946106eff44864010e896189fcb62963d",
+    "gen --family bracket --n 5 --seed 3":
+        "d03dcd83488d081a5932382562933214ea5c37ca987de0b3a2ce3b27d4cbbd62",
+    "gen --family generalized --n 5 --seed 3":
+        "4e340f1c0e991224b31b98600f9597537277f5e737b628ca2ea9c02d76eef26a",
+    "seq --seq inward --n-max 8 --seed 0 --format csv":
+        "ab76019478543fd0a50357da24a56dc2435f9dfec371543fd08b5892c92c559e",
+    "seq --seq outward --n-max 8 --seed 0 --format csv":
+        "c11ca09094581d35c67af6ced5bed53d85061732d841bed691ac04618f3ff4fa",
+    "reduce --n 2 --trials 10 --seed 3":
+        "c4dc5d74f38cb8dbe2e187932ce06268581de5081bca2d08ba82c8cb6e2e2c47",
+    "funceq --alpha 1.5 --trials 50 --seed 1":
+        "e14ea988dfbab3c8f30b72f367c23a7b8187f8a0857f619da53ac8485a5ad326",
+    "funceq --alpha 0.7 --imaginary --trials 50 --seed 2":
+        "17fdaf5293f937b4987508f65891e68d5f30ade699b5db03f9df89b74b734575",
 }
 
 

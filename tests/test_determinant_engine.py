@@ -21,6 +21,7 @@ from spiraldet.determinant_engine import (
 from spiraldet.closed_forms import theorem, thm1_odd, thm3_even, thm3_odd
 from spiraldet.exponent_algebra import (
     Factored,
+    HalfExponentError,
     LaurentPoly,
     angle,
     bracket,
@@ -28,7 +29,6 @@ from spiraldet.exponent_algebra import (
     exponents,
 )
 from spiraldet.spiral_builder import (
-    Family,
     SpiralSpec,
     build_additive,
     build_bracket,
@@ -111,7 +111,7 @@ def random_generalized_spec(rng, n):
         return tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
                      for _ in range(count))
 
-    return SpiralSpec(n, Family.GENERALIZED_BRACKET,
+    return SpiralSpec(n,
                       up_increments=monomials(counts["up"]),
                       down_increments=monomials(counts["down"]))
 
@@ -402,6 +402,48 @@ class TestVerifyIdentity:
         assert blob["failures"] == 2 and blob["seed"] == 3 and blob["trials"] == 2
         assert len(blob["witnesses"]) == 2
         assert set(blob["witnesses"][0]) == {"point", "lhs", "rhs"}
+
+
+class TestHalfExponentRefusal:
+    """A coordinate is its variable's value, so a half-integer power has none."""
+
+    @staticmethod
+    def half_increment_spiral():
+        # 4x4 generalized bracket whose increments have half-integer exponents
+        rng = random.Random(1)
+        counts = step_counts(4)
+
+        def monomials(count):
+            return tuple(tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(count))
+
+        ups = monomials(counts["up"])
+        return build_generalized_bracket(
+            SpiralSpec(4, up_increments=ups, down_increments=monomials(counts["down"])))
+
+    def test_true_identity_is_refused_not_failed(self):
+        # reading a coordinate as a square root in some entries and as a
+        # value in others once failed this true identity on all 5 trials
+        z = self.half_increment_spiral()
+        assert any(entry.has_half_exponents() for row in z for entry in row)
+        with pytest.raises(HalfExponentError):
+            verify_identity(lambda pt: numeric_matrix(z, pt), det_cofactor(z), 5, 0)
+
+    def test_identity_holds_at_the_squares(self):
+        # with every exponent doubled the point's coordinates act as square
+        # roots of the variables, and the identity passes
+        def at_squares(p):
+            return LaurentPoly({tuple(2 * d for d in vec): c for vec, c in p.terms.items()})
+
+        z = [[at_squares(entry) for entry in row] for row in self.half_increment_spiral()]
+        report = verify_identity(lambda pt: numeric_matrix(z, pt), det_cofactor(z), 5, 0)
+        assert report.failures == 0 and report.trials == 5
+
+    def test_numeric_matrix_refuses_a_half_exponent_entry(self):
+        x = LaurentPoly.variable("x")
+        matrix = [[x, bracket(exponents(c=Fraction(3, 2)))], [LaurentPoly.one(), x]]
+        with pytest.raises(HalfExponentError):
+            numeric_matrix(matrix, (1, 2, 3, 4, 5))
+
 
 
 class TestWedgeElimination:

@@ -9,6 +9,7 @@ import pytest
 
 from spiraldet.exponent_algebra import (
     Factored,
+    HalfExponentError,
     LaurentPoly,
     ZeroCoordinateError,
     angle,
@@ -141,31 +142,46 @@ class TestEvaluate:
         for _ in range(300):
             p = random_poly(rng)
             point = tuple(Fraction(v, rng.randint(1, 9)) for v in random_point(rng))
-            half = p.half_support()
+            if p.has_half_exponents():
+                with pytest.raises(HalfExponentError):
+                    evaluate(p, point)
+                p = at_squares(p)
             expected = Fraction(0)
             for vec, coeff in p.terms.items():
                 term = Fraction(coeff)
                 for i, d in enumerate(vec):
-                    term *= point[i] ** (d if half[i] else d // 2)
+                    term *= point[i] ** (d // 2)
                 expected += term
             value = evaluate(p, point)
             assert type(value) is Fraction and value == expected
 
-    def test_half_exponent_coordinates_are_square_roots(self):
-        # [(bc)^(1/2) x^2] at sqrt(b)=3, sqrt(c)=2, x=5: 6*25 - 1/150
+    def test_half_exponent_refused(self):
+        # a coordinate is its variable's value, and (bc)^(1/2) has none at
+        # b = 3, c = 2
         p = bracket(exponents(b=Fraction(1, 2), c=Fraction(1, 2), x=2))
-        value = evaluate(p, (1, 3, 2, 5, 1))
-        assert value == Fraction(150) - Fraction(1, 150)
+        with pytest.raises(HalfExponentError):
+            evaluate(p, (1, 3, 2, 5, 1))
+        # the square, with integer exponents, is read directly
+        assert evaluate(p * p, (1, 9, 4, 5, 1)) == (Fraction(150) - Fraction(1, 150)) ** 2
+
+    def test_bad_point_raises_before_half_exponent(self):
+        p = bracket(exponents(b=Fraction(1, 2)))
+        with pytest.raises(ZeroCoordinateError):
+            evaluate(p, (1, 0, 1, 1, 1))
+
+
+def at_squares(p):
+    """p with every variable replaced by its square: all exponents doubled."""
+    return LaurentPoly({tuple(2 * d for d in vec): c for vec, c in p.terms.items()})
 
 
 def termwise_value(p, point):
     """Reference value: every term computed on its own with Fraction powers."""
-    half = p.half_support()
     total = Fraction(0)
     for vec, coeff in p.terms.items():
         term = Fraction(coeff)
         for i, d in enumerate(vec):
-            term *= Fraction(point[i]) ** (d if half[i] else d // 2)
+            term *= Fraction(point[i]) ** (d // 2)
         total += term
     return total
 
@@ -197,6 +213,10 @@ class TestEvaluateMinimumExponents:
 
     @staticmethod
     def assert_normalized_equal(p, point):
+        if p.has_half_exponents():
+            with pytest.raises(HalfExponentError):
+                evaluate(p, point)
+            p = at_squares(p)
         value = evaluate(p, point)
         assert type(value) is Fraction
         assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
@@ -258,16 +278,21 @@ class TestFactored:
         assert Factored(-1, ()).evaluate((1, 2, 3, 4, 5)) == -1
 
     def test_half_exponent_factor_refused(self):
-        with pytest.raises(ValueError):
-            Factored(1, [X, bracket(exponents(b=Fraction(1, 2)))])
+        factored = Factored(1, [X, bracket(exponents(b=Fraction(1, 2)))])
+        with pytest.raises(HalfExponentError):
+            factored.evaluate((1, 3, 1, 2, 1))
 
-    def test_half_exponent_evaluation_is_not_multiplicative(self):
-        # why such factors are refused: [b^(1/2)] at b = 3 is 8/3 read as a
-        # square root, but its square b - 2 + 1/b is 4/3 read directly
+    def test_half_exponent_factors_expand_to_their_product(self):
+        # [b^(1/2)] has no value at b = 3, but its square b - 2 + 1/b does;
+        # Factored.evaluate refuses the factor, so it cannot differ from the
+        # expansion's value
         p = bracket(exponents(b=Fraction(1, 2)))
-        point = (1, 3, 1, 1, 1)
-        assert evaluate(p * p, point) == Fraction(4, 3)
-        assert evaluate(p, point) ** 2 == Fraction(64, 9)
+        factored = Factored(-1, [p, X, p])
+        assert factored.expand() == -(p * X * p)
+        point = (1, 3, 1, 2, 1)
+        assert evaluate(factored.expand(), point) == -Fraction(8, 3)
+        with pytest.raises(HalfExponentError):
+            factored.evaluate(point)
 
     def test_sign_must_be_unit(self):
         with pytest.raises(ValueError):

@@ -135,8 +135,8 @@ class TestLargeAlpha:
     ))
     def test_wrong_relation_still_fails(self, monkeypatch, relation, off_by_one):
         def residual(spec, rel, a, x):
-            return off_by_one(lambda v: funceq._f_mp(spec, v),
-                              lambda v: funceq._g_mp(spec, v), a, x)
+            return off_by_one(lambda v: funceq._f(spec, v, mpmath),
+                              lambda v: funceq._g(spec, v, mpmath), a, x)
 
         monkeypatch.setattr(funceq, "_residual_mp", residual)
         report = check_relation(FamilySpec(POWER, alpha=20.0), relation, 200, seed=0)

@@ -19,9 +19,9 @@ from spiraldet.spiral_builder import (
     centre_cell,
     matrix_to_json_dict,
     matrix_to_latex,
+    matrix_to_text,
     numeric_theorem_matrix,
     specialize_additive,
-    spiral_exponents,
     spiral_walk,
     step_counts,
     theorem_matrix,
@@ -63,6 +63,11 @@ OUTWARD_5 = [
 ]
 
 
+def step_counters(n):
+    """Each additive cell's coefficients (e_b, e_c, e_x, e_y), as a grid."""
+    return [[(f.e_b, f.e_c, f.e_x, f.e_y) for f in row] for row in build_additive(n)]
+
+
 class TestPath:
     def test_centre_convention(self):
         assert centre_cell(5) == (2, 2)
@@ -75,18 +80,18 @@ class TestPath:
             assert all(0 <= r < n and 0 <= c < n for r, c in seen)
 
     def test_consecutive_cells_step_one_counter(self):
-        exps = spiral_exponents(7)
+        exps = step_counters(7)
         cells = list(spiral_walk(7))
         for (_, r0, c0), (d, r1, c1) in zip(cells, cells[1:]):
-            before, after = exps.at(r0, c0), exps.at(r1, c1)
+            before, after = exps[r0][c0], exps[r1][c1]
             deltas = [y - x for x, y in zip(before, after)]
             assert sorted(deltas) == [0, 0, 0, 1]
 
     def test_exactly_one_centre_cell(self):
         for n in (1, 2, 5, 8):
-            exps = spiral_exponents(n)
+            exps = step_counters(n)
             zeros = [(i, j) for i in range(n) for j in range(n)
-                     if exps.at(i, j) == (0, 0, 0, 0)]
+                     if exps[i][j] == (0, 0, 0, 0)]
             assert zeros == [centre_cell(n)]
 
     def test_odd_nesting(self):
@@ -102,11 +107,11 @@ class TestPath:
 
 class TestSpiralExponents:
     def test_n1_single_cell(self):
-        assert spiral_exponents(1).at(0, 0) == (0, 0, 0, 0)
+        assert step_counters(1)[0][0] == (0, 0, 0, 0)
 
     def test_corner_tuples_from_displays(self):
-        assert spiral_exponents(4).at(0, 0) == (4, 2, 4, 5)
-        assert spiral_exponents(5).at(4, 4) == (4, 6, 8, 6)
+        assert step_counters(4)[0][0] == (4, 2, 4, 5)
+        assert step_counters(5)[4][4] == (4, 6, 8, 6)
 
 
 class TestAdditive:
@@ -184,14 +189,13 @@ class TestGeneralized:
         for n in (2, 3, 4, 5):
             counts = step_counts(n)
             spec = SpiralSpec(
-                n, Family.GENERALIZED_BRACKET,
+                n,
                 up_increments=tuple(exponents(b=1) for _ in range(counts["up"])),
                 down_increments=tuple(exponents(c=1) for _ in range(counts["down"])))
             assert build_generalized_bracket(spec) == build_bracket_xx(n)
 
     def test_n2_single_up_increment(self):
-        spec = SpiralSpec(2, Family.GENERALIZED_BRACKET,
-                          up_increments=(exponents(b=3),), down_increments=())
+        spec = SpiralSpec(2, up_increments=(exponents(b=3),), down_increments=())
         g = build_generalized_bracket(spec)
         assert g[1][0] == bracket(exponents(a=1))
         assert g[1][1] == bracket(exponents(a=1, x=1))
@@ -201,12 +205,7 @@ class TestGeneralized:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             build_generalized_bracket(SpiralSpec(
-                3, Family.GENERALIZED_BRACKET,
-                up_increments=(exponents(b=1),), down_increments=()))
-
-    def test_wrong_family_rejected(self):
-        with pytest.raises(ValueError):
-            build_generalized_bracket(SpiralSpec(3, Family.BRACKET))
+                3, up_increments=(exponents(b=1),), down_increments=()))
 
 
 # -- reference builders: the walks as they stood before the shared one
@@ -245,8 +244,7 @@ class TestWalkAgainstReferences:
 
     def test_spiral_exponents(self):
         for n in self.SIZES:
-            exps = spiral_exponents(n)
-            assert [list(row) for row in exps.cells] == reference_spiral_exponents(n)
+            assert step_counters(n) == reference_spiral_exponents(n)
 
     def test_monomial_families(self):
         for n in self.SIZES:
@@ -273,8 +271,7 @@ class TestWalkAgainstReferences:
                             for _ in range(counts["up"]))
                 downs = tuple(tuple(rng.randint(-7, 7) for _ in range(5))
                               for _ in range(counts["down"]))
-                spec = SpiralSpec(n, Family.GENERALIZED_BRACKET,
-                                  up_increments=ups, down_increments=downs)
+                spec = SpiralSpec(n, up_increments=ups, down_increments=downs)
                 assert build_generalized_bracket(spec) == reference_generalized(n, ups, downs)
 
 
@@ -372,6 +369,25 @@ class TestSerialization:
         assert "a+4 b+2 c+4 x+5 y" in latex
         assert "a+b+c+x+2 y" in latex
         assert latex.startswith("\\begin{pmatrix}")
+
+    def test_text_matches_display(self):
+        assert matrix_to_text(build_additive(4)) == "".join(
+            "  ".join(row) + "\n" for row in M4_DISPLAY)
+
+    def test_text_and_latex_print_the_same_cells(self):
+        # one cell printer: the styles differ only in separators and braces
+        def bare(cell):
+            return "".join(ch for ch in cell if ch not in " *{}")
+
+        for matrix in (build_additive(3), build_bracket(3), specialize_additive(3, (1, 2, 3, 4, 5))):
+            text_cells = [line.split("  ") for line in matrix_to_text(matrix).splitlines()]
+            latex_rows = matrix_to_latex(matrix).splitlines()[1:-1]
+            latex_cells = [row.removesuffix(r" \\").split(" & ") for row in latex_rows]
+            assert len(text_cells) == len(latex_cells) == 3
+            for text_row, latex_row in zip(text_cells, latex_cells):
+                assert len(text_row) == len(latex_row) == 3
+                for text, latex in zip(text_row, latex_row):
+                    assert bare(text) == bare(latex), (text, latex)
 
     def test_json_shapes(self):
         additive = matrix_to_json_dict(build_additive(2), Family.ADDITIVE, 2)
