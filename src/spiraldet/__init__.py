@@ -35,7 +35,6 @@ from .determinant_engine import (
     VerificationReport,
     WedgeFactorization,
     WedgeNotZeroError,
-    antidiagonal_entry_formulas,
     det_bareiss_rational,
     det_cofactor,
     numeric_matrix,
@@ -46,6 +45,7 @@ from .determinant_engine import (
 from .closed_forms import (
     ReductionData,
     ReductionSkipError,
+    antidiagonal_entry_formulas,
     qreduction_check,
     reduce_even,
     reduce_odd,

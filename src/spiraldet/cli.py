@@ -86,14 +86,12 @@ def _build_family_matrix(family: Family, n: int, seed: int):
 def _cmd_gen(args, seed: int):
     family = _FAMILIES[args.family]
     matrix = _build_family_matrix(family, args.n, seed)
-    config = {"command": "gen", "family": args.family, "n": args.n,
-              "seed": seed, "trials": 0, "format": args.format}
+    fields = {"family": args.family, "n": args.n}
     if args.format == "latex":
-        return config, spiral_builder.matrix_to_latex(matrix) + "\n", 0
+        return fields, 0, spiral_builder.matrix_to_latex(matrix) + "\n", 0
     if args.format == "text":
-        return config, spiral_builder.matrix_to_text(matrix), 0
-    report = spiral_builder.matrix_to_json_dict(matrix, family, args.n)
-    return config, report, 0
+        return fields, 0, spiral_builder.matrix_to_text(matrix), 0
+    return fields, 0, spiral_builder.matrix_to_json_dict(matrix, family, args.n), 0
 
 
 def _cmd_det(args, seed: int):
@@ -103,11 +101,10 @@ def _cmd_det(args, seed: int):
     else:
         matrix = _build_family_matrix(family, args.n, seed)
     det = determinant_engine.det_cofactor(matrix)
-    config = {"command": "det", "family": args.family, "n": args.n,
-              "seed": seed, "trials": 0, "format": args.format}
+    fields = {"family": args.family, "n": args.n}
     if args.format == "text":
-        return config, to_string(det) + "\n", 0
-    return config, {"determinant": to_records(det), "string": to_string(det)}, 0
+        return fields, 0, to_string(det) + "\n", 0
+    return fields, 0, {"determinant": to_records(det), "string": to_string(det)}, 0
 
 
 def _symbolic_check(n: int, det: LaurentPoly, expected: LaurentPoly) -> dict:
@@ -122,30 +119,24 @@ def _symbolic_check(n: int, det: LaurentPoly, expected: LaurentPoly) -> dict:
 
 def _cmd_verify(args, seed: int):
     checks = []
-    failures = 0
     for n in range(1, args.n_max + 1):
         formula = closed_forms.theorem(args.theorem, n)
         if n <= determinant_engine.COFACTOR_SIZE_GUARD:
-            check = _symbolic_check(n, determinant_engine.det_cofactor(
-                spiral_builder.theorem_matrix(args.theorem, n)), formula.expand())
-            ok = check["match"]
-            checks.append(check)
+            checks.append(_symbolic_check(n, determinant_engine.det_cofactor(
+                spiral_builder.theorem_matrix(args.theorem, n)), formula.expand()))
         else:
             rep = determinant_engine.verify_identity(
                 lambda pt, n=n: spiral_builder.numeric_theorem_matrix(args.theorem, n, pt),
                 formula, args.trials, seed)
-            ok = rep.failures == 0
-            checks.append({"n": n, "mode": "randomized", "match": ok,
+            checks.append({"n": n, "mode": "randomized", "match": rep.failures == 0,
                            "trials": rep.trials, "failures": rep.failures})
-        failures += 0 if ok else 1
-    config = {"command": "verify", "theorem": args.theorem, "n_max": args.n_max,
-              "seed": seed, "trials": args.trials, "format": args.format}
-    report = {"checks": checks, "failures": failures}
+    fields = {"theorem": args.theorem, "n_max": args.n_max}
+    failures = sum(not check["match"] for check in checks)
     if args.format == "text":
-        lines = [f"theorem {args.theorem} n={c['n']} [{c['mode']}]: "
-                 f"{'ok' if c['match'] else 'MISMATCH'}" for c in checks]
-        return config, "\n".join(lines) + "\n", (1 if failures else 0)
-    return config, report, (1 if failures else 0)
+        return fields, args.trials, "".join(
+            f"theorem {args.theorem} n={c['n']} [{c['mode']}]: "
+            f"{'ok' if c['match'] else 'MISMATCH'}\n" for c in checks), failures
+    return fields, args.trials, {"checks": checks, "failures": failures}, failures
 
 
 def _cmd_reduce(args, seed: int):
@@ -154,30 +145,24 @@ def _cmd_reduce(args, seed: int):
         for parity in ("odd", "even")
     }
     failures = sum(rep.failures for rep in reports.values())
-    config = {"command": "reduce", "n": args.n, "seed": seed,
-              "trials": args.trials, "format": args.format}
-    report = {parity: rep.to_json_dict() for parity, rep in reports.items()}
     if args.format == "text":
-        lines = [f"reduction {parity} n={args.n}: "
-                 f"{rep.failures}/{rep.trials} failures"
-                 for parity, rep in reports.items()]
-        return config, "\n".join(lines) + "\n", (1 if failures else 0)
-    return config, report, (1 if failures else 0)
+        return {"n": args.n}, args.trials, "".join(
+            f"reduction {parity} n={args.n}: {rep.failures}/{rep.trials} failures\n"
+            for parity, rep in reports.items()), failures
+    report = {parity: rep.to_json_dict() for parity, rep in reports.items()}
+    return {"n": args.n}, args.trials, report, failures
 
 
 def _cmd_seq(args, seed: int):
     spec = sequences.SequenceSpec(sequences.SequenceId(args.seq))
-    config = {"command": "seq", "seq": args.seq, "n_max": args.n_max,
-              "seed": seed, "trials": args.n_max, "format": args.format}
+    fields = {"seq": args.seq, "n_max": args.n_max}
     if args.format == "csv":
-        csv_text = sequences.sequence_csv(spec, args.n_max)
-        failures = csv_text.count(",false")
-        return config, csv_text, (1 if failures else 0)
+        report = sequences.sequence_csv(spec, args.n_max)
+        return fields, args.n_max, report, report.count(",false")
     rep = sequences.verify_sequence(spec, args.n_max)
-    if args.format == "text":
-        return config, f"{args.seq}: {rep.failures}/{rep.trials} failures\n", \
-            (1 if rep.failures else 0)
-    return config, rep.to_json_dict(), (1 if rep.failures else 0)
+    summary = f"{args.seq}: {rep.failures}/{rep.trials} failures\n"
+    report = summary if args.format == "text" else rep.to_json_dict()
+    return fields, args.n_max, report, rep.failures
 
 
 def _cmd_funceq(args, seed: int):
@@ -187,14 +172,12 @@ def _cmd_funceq(args, seed: int):
     reports = [funceq.check_relation(spec, rel, args.trials, seed) for rel in relations]
     # a NaN residual compares false with everything, so test for a pass
     failures = sum(1 for rep in reports if not rep.max_residual <= args.tolerance)
-    config = {"command": "funceq", "alpha": args.alpha, "imaginary": args.imaginary,
-              "tolerance": args.tolerance, "seed": seed, "trials": args.trials,
-              "format": args.format}
-    report = {"relations": [rep.to_json_dict() for rep in reports], "failures": failures}
+    fields = {"alpha": args.alpha, "imaginary": args.imaginary, "tolerance": args.tolerance}
     if args.format == "text":
-        lines = [f"{rep.relation}: max residual {rep.max_residual:.3e}" for rep in reports]
-        return config, "\n".join(lines) + "\n", (1 if failures else 0)
-    return config, report, (1 if failures else 0)
+        return fields, args.trials, "".join(
+            f"{rep.relation}: max residual {rep.max_residual:.3e}\n" for rep in reports), failures
+    report = {"relations": [rep.to_json_dict() for rep in reports], "failures": failures}
+    return fields, args.trials, report, failures
 
 
 def _cmd_bench(args, seed: int):
@@ -222,13 +205,10 @@ def _cmd_bench(args, seed: int):
         for name, (median_ns, value) in sorted(results.items()):
             digest = hashlib.sha256(str(value).encode()).hexdigest()[:16]
             rows.append(f"{n},{name},{median_ns},{digest}")
-    config = {"command": "bench", "n_max": args.n_max, "seed": seed,
-              "trials": args.trials, "format": args.format}
-    csv_text = "n,method,median_ns,result_hash\n" + "\n".join(rows) + "\n"
+    report = "n,method,median_ns,result_hash\n" + "\n".join(rows) + "\n"
     if args.format == "json":
-        report = {"csv": csv_text, "failures": failures}
-        return config, report, (1 if failures else 0)
-    return config, csv_text, (1 if failures else 0)
+        report = {"csv": report, "failures": failures}
+    return {"n_max": args.n_max}, args.trials, report, failures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each handler returns (fields, trials, report, failures): the config keys
+# that go between "command" and "seed", the trial count the config echoes,
+# a dict for the JSON envelope or text printed as is, and the failed checks.
 _HANDLERS = {
     "gen": _cmd_gen,
     "det": _cmd_det,
@@ -305,13 +288,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = _resolve_seed(args)
-        config, report, exit_code = _HANDLERS[args.command](args, seed)
+        fields, trials, report, failures = _HANDLERS[args.command](args, seed)
     except (determinant_engine.SizeGuardError, spiral_builder.LengthMismatchError,
             ValueError) as exc:
         parser.error(str(exc))
     if isinstance(report, str):
         output = report
     else:
+        config = {"command": args.command, **fields, "seed": seed, "trials": trials,
+                  "format": args.format}
         output = json.dumps({"version": "1", "config": config, "report": report},
                             indent=2) + "\n"
     if args.out:
@@ -319,7 +304,7 @@ def main(argv=None) -> int:
             handle.write(output)
     else:
         sys.stdout.write(output)
-    return exit_code
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

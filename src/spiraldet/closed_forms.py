@@ -148,6 +148,20 @@ def _angle_second(k: int) -> LaurentPoly:
                            c=Fraction(2 * k * k - 1, 2), x=k * (2 * k - 1)))
 
 
+def antidiagonal_entry_formulas(n: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Closed forms of the two antidiagonal entries indexed by k = n-i+1 (even case).
+
+    Each is a bracket times an angle bracket:
+
+        [(bc)^k x^(2k+1)] <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
+        [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>
+    """
+    if not 1 <= k <= n - 1:
+        raise IndexError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    return (_run_bracket(2 * k) * _angle_first(k),
+            _run_bracket(2 * k - 1) * _angle_second(k))
+
+
 def _bracket_factors(run: int, firsts: int, seconds: int) -> list[LaurentPoly]:
     """The bracket run of length ``run`` and the angle factors of theorem 3.
 
@@ -310,7 +324,7 @@ def verify_reduction(parity: str, n: int, trials: int, seed: int) -> Verificatio
         rhs = big.evaluate(point)
         if lhs != rhs:
             witnesses.append(Witness(point, lhs, rhs))
-    return VerificationReport(seed, trials, len(witnesses), tuple(witnesses))
+    return VerificationReport(seed, trials, tuple(witnesses))
 
 
 def qreduction_check(n: int) -> VerificationReport:
@@ -339,6 +353,6 @@ def qreduction_check(n: int) -> VerificationReport:
     new_row = [q[target][j] - ratio * q[source][j] for j in range(n)]
     nonzero = [j for j, entry in enumerate(new_row) if entry]
     if nonzero == [expect_col]:
-        return VerificationReport(0, 1, 0, ())
+        return VerificationReport(0, 1, ())
     witness = Witness((n,), f"nonzero columns {nonzero}", f"expected [{expect_col}]")
-    return VerificationReport(0, 1, 1, (witness,))
+    return VerificationReport(0, 1, (witness,))

@@ -201,18 +201,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        result = LaurentPoly.one()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
     # -- structure queries -------------------------------------------------
 
     def has_half_exponents(self) -> bool:

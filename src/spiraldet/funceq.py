@@ -193,8 +193,8 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     for |g(x0)| < 2 the smallest t >= 0 with 2*cos(t*log 2) = g(x0) is used.
     The fitted spec is validated against the oracle on sample points and via
     check_relation on 6.17.  alpha (or t) is normalised to be >= 0, matching
-    the evenness of x^alpha + x^(-alpha).  A NaN or infinite oracle value is
-    unclassifiable.
+    the evenness of x^alpha + x^(-alpha).  A NaN or infinite oracle value, or
+    a fitted g that leaves the float range on the samples, is unclassifiable.
     """
     x0 = 2.0
     g0 = oracle(x0)
@@ -211,7 +211,11 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     mismatch = 0.0
     for i in range(samples):
         (x,) = _sample_log_uniform(seed, i, count=1)
-        deviation = abs(oracle(x) - eval_g(fitted, x))
+        try:
+            fitted_g = eval_g(fitted, x)
+        except OverflowError:
+            raise UnclassifiableError(f"fitted g({x}) leaves the float range") from None
+        deviation = abs(oracle(x) - fitted_g)
         if deviation > mismatch or math.isnan(deviation):  # max() would skip a NaN
             mismatch = deviation
     if not mismatch <= tolerance:

@@ -90,28 +90,23 @@ def _oracle(spec: SequenceSpec, n: int):
     return int(value)
 
 
-def verify_sequence(spec: SequenceSpec, count: int) -> VerificationReport:
-    """Compare formula terms against brute-force determinants for n = 1..count."""
+def _rows(spec: SequenceSpec, count: int):
+    """(n, formula term, brute-force oracle) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    witnesses = []
-    for n in range(1, count + 1):
-        expected = term(spec, n)
-        actual = _oracle(spec, n)
-        if expected != actual:
-            witnesses.append(Witness((n,), str(expected), str(actual)))
-    return VerificationReport(0, count, len(witnesses), tuple(witnesses))
+    return ((n, term(spec, n), _oracle(spec, n)) for n in range(1, count + 1))
+
+
+def verify_sequence(spec: SequenceSpec, count: int) -> VerificationReport:
+    """Compare formula terms against brute-force determinants for n = 1..count."""
+    witnesses = tuple(Witness((n,), str(expected), str(actual))
+                      for n, expected, actual in _rows(spec, count) if expected != actual)
+    return VerificationReport(0, count, witnesses)
 
 
 def sequence_csv(spec: SequenceSpec, count: int) -> str:
     """CSV rows: n, formula term, brute-force oracle, match flag."""
-    lines = ["n,term,oracle,match"]
-    for n in range(1, count + 1):
-        expected = term(spec, n)
-        actual = _oracle(spec, n)
-        if spec.id is SequenceId.QSPIRAL:
-            expected_str, actual_str = q_series_string(expected), q_series_string(actual)
-        else:
-            expected_str, actual_str = str(expected), str(actual)
-        lines.append(f"{n},{expected_str},{actual_str},{str(expected == actual).lower()}")
-    return "\n".join(lines) + "\n"
+    text = q_series_string if spec.id is SequenceId.QSPIRAL else str
+    return "n,term,oracle,match\n" + "".join(
+        f"{n},{text(expected)},{text(actual)},{str(expected == actual).lower()}\n"
+        for n, expected, actual in _rows(spec, count))

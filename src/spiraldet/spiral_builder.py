@@ -131,9 +131,9 @@ def _walk(n: int, start, right: Iterable, up: Iterable, left: Iterable, down: It
     return grid
 
 
-def _monomials(n: int, left: ExponentVector = _Y) -> list[list[ExponentVector]]:
-    """The q-power exponents: a at the centre, then x right, b up, ``left`` left and c down."""
-    return _walk(n, _A, repeat(_X), repeat(_B), repeat(left), repeat(_C))
+def _spiral(n: int, a=_A, b=_B, c=_C, x=_X, y=_Y, combine: Callable = _vector_add) -> list[list]:
+    """The walk from a by x right, b up, y left and c down; by default the q-power exponents."""
+    return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), combine)
 
 
 @dataclass(frozen=True)
@@ -166,20 +166,20 @@ class LinearForm:
 
 def build_additive(n: int) -> list[list[LinearForm]]:
     # each coefficient is the q-power exponent of b, c, x or y, halved
-    return [[LinearForm(*(d // 2 for d in vec[1:])) for vec in row] for row in _monomials(n)]
+    return [[LinearForm(*(d // 2 for d in vec[1:])) for vec in row] for row in _spiral(n)]
 
 
 def build_qpower(n: int) -> list[list[LaurentPoly]]:
-    return [[LaurentPoly.monomial(vec) for vec in row] for row in _monomials(n)]
+    return [[LaurentPoly.monomial(vec) for vec in row] for row in _spiral(n)]
 
 
 def build_bracket(n: int) -> list[list[LaurentPoly]]:
-    return [[bracket(vec) for vec in row] for row in _monomials(n)]
+    return [[bracket(vec) for vec in row] for row in _spiral(n)]
 
 
 def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     """Bracket family with equal horizontal multipliers (y set to x)."""
-    return [[bracket(vec) for vec in row] for row in _monomials(n, _X)]
+    return [[bracket(vec) for vec in row] for row in _spiral(n, y=_X)]
 
 
 def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
@@ -209,9 +209,8 @@ def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[F
         raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
     a, b, c, x, y = _coordinates(point)
     if theorem == 3:
-        grid = _walk(n, a, repeat(x), repeat(b), repeat(x), repeat(c), mul)
-        return [[m - 1 / m for m in row] for row in grid]
-    return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), add if theorem == 1 else mul)
+        return [[m - 1 / m for m in row] for row in _spiral(n, a, b, c, x, x, mul)]
+    return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
 
 
 def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
@@ -235,7 +234,7 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
 def specialize_additive(n: int, values: Sequence) -> list[list[Fraction]]:
     """Numeric additive spiral at the given (a, b, c, x, y) values, zeros allowed."""
     a, b, c, x, y = (Fraction(v) for v in values)
-    return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), add)
+    return _spiral(n, a, b, c, x, y, add)
 
 
 # -- serialization ----------------------------------------------------------

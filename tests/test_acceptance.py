@@ -9,9 +9,8 @@ the functional-equation residuals, which are verified against an absolute
 import math
 import random
 
-from spiraldet.closed_forms import theorem, verify_reduction
+from spiraldet.closed_forms import antidiagonal_entry_formulas, theorem, verify_reduction
 from spiraldet.determinant_engine import (
-    antidiagonal_entry_formulas,
     det_cofactor,
     numeric_matrix,
     verify_identity,

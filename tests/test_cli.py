@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from spiraldet import closed_forms, determinant_engine, spiral_builder
+from spiraldet import closed_forms, determinant_engine, sequences, spiral_builder
 from spiraldet.cli import main
 from spiraldet.exponent_algebra import Factored, LaurentPoly, exponents
 
@@ -279,6 +279,56 @@ class TestBench:
         assert captured.out == "" and "argument --trials: must be >= 1" in captured.err
 
 
+class TestFailureExitCodes:
+    """A failed check in reduce, seq or bench exits 1 and shows in the output."""
+
+    @pytest.mark.parametrize("fmt, shown", (
+        ("json", '"failures": 1'),
+        ("text", "reduction odd n=1: 1/5 failures\nreduction even n=1: 1/5 failures\n"),
+    ))
+    def test_reduce(self, fmt, shown, capsys, monkeypatch):
+        argv = ["reduce", "--n", "1", "--trials", "5", "--seed", "3", "--format", fmt]
+        assert run_cli(argv, capsys)[0] == 0
+        witness = determinant_engine.Witness((1, 2, 3, 4, 5), 6, 7)
+        monkeypatch.setattr(
+            closed_forms, "verify_reduction", lambda parity, n, trials, seed:
+            determinant_engine.VerificationReport(seed, trials, (witness,)))
+        code, out = run_cli(argv, capsys)
+        assert code == 1 and shown in out
+
+    @pytest.mark.parametrize("fmt, shown", (
+        ("csv", "2,-5,-4,false\n"),
+        ("json", '"failures": 4'),
+        ("text", "inward: 4/4 failures\n"),
+    ))
+    def test_seq(self, fmt, shown, capsys, monkeypatch):
+        argv = ["seq", "--seq", "inward", "--n-max", "4", "--format", fmt]
+        assert run_cli(argv, capsys)[0] == 0
+        oracle = sequences._oracle
+        monkeypatch.setattr(sequences, "_oracle", lambda spec, n: oracle(spec, n) + 1)
+        code, out = run_cli(argv, capsys)
+        assert code == 1 and shown in out
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_bench(self, fmt, capsys, monkeypatch):
+        argv = ["bench", "--n-max", "3", "--trials", "1", "--seed", "2", "--format", fmt]
+        assert run_cli(argv, capsys)[0] == 0
+        bareiss = determinant_engine.det_bareiss_rational
+        monkeypatch.setattr(determinant_engine, "det_bareiss_rational",
+                            lambda matrix: bareiss(matrix) + 1)
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        csv_text = json.loads(out)["report"]["csv"] if fmt == "json" else out
+        digests = {}
+        for line in csv_text.splitlines()[1:]:
+            n, _, _, digest = line.split(",")
+            digests.setdefault(n, set()).add(digest)
+        assert sorted(digests) == ["1", "2", "3"]
+        assert all(len(found) == 2 for found in digests.values())
+        if fmt == "json":
+            assert json.loads(out)["report"]["failures"] == 3
+
+
 # sha256 of the default output of calls whose bytes the CLI contract fixes.
 # Recompute these only for an intended change of output, never for a
 # change of engine.
@@ -346,6 +396,19 @@ GOLDEN_DIGESTS = {
         "e14ea988dfbab3c8f30b72f367c23a7b8187f8a0857f619da53ac8485a5ad326",
     "funceq --alpha 0.7 --imaginary --trials 50 --seed 2":
         "17fdaf5293f937b4987508f65891e68d5f30ade699b5db03f9df89b74b734575",
+    # the text formats of det, verify, reduce, seq and funceq, and seq's JSON
+    "det --family qpower --n 4 --seed 3 --format text":
+        "956eddb8df8874852d62c4b752a051201df4bd7ecee7bc1eb8bf12894482c1d8",
+    "verify --theorem 2 --n-max 10 --trials 2 --seed 0 --format text":
+        "d9f844b7186c3d2abfc9493444795a43a5c395d9c275461bdb52c83d033b0913",
+    "reduce --n 2 --trials 10 --seed 3 --format text":
+        "8e4b5bf96f0f1b86a52e83584063c479fe826139cec95cdbe3a5ded708565d24",
+    "seq --seq inward --n-max 8 --seed 0 --format text":
+        "bba91e28f097f8908db3e6a0da107ad44c9fa3c42421f10f3bcf7a6317634c99",
+    "seq --seq outward --n-max 8 --seed 0":
+        "2e1d6805f66ffe58b71084caa0664b56327ac0711d6e1dd257dd82570f9c78d2",
+    "funceq --alpha 1.5 --trials 50 --seed 1 --format text":
+        "f9ae8c55cc87c76589c112a66c5d89bca93d57d40762176beeceb64e4a5844d0",
 }
 
 

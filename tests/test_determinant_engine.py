@@ -8,8 +8,9 @@ import pytest
 
 from spiraldet.determinant_engine import (
     SizeGuardError,
+    VerificationReport,
     WedgeNotZeroError,
-    antidiagonal_entry_formulas,
+    Witness,
     det_bareiss_rational,
     det_cofactor,
     numeric_matrix,
@@ -18,7 +19,13 @@ from spiraldet.determinant_engine import (
     wedge_eliminate_even,
     wedge_eliminate_odd,
 )
-from spiraldet.closed_forms import theorem, thm1_odd, thm3_even, thm3_odd
+from spiraldet.closed_forms import (
+    antidiagonal_entry_formulas,
+    theorem,
+    thm1_odd,
+    thm3_even,
+    thm3_odd,
+)
 from spiraldet.exponent_algebra import (
     Factored,
     HalfExponentError,
@@ -383,6 +390,16 @@ class TestVerifyIdentity:
         for t in range(200):
             pt = sample_point(123, t)
             assert all(v != 0 and -50 <= v <= 50 for v in pt)
+
+    def test_point_sampling_reaches_both_ends(self):
+        values = {v for t in range(400) for v in sample_point(7, t)}
+        assert min(values) == -50 and max(values) == 50 and 0 not in values
+
+    def test_failures_count_the_witnesses(self):
+        witness = Witness((1, 2, 3, 4, 5), 1, 2)
+        assert VerificationReport(4, 3, ()).failures == 0
+        report = VerificationReport(4, 3, (witness, witness))
+        assert report.failures == 2 and report.to_json_dict()["failures"] == 2
 
     def test_factored_rhs_catches_a_wrong_sign(self):
         matrix = build_bracket_xx(9)

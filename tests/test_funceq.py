@@ -236,3 +236,8 @@ class TestClassify:
     def test_off_family_oracle_unclassifiable(self):
         with pytest.raises(UnclassifiableError):
             classify(lambda x: x ** 3 + x, 200, seed=0)
+
+    def test_fit_beyond_the_float_range_unclassifiable(self):
+        # g(2) = 2^400 fits alpha = 400, and x^400 overflows a float on [0.1, 10]
+        with pytest.raises(UnclassifiableError):
+            classify(lambda x: 2.0 ** 400 if x == 2.0 else 1.0, 200, seed=0)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from spiraldet import sequences
 from spiraldet.determinant_engine import det_bareiss_rational
 from spiraldet.sequences import (
     SequenceId,
@@ -82,6 +83,22 @@ class TestCsv:
     def test_qspiral_rows_serialize_polynomials(self):
         lines = sequence_csv(QSPIRAL, 2).strip().splitlines()
         assert lines[2].startswith("2,-q^4 + q^6,")
+
+    @pytest.mark.parametrize("count", (0, -1))
+    def test_bad_count(self, count):
+        # a bare header would be a result that checked nothing
+        with pytest.raises(ValueError):
+            sequence_csv(INWARD, count)
+
+    def test_mismatch_shows_in_rows_and_report(self, monkeypatch):
+        oracle = sequences._oracle
+        monkeypatch.setattr(sequences, "_oracle",
+                            lambda spec, n: oracle(spec, n) + (n == 3))
+        lines = sequence_csv(INWARD, 4).splitlines()
+        assert [line.endswith(",false") for line in lines[1:]] == [False, False, True, False]
+        report = verify_sequence(INWARD, 4)
+        assert report.failures == 1 and report.witnesses[0].point == (3,)
+        assert report.witnesses[0].rhs == str(int(report.witnesses[0].lhs) + 1)
 
 
 def reference_q_series_string(series):
