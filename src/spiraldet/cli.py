@@ -159,7 +159,7 @@ def _cmd_seq(args, seed: int):
     if args.format == "csv":
         report = sequences.sequence_csv(spec, args.n_max)
         return fields, args.n_max, report, report.count(",false")
-    rep = sequences.verify_sequence(spec, args.n_max)
+    rep = sequences.verify_sequence(spec, args.n_max, seed)
     summary = f"{args.seq}: {rep.failures}/{rep.trials} failures\n"
     report = summary if args.format == "text" else rep.to_json_dict()
     return fields, args.n_max, report, rep.failures

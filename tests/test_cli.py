@@ -177,6 +177,10 @@ class TestSeq:
         code, blob = run_json(["seq", "--seq", "outward", "--n-max", "6"], capsys)
         assert code == 0 and blob["report"]["failures"] == 0
 
+    def test_report_echoes_the_seed(self, capsys):
+        code, blob = run_json(["seq", "--seq", "inward", "--n-max", "2", "--seed", "5"], capsys)
+        assert code == 0 and blob["config"]["seed"] == blob["report"]["seed"] == 5
+
     def test_empty_range_is_usage_error(self, capsys):
         # the CSV format would otherwise print a bare header and exit 0
         with pytest.raises(SystemExit) as excinfo:

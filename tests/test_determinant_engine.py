@@ -8,6 +8,8 @@ import pytest
 
 from spiraldet.determinant_engine import (
     SizeGuardError,
+    _pack,
+    _unpack,
     VerificationReport,
     WedgeNotZeroError,
     Witness,
@@ -239,6 +241,118 @@ class TestPackedCofactor:
         assert not isinstance(excinfo.value, SizeGuardError)
         with pytest.raises(ValueError, match="square"):
             det_cofactor([[1, 2], [3]])
+
+
+def row_order_cofactor(matrix, counter=None):
+    """Reference: the packed kernel as it expanded before, row by row in order.
+
+    Its memo is keyed by column subsets, and the first row is the outermost
+    level.  ``counter[0]`` collects the term pairs the expansion multiplies.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    symbolic = any(isinstance(entry, LaurentPoly) for row in matrix for entry in row)
+    base = 1
+    if symbolic:
+        base = 2 * n * max((abs(d) for row in matrix for entry in row
+                            if isinstance(entry, LaurentPoly)
+                            for vec in entry.terms for d in vec), default=0) + 1
+    packed = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
+               if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
+               for entry in row] for row in matrix]
+    memo = {0: [(0, 1)]}
+
+    def minor(mask):
+        if mask in memo:
+            return memo[mask]
+        row = packed[n - mask.bit_count()]
+        out = {}
+        negative = False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            entry = row[low.bit_length() - 1]
+            if entry:
+                sub = minor(mask ^ low)
+                if counter is not None:
+                    counter[0] += len(entry) * len(sub)
+                for u, cu in entry:
+                    if negative:
+                        cu = -cu
+                    for v, cv in sub:
+                        out[u + v] = out.get(u + v, 0) + cu * cv
+            negative = not negative
+            rest ^= low
+        terms = [(w, c) for w, c in out.items() if c]
+        memo[mask] = terms
+        return terms
+
+    terms = minor((1 << n) - 1)
+    if symbolic:
+        return LaurentPoly._raw({_unpack(key, base): c for key, c in terms})
+    return terms[0][1] if terms else 0
+
+
+def column_masses(matrix):
+    return [sum(abs(d) for row in matrix if isinstance(row[j], LaurentPoly)
+                for vec in row[j].terms for d in vec) for j in range(len(matrix))]
+
+
+def permutation_sign(order):
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return -1 if inversions % 2 else 1
+
+
+class TestColumnOrderCofactor:
+    """det_cofactor expands along columns, heaviest first; the row-order kernel is the reference."""
+
+    @staticmethod
+    def assert_matches(matrix):
+        value = det_cofactor(matrix, allow_large=True)
+        expected = row_order_cofactor(matrix)
+        assert isinstance(value, LaurentPoly)
+        assert all(value.terms.values())  # canonical: no zero coefficient
+        assert value.terms == expected.terms
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_theorem_matrices(self, k, n):
+        self.assert_matches(theorem_matrix(k, n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bracket_family(self, n):
+        # the reference takes ~2.5M term pairs at n = 8, so it stops at 7
+        self.assert_matches(build_bracket(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generalized_family(self, n):
+        rng = random.Random(70 + n)
+        self.assert_matches(build_generalized_bracket(random_generalized_spec(rng, n)))
+
+    def test_distinct_column_masses_permute_with_both_signs(self):
+        rng = random.Random(8128)
+        signs = set()
+        for n in range(2, 7):
+            for _ in range(4):
+                m = [[random_entry_poly(rng, 6) for _ in range(n)] for _ in range(n)]
+                masses = column_masses(m)
+                if len(set(masses)) < n:
+                    continue
+                order = sorted(range(n), key=masses.__getitem__, reverse=True)
+                signs.add(permutation_sign(order))
+                self.assert_matches(m)
+        assert signs == {1, -1}
+
+    def test_fewer_term_pairs_on_theorem_3(self):
+        # the column-order expansion of m is the row-order expansion of the
+        # transpose of m with its columns sorted heaviest first
+        m = theorem_matrix(3, 7)
+        order = sorted(range(7), key=column_masses(m).__getitem__, reverse=True)
+        before, after = [0], [0]
+        row_order_cofactor(m, before)
+        row_order_cofactor([[row[j] for row in m] for j in order], after)
+        assert (before[0], after[0]) == (137348, 17478)
 
 
 class TestDetBareiss:

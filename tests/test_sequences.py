@@ -100,6 +100,22 @@ class TestCsv:
         assert report.failures == 1 and report.witnesses[0].point == (3,)
         assert report.witnesses[0].rhs == str(int(report.witnesses[0].lhs) + 1)
 
+    def test_qspiral_witness_prints_as_the_csv_does(self, monkeypatch):
+        # the oracle's q-series dict has its keys in the determinant kernel's
+        # term order, so the witness must not print the dict itself
+        oracle = sequences._oracle
+        def plus_one_at_3(spec, n):
+            series = oracle(spec, n)
+            return {**series, 0: series.get(0, 0) + 1} if n == 3 else series
+
+        monkeypatch.setattr(sequences, "_oracle", plus_one_at_3)
+        rows = [line.split(",") for line in sequence_csv(QSPIRAL, 4).splitlines()[1:]]
+        assert [row[3] for row in rows] == ["true", "true", "false", "true"]
+        report = verify_sequence(QSPIRAL, 4)
+        assert report.failures == 1
+        witness = report.witnesses[0]
+        assert (witness.point, witness.lhs, witness.rhs) == ((3,), rows[2][1], rows[2][2])
+
 
 def reference_q_series_string(series):
     """The q-series term loop as it stood before the shared formatter."""
