@@ -13,7 +13,7 @@ from spiraldet import (
     RELATIONS,
     FamilyKind,
     FamilySpec,
-    check_relation,
+    check_relations,
     classify,
     eval_g,
 )
@@ -26,8 +26,8 @@ families = {
 
 print("Max |lhs - rhs| over 1000 log-uniform samples in [0.1, 10]:")
 for name, spec in families.items():
-    residuals = [check_relation(spec, rel, 1000, seed=0).max_residual
-                 for rel in RELATIONS]
+    residuals = [report.max_residual
+                 for report in check_relations(spec, RELATIONS, 1000, seed=0)]
     print(f"    {name:<17} worst over {RELATIONS}: {max(residuals):.2e}")
 
 print("\ng(1) = 2 for every non-zero family:",

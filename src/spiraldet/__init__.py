@@ -66,6 +66,7 @@ from .funceq import (
     UnclassifiableError,
     UnknownRelationError,
     check_relation,
+    check_relations,
     classify,
     eval_f,
     eval_g,

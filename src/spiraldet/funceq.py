@@ -19,13 +19,21 @@ points.  The closed forms are exact identities, so residuals are computed in
 extended precision (mpmath); plain double evaluation leaves libm noise of
 order 1e-8 at the large end of the sampling box, which would drown the
 1e-9 verification tolerance.
+
+check_relations checks several relations in one pass.  Each sample (a, x) is
+drawn once, and f and g are evaluated once per distinct point of it (a, x,
+ax, a/x, 1/x, x^2, x^3), shared by every relation that reads them.  This
+keeps each relation's evaluations independent: f and g are pure, so a shared
+value is the one the relation would compute alone, and every term is still
+evaluated at its own argument (g(x^2) at x^2, never derived from g(x), which
+would make 6.15 hold by construction).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -91,40 +99,35 @@ def _check_positive(x: float) -> float:
     return x
 
 
-def _g(spec: FamilySpec, x, lib):
-    """g at x, computed with ``lib``, the module ``math`` or ``mpmath``."""
-    if spec.kind is FamilyKind.POWER_SYMMETRIC:
-        if spec.imaginary:
-            return 2 * lib.cos(spec.alpha * lib.log(x))
-        return x ** spec.alpha + x ** -spec.alpha
-    return 2.0
+def _fg(spec: FamilySpec, x, lib):
+    """(f(x), g(x)), computed with ``lib``, the module ``math`` or ``mpmath``.
 
-
-def _f(spec: FamilySpec, x, lib):
-    """f at x, computed with ``lib``, the module ``math`` or ``mpmath``."""
+    The pair shares x^alpha and x^(-alpha), or log x and t = alpha*log x.
+    """
     if spec.kind is FamilyKind.ZERO:
-        return 0.0
+        return 0.0, 2.0
     if spec.kind is FamilyKind.LOG_AFFINE:
-        return spec.c1 + spec.c2 * lib.log(x)
+        return spec.c1 + spec.c2 * lib.log(x), 2.0
     if spec.imaginary:
         t = spec.alpha * lib.log(x)
-        return spec.c1 * lib.cos(t) + spec.c2 * lib.sin(t)
-    return spec.c1 * x ** spec.alpha + spec.c2 * x ** -spec.alpha
+        cos = lib.cos(t)
+        return spec.c1 * cos + spec.c2 * lib.sin(t), 2 * cos
+    up, down = x ** spec.alpha, x ** -spec.alpha
+    return spec.c1 * up + spec.c2 * down, up + down
 
 
 def eval_g(spec: FamilySpec, x: float) -> float:
     """x^alpha + x^(-alpha), 2*cos(t*log x) for imaginary alpha, else 2."""
-    return _g(spec, _check_positive(x), math)
+    return _fg(spec, _check_positive(x), math)[1]
 
 
 def eval_f(spec: FamilySpec, x: float) -> float:
     """The f member of the family at x."""
-    return _f(spec, _check_positive(x), math)
+    return _fg(spec, _check_positive(x), math)[0]
 
 
-def _residual_mp(spec: FamilySpec, relation: str, a, x):
-    g = lambda v: _g(spec, v, mpmath)
-    f = lambda v: _f(spec, v, mpmath)
+def _residual_mp(relation: str, f, g, a, x):
+    """lhs - rhs of the relation, with f and g the family's functions."""
     if relation == "6.1":
         return f(a) * g(x) - f(a * x) - f(a / x)
     if relation == "6.14":
@@ -165,23 +168,52 @@ def check_relation(spec: FamilySpec, relation: str, samples: int, seed: int) -> 
     A NaN or infinite residual is the maximum, so no tolerance passes it; the
     first such sample is the reported argmax.
     """
-    if relation not in RELATIONS:
-        raise UnknownRelationError(f"unknown relation {relation!r}")
+    return check_relations(spec, [relation], samples, seed)[0]
+
+
+def check_relations(spec: FamilySpec, relations, samples: int,
+                    seed: int) -> list[ResidualReport]:
+    """One check_relation report per named relation, in order, from one pass.
+
+    Each sample is drawn once, and f and g are evaluated once per distinct
+    point of it, shared by every relation; every residual equals the one
+    check_relation computes alone.
+    """
+    relations = list(relations)
+    for relation in relations:
+        if relation not in RELATIONS:
+            raise UnknownRelationError(f"unknown relation {relation!r}")
+    if not relations:
+        raise ValueError("relations must not be empty")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    two_arg = relation in _TWO_ARG
-    worst = -1.0
-    argmax: tuple[float, ...] = ()
+    worst = [-1.0] * len(relations)
+    argmax: list[tuple[float, ...]] = [()] * len(relations)
     with mpmath.workdps(_working_digits(spec)):
+        # a double converts exactly at any working precision
+        family = replace(spec, alpha=mpmath.mpf(spec.alpha),
+                         c1=mpmath.mpf(spec.c1), c2=mpmath.mpf(spec.c2))
         for i in range(samples):
             a, x = _sample_log_uniform(seed, i)
-            r = abs(_residual_mp(spec, relation, mpmath.mpf(a), mpmath.mpf(x)))
-            # NaN compares false, so a NaN r enters here, and a non-finite
-            # worst is never replaced
-            if not r <= worst and (r > worst or math.isfinite(worst)):
-                worst = float(r)
-                argmax = (a, x) if two_arg else (x,)
-    return ResidualReport(relation, samples, worst, argmax)
+            memo = {}
+
+            def fg(v):
+                pair = memo.get(v)
+                if pair is None:
+                    pair = memo[v] = _fg(family, v, mpmath)
+                return pair
+
+            f, g = (lambda v: fg(v)[0]), (lambda v: fg(v)[1])
+            a_mp, x_mp = mpmath.mpf(a), mpmath.mpf(x)
+            for j, relation in enumerate(relations):
+                r = abs(_residual_mp(relation, f, g, a_mp, x_mp))
+                # NaN compares false, so a NaN r enters here, and a non-finite
+                # worst is never replaced
+                if not r <= worst[j] and (r > worst[j] or math.isfinite(worst[j])):
+                    worst[j] = float(r)
+                    argmax[j] = (a, x) if relation in _TWO_ARG else (x,)
+    return [ResidualReport(relation, samples, w, arg)
+            for relation, w, arg in zip(relations, worst, argmax)]
 
 
 def classify(oracle: Callable[[float], float], samples: int, seed: int,

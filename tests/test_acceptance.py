@@ -28,7 +28,7 @@ from spiraldet.funceq import (
     RELATIONS,
     FamilyKind,
     FamilySpec,
-    check_relation,
+    check_relations,
     classify,
 )
 from spiraldet.sequences import SequenceId, SequenceSpec, verify_sequence
@@ -147,9 +147,8 @@ def test_criterion_09_functional_equations():
         "zero": FamilySpec(FamilyKind.ZERO),
     }
     for name, spec in specs.items():
-        for relation in RELATIONS:
-            report = check_relation(spec, relation, samples=1000, seed=90_001)
-            assert report.max_residual < 1e-9, (name, relation, report.max_residual)
+        for report in check_relations(spec, RELATIONS, samples=1000, seed=90_001):
+            assert report.max_residual < 1e-9, (name, report.relation, report.max_residual)
     for alpha in (0.0, 1.0, 2.5):
         fitted = classify(lambda x, a=alpha: math.pow(x, a) + math.pow(x, -a),
                           samples=300, seed=90_002)

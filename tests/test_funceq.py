@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from collections import Counter
 
 import mpmath
 import pytest
@@ -15,6 +17,7 @@ from spiraldet.funceq import (
     UnclassifiableError,
     UnknownRelationError,
     check_relation,
+    check_relations,
     classify,
     eval_f,
     eval_g,
@@ -30,6 +33,78 @@ ACCEPTED_SPECS = {
     "log-affine": FamilySpec(FamilyKind.LOG_AFFINE, c1=1.0, c2=2.0),
     "zero": FamilySpec(FamilyKind.ZERO),
 }
+
+
+# Real and imaginary exponents, c1/c2 != 1, exponents past the float range and
+# non-finite ones, the log-affine and the zero family.
+REFERENCE_SPECS = {
+    **{f"alpha={alpha}": FamilySpec(POWER, alpha=alpha, c1=0.3, c2=-1.7)
+       for alpha in (0.0, -2.5, 20.0, 400.0, math.nan, math.inf)},
+    "alpha=1.5": FamilySpec(POWER, alpha=1.5),
+    "alpha=2.5 c2=-1": FamilySpec(POWER, alpha=2.5, c2=-1.0),
+    **{f"imaginary t={t}": FamilySpec(POWER, alpha=t, imaginary=True, c1=1.0, c2=2.5)
+       for t in (0.75, 2.7, 50.0, math.nan)},
+    "imaginary t=-1.3": FamilySpec(POWER, alpha=-1.3, imaginary=True),
+    "log-affine": FamilySpec(FamilyKind.LOG_AFFINE, c1=1.0, c2=2.0),
+    "log-affine c1=-0.5": FamilySpec(FamilyKind.LOG_AFFINE, c1=-0.5, c2=3.0),
+    "zero": FamilySpec(FamilyKind.ZERO),
+}
+
+
+def _reference_g(spec, x, lib):
+    """g as a formula of its own, separate from f."""
+    if spec.kind is POWER:
+        if spec.imaginary:
+            return 2 * lib.cos(spec.alpha * lib.log(x))
+        return x ** spec.alpha + x ** -spec.alpha
+    return 2.0
+
+
+def _reference_f(spec, x, lib):
+    """f as a formula of its own, separate from g."""
+    if spec.kind is FamilyKind.ZERO:
+        return 0.0
+    if spec.kind is FamilyKind.LOG_AFFINE:
+        return spec.c1 + spec.c2 * lib.log(x)
+    if spec.imaginary:
+        t = spec.alpha * lib.log(x)
+        return spec.c1 * lib.cos(t) + spec.c2 * lib.sin(t)
+    return spec.c1 * x ** spec.alpha + spec.c2 * x ** -spec.alpha
+
+
+def _reference_residual(spec, relation, a, x):
+    g = lambda v: _reference_g(spec, v, mpmath)
+    f = lambda v: _reference_f(spec, v, mpmath)
+    if relation == "6.1":
+        return f(a) * g(x) - f(a * x) - f(a / x)
+    if relation == "6.14":
+        return g(x) - g(1 / x)
+    if relation == "6.15":
+        return g(x * x) - (g(x) ** 2 - 2)
+    if relation == "6.16":
+        return g(x ** 3) - (g(x) ** 3 - 3 * g(x))
+    return g(a) * g(x) - g(a * x) - g(a / x)
+
+
+def _reference_check(spec, relation, samples, seed):
+    """One relation at a time: its own draw of every sample, f and g recomputed per term."""
+    worst, argmax = -1.0, ()
+    with mpmath.workdps(funceq._working_digits(spec)):
+        for i in range(samples):
+            a, x = funceq._sample_log_uniform(seed, i)
+            r = abs(_reference_residual(spec, relation, mpmath.mpf(a), mpmath.mpf(x)))
+            if not r <= worst and (r > worst or math.isfinite(worst)):
+                worst = float(r)
+                argmax = (a, x) if relation in ("6.1", "6.17") else (x,)
+    return funceq.ResidualReport(relation, samples, worst, argmax)
+
+
+def _outcome(fn, *args):
+    """repr of the value, or the exception's type name: equal only when bit-identical."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
 
 
 class TestEvalG:
@@ -112,6 +187,82 @@ class TestCheckRelation:
         assert len(blob["argmax"]) == 2  # two-argument relation
 
 
+class TestCheckRelations:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
+    def test_equals_the_per_relation_reference(self, spec):
+        for seed in (0, 7):
+            expected = [repr(_reference_check(spec, rel, 30, seed)) for rel in RELATIONS]
+            assert [repr(rep) for rep in check_relations(spec, RELATIONS, 30, seed)] == expected
+            assert [repr(check_relation(spec, rel, 30, seed)) for rel in RELATIONS] == expected
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
+    def test_eval_f_and_g_equal_the_separate_formulas(self, spec):
+        rng = random.Random(5)
+        for _ in range(300):
+            x = 10.0 ** rng.uniform(-3.0, 3.0)
+            assert _outcome(eval_f, spec, x) == _outcome(_reference_f, spec, x, math), x
+            assert _outcome(eval_g, spec, x) == _outcome(_reference_g, spec, x, math), x
+
+    def test_reports_follow_the_given_order(self):
+        spec = FamilySpec(POWER, alpha=2.5)
+        reports = check_relations(spec, ("6.17", "6.15", "6.17"), 20, seed=3)
+        assert [rep.relation for rep in reports] == ["6.17", "6.15", "6.17"]
+        assert reports[0] == reports[2] == check_relation(spec, "6.17", 20, seed=3)
+
+    @pytest.mark.parametrize("spec", (FamilySpec(POWER, alpha=1.5, c1=0.3, c2=-1.7),
+                                      FamilySpec(POWER, alpha=0.75, imaginary=True)),
+                             ids=("real", "imaginary"))
+    @pytest.mark.parametrize("relations,points", (
+        (RELATIONS, lambda a, x: [a, x, a * x, a / x, 1 / x, x * x, x ** 3]),
+        (["6.15"], lambda a, x: [x, x * x]),
+    ), ids=("all", "6.15"))
+    def test_each_point_is_evaluated_once(self, monkeypatch, spec, relations, points):
+        seen = []
+        real = funceq._fg
+
+        def spy(family, v, lib):
+            seen.append(v)
+            return real(family, v, lib)
+
+        monkeypatch.setattr(funceq, "_fg", spy)
+        check_relations(spec, relations, 1, seed=3)
+        with mpmath.workdps(funceq._working_digits(spec)):
+            a, x = map(mpmath.mpf, funceq._sample_log_uniform(3, 0))
+            expected = points(a, x)
+        assert len(set(expected)) == len(expected)
+        # g(x^2) is evaluated at x^2, never derived from g(x)
+        assert Counter(seen) == Counter(expected)
+
+    @pytest.mark.parametrize("relations", (
+        ["6.2"], ["6.2", "6.1"], ["6.1", "6.2", "6.17"], [*RELATIONS, "6.2"], ["6.1", 6.1]))
+    def test_unknown_relation_anywhere_is_refused_before_sampling(self, monkeypatch, relations):
+        def draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(funceq, "_sample_log_uniform", draw)
+        with pytest.raises(UnknownRelationError):
+            check_relations(FamilySpec(POWER, alpha=1.0), relations, 10, seed=0)
+
+    @pytest.mark.parametrize("relations", ([], ()))
+    def test_empty_relation_list_is_refused(self, relations):
+        with pytest.raises(ValueError) as excinfo:
+            check_relations(FamilySpec(POWER, alpha=1.0), relations, 10, seed=0)
+        assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("samples", (0, -1))
+    def test_samples_below_one_are_refused(self, samples):
+        with pytest.raises(ValueError) as excinfo:
+            check_relations(FamilySpec(POWER, alpha=1.0), RELATIONS, samples, seed=0)
+        assert excinfo.type is ValueError
+        with pytest.raises(ValueError):
+            check_relation(FamilySpec(POWER, alpha=1.0), "6.15", samples, seed=0)
+
+    def test_exported_from_the_package(self):
+        import spiraldet
+
+        assert spiraldet.check_relations is check_relations
+
+
 class TestLargeAlpha:
     """Terms reach 10^(3*alpha) on the sampling box; the residuals must not."""
 
@@ -134,9 +285,8 @@ class TestLargeAlpha:
         ("6.1", lambda f, g, a, x: f(a) * g(x) + 1 - f(a * x) - f(a / x)),
     ))
     def test_wrong_relation_still_fails(self, monkeypatch, relation, off_by_one):
-        def residual(spec, rel, a, x):
-            return off_by_one(lambda v: funceq._f(spec, v, mpmath),
-                              lambda v: funceq._g(spec, v, mpmath), a, x)
+        def residual(rel, f, g, a, x):
+            return off_by_one(f, g, a, x)
 
         monkeypatch.setattr(funceq, "_residual_mp", residual)
         report = check_relation(FamilySpec(POWER, alpha=20.0), relation, 200, seed=0)
@@ -178,9 +328,9 @@ class TestNonFiniteResiduals:
         real = funceq._residual_mp
         calls = []
 
-        def residual(spec, relation, a, x):
+        def residual(relation, f, g, a, x):
             calls.append(x)
-            return mpmath.mpf("nan") if len(calls) == 4 else real(spec, relation, a, x)
+            return mpmath.mpf("nan") if len(calls) == 4 else real(relation, f, g, a, x)
 
         monkeypatch.setattr(funceq, "_residual_mp", residual)
         report = check_relation(FamilySpec(POWER, alpha=1.0), "6.15", 10, seed=2)
