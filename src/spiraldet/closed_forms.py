@@ -1,16 +1,27 @@
 """Closed-form determinant formulas for the three spiral families, plus the
 row/column reduction procedures that prove the additive and q-power cases.
 
-Theorem 1 (additive family): det of the n x n additive spiral is a signed
-quadratic prefactor times prod_i (i(b+c) + (i+1)(x+y)).
+Each theorem is one formula in (n, m) = (N // 2, (N - 1) // 2), the
+:func:`centre_cell` of the N x N spiral.  The paper states it once per parity:
+its specializations are n = m at odd N = 2n+1 and n = m + 1 at even N = 2n.
+Sizes 0 and 1 give the empty product and the single cell (a; [a] in theorem 3).
 
-Theorem 2 (q-power family): det is a signed monomial times
-prod_i (1 - q^(i(b+c)+(i+1)(x+y))), written multiplicatively in the variables
-standing for q^a ... q^y.
+Theorem 1 (additive): det = (-1)^m Q prod_{i=1}^{N-2} (i(b+c) + (i+1)(x+y)), with
+Q = ax + n^2 bx + n(n-1) cx + n^2 x^2 + ay + m^2 by + m(m+1) (cy + y^2) + n(2m+1) xy.
+Odd N: (-1)^n and ... + n^2 by + n(n+1) (cy + y^2) + n(2n+1) xy; even N: (-1)^(n-1)
+and ... + (n-1)^2 by + n(n-1) (cy + y^2) + n(2n-1) xy.
 
-Theorem 3 (bracket family with equal horizontal multipliers): det is a signed
-product of brackets and angle brackets, some of whose factors carry
-half-integer exponents even though the expanded product never does.
+Theorem 2 (q-power, in the variables standing for q^a ... q^y):
+det = (-1)^n a^N (bx)^B (cy)^C prod_{i=0}^{N-2} (1 - b^i c^i x^(i+1) y^(i+1)), with
+B = S(n) + S(m), C = B - n(n-m) and S(k) = k(k+1)(2k+1)/6.  Odd N:
+B = C = n(n+1)(2n+1)/3; even N: B = n(2n^2+1)/3 and C = 2(n-1)n(n+1)/3.
+
+Theorem 3 (bracket, y = x): det = (-1)^m [a^2 b^(n^2+m^2) c^(2nm) x^(2n(2m+1))]
+prod_{k=0}^{n-1} [(bc)^k x^(2k+1)] prod_{k=1}^{n-1} <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
+prod_{k=1}^{m} [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>.
+The head is [a^2 (bc)^(2n^2) x^(2n(2n+1))] at odd N and
+[a^2 b (bc)^(2n^2-2n) x^(2n(2n-1))] at even N.  Some factors carry half-integer
+exponents even though the expanded product never does.
 
 :func:`theorem` builds each formula as a :class:`Factored` product, which
 numeric checks evaluate factor by factor; the ``thm*`` functions expand it.
@@ -34,7 +45,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import build_qpower
+from .spiral_builder import build_qpower, centre_cell
 
 _A = LaurentPoly.variable("a")
 _B = LaurentPoly.variable("b")
@@ -51,41 +62,24 @@ def theorem(k: int, size: int) -> Factored:
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    n = size // 2
     if k == 1:
-        return _thm1_odd(n) if size % 2 else _thm1_even(n)
+        return _thm1(size)
     if k == 2:
-        return _thm2_odd(n) if size % 2 else _thm2_even(n)
+        return _thm2(size)
     if k == 3:
-        return _thm3_odd(n) if size % 2 else _thm3_even(n)
+        return _thm3(size)
     raise ValueError(f"theorem must be 1, 2 or 3, got {k!r}")
 
 
-def _parity_sign(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
-def _linear_factors(count: int) -> list[LaurentPoly]:
-    """i(b+c) + (i+1)(x+y) for i = 1..count."""
-    return [i * (_B + _C) + (i + 1) * (_X + _Y) for i in range(1, count + 1)]
-
-
-def _thm1_even(n: int) -> Factored:
-    if n == 0:
-        return Factored(1, ())
+def _thm1(size: int) -> Factored:
+    if size < 2:
+        return Factored(1, (_A,) * size)
+    n, m = centre_cell(size)
     quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
-            + _A * _Y + (n - 1) * (n - 1) * _B * _Y + n * (n - 1) * _C * _Y
-            + n * (n - 1) * _Y * _Y + n * (2 * n - 1) * _X * _Y)
-    return Factored(_parity_sign(n + 1), [quad, *_linear_factors(2 * n - 2)])
-
-
-def _thm1_odd(n: int) -> Factored:
-    if n == 0:
-        return Factored(1, (_A,))
-    quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
-            + _A * _Y + n * n * _B * _Y + n * (n + 1) * _C * _Y
-            + n * (n + 1) * _Y * _Y + n * (2 * n + 1) * _X * _Y)
-    return Factored(_parity_sign(n), [quad, *_linear_factors(2 * n - 1)])
+            + _A * _Y + m * m * _B * _Y + m * (m + 1) * _C * _Y
+            + m * (m + 1) * _Y * _Y + n * (2 * m + 1) * _X * _Y)
+    linear = [i * (_B + _C) + (i + 1) * (_X + _Y) for i in range(1, size - 1)]
+    return Factored((-1) ** m, [quad, *linear])
 
 
 def thm1_even(n: int) -> LaurentPoly:
@@ -98,30 +92,19 @@ def thm1_odd(n: int) -> LaurentPoly:
     return theorem(1, 2 * n + 1).expand()
 
 
-def _exact_third(value: int) -> int:
-    q, r = divmod(value, 3)
-    if r:
-        raise ArithmeticError(f"{value} is not divisible by 3")
-    return q
+def _square_sum(k: int) -> int:
+    """1^2 + ... + k^2; 0 at k = -1."""
+    return k * (k + 1) * (2 * k + 1) // 6
 
 
-def _qpower_tail(count: int) -> list[LaurentPoly]:
-    """1 - b^i c^i x^(i+1) y^(i+1) for i = 0..count-1."""
-    return [1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
-            for i in range(count)]
-
-
-def _thm2_even(n: int) -> Factored:
-    bx = _exact_third(n * (2 * n * n + 1))
-    cy = _exact_third(2 * (n - 1) * n * (n + 1))
-    prefactor = LaurentPoly.monomial(exponents(a=2 * n, b=bx, c=cy, x=bx, y=cy))
-    return Factored(_parity_sign(n), [prefactor, *_qpower_tail(2 * n - 1)])
-
-
-def _thm2_odd(n: int) -> Factored:
-    e = _exact_third(n * (n + 1) * (2 * n + 1))
-    prefactor = LaurentPoly.monomial(exponents(a=2 * n + 1, b=e, c=e, x=e, y=e))
-    return Factored(_parity_sign(n), [prefactor, *_qpower_tail(2 * n)])
+def _thm2(size: int) -> Factored:
+    n, m = centre_cell(size)
+    bx = _square_sum(n) + _square_sum(m)
+    cy = bx - n * (n - m)
+    prefactor = LaurentPoly.monomial(exponents(a=size, b=bx, c=cy, x=bx, y=cy))
+    tail = [1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
+            for i in range(size - 1)]
+    return Factored((-1) ** n, [prefactor, *tail])
 
 
 def thm2_even(n: int) -> LaurentPoly:
@@ -162,34 +145,20 @@ def antidiagonal_entry_formulas(n: int, k: int) -> tuple[LaurentPoly, LaurentPol
             _run_bracket(2 * k - 1) * _angle_second(k))
 
 
-def _bracket_factors(run: int, firsts: int, seconds: int) -> list[LaurentPoly]:
-    """The bracket run of length ``run`` and the angle factors of theorem 3.
-
-    The odd-k brackets of the run and every second angle carry odd doubled
-    exponents on exactly b and c.  Bracket 2k-1 is paired with angle k into
-    [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents, which
-    ``evaluate`` can value at a point; the run holds exactly one odd bracket
-    per second angle.
-    """
-    factors = [_run_bracket(k) for k in range(0, run, 2)]
-    factors += [_angle_first(k) for k in range(1, firsts + 1)]
-    factors += [_run_bracket(2 * k - 1) * _angle_second(k) for k in range(1, seconds + 1)]
-    return factors
-
-
-def _thm3_even(n: int) -> Factored:
-    if n == 0:
-        return Factored(1, ())
-    head = bracket(exponents(a=2, b=2 * n * n - 2 * n + 1, c=2 * n * n - 2 * n,
-                             x=2 * n * (2 * n - 1)))
-    return Factored(_parity_sign(n + 1), [head, *_bracket_factors(2 * n - 1, n - 1, n - 1)])
-
-
-def _thm3_odd(n: int) -> Factored:
-    if n == 0:
-        return Factored(1, (bracket(exponents(a=1)),))
-    head = bracket(exponents(a=2, b=2 * n * n, c=2 * n * n, x=2 * n * (2 * n + 1)))
-    return Factored(_parity_sign(n), [head, *_bracket_factors(2 * n, n - 1, n)])
+def _thm3(size: int) -> Factored:
+    if size < 2:
+        return Factored(1, (bracket(exponents(a=1)),) * size)
+    n, m = centre_cell(size)
+    head = bracket(exponents(a=2, b=n * n + m * m, c=2 * n * m, x=2 * n * (2 * m + 1)))
+    factors = [head, *(_run_bracket(2 * k) for k in range(n))]
+    factors += [_angle_first(k) for k in range(1, n)]
+    # The odd-k brackets of the run and every second angle carry odd doubled
+    # exponents on exactly b and c.  Bracket 2k-1 is paired with angle k into
+    # [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents, which
+    # ``evaluate`` can value at a point; the run holds exactly one odd bracket
+    # per second angle.
+    factors += [_run_bracket(2 * k - 1) * _angle_second(k) for k in range(1, m + 1)]
+    return Factored((-1) ** m, factors)
 
 
 def thm3_even(n: int) -> LaurentPoly:

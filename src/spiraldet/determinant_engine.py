@@ -315,10 +315,7 @@ class WedgeFactorization:
     antidiagonal_factors: tuple[LaurentPoly, ...]
 
     def product(self) -> LaurentPoly:
-        out = self.sign * self.corner_factor
-        for factor in self.antidiagonal_factors:
-            out = out * factor
-        return out
+        return Factored(self.sign, (self.corner_factor, *self.antidiagonal_factors)).expand()
 
 
 def _even_zero_cells(n: int):

@@ -73,10 +73,12 @@ class LengthMismatchError(ValueError):
 
 
 def centre_cell(n: int) -> tuple[int, int]:
-    """0-based (row, col) of the path start."""
-    if n % 2:
-        return n // 2, n // 2
-    return n // 2, n // 2 - 1
+    """0-based (row, col) of the path start.
+
+    The closed forms of theorems 1-3 are written in the same pair: the number
+    of rows above the centre and the number of columns to its left.
+    """
+    return n // 2, (n - 1) // 2
 
 
 def spiral_walk(n: int) -> Iterator[tuple[str | None, int, int]]:

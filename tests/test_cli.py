@@ -376,6 +376,10 @@ GOLDEN_DIGESTS = {
         "e6faf399446bb227f11a5dba2549d183263a05eb8712407e46cfa3e2416ab3da",
     "verify --theorem 2 --n-max 20 --trials 3 --seed 0":
         "28a78816ab1e1cd6c8b4cc23fecc21d2b753dc7185d287a78ab2694c17a3bd12",
+    "verify --theorem 1 --n-max 16 --trials 2 --seed 0":
+        "b9ef12138e9880675f3f369c9a9317e8402478e898cf2bd886ab4d2f23431e3d",
+    "verify --theorem 3 --n-max 16 --trials 2 --seed 0":
+        "f2f6408aab849c012355fc06e9b27fc81b37d1ad4df897ff483ec142b80befb8",
     # every family's cells in each format, the additive sequences, reduce
     # and funceq
     "gen --family additive --n 5 --seed 3 --format json":

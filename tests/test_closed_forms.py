@@ -21,7 +21,9 @@ from spiraldet.closed_forms import (
 )
 from spiraldet.determinant_engine import det_bareiss_rational, det_cofactor, sample_point
 from spiraldet.exponent_algebra import (
+    Factored,
     LaurentPoly,
+    angle,
     bracket,
     evaluate,
     exponents,
@@ -154,6 +156,113 @@ class TestFactoredTheorems:
             theorem(1, -1)
         with pytest.raises(ValueError):
             thm3_even(-1)
+
+
+# -- the closed forms as the paper states them, once per parity --------------
+# A reference copy of the per-parity builders; ``theorem(k, size)`` must
+# return the same sign and the same factors, in the same order, as these.
+
+
+def _ref_sign(e):
+    return -1 if e % 2 else 1
+
+
+def _ref_exact_third(value):
+    q, r = divmod(value, 3)
+    if r:
+        raise ArithmeticError(f"{value} is not divisible by 3")
+    return q
+
+
+def _ref_linear_factors(count):
+    return [i * (B + C) + (i + 1) * (X + Y) for i in range(1, count + 1)]
+
+
+def _ref_thm1_even(n):
+    if n == 0:
+        return Factored(1, ())
+    quad = (A * X + n * n * B * X + n * (n - 1) * C * X + n * n * X * X
+            + A * Y + (n - 1) * (n - 1) * B * Y + n * (n - 1) * C * Y
+            + n * (n - 1) * Y * Y + n * (2 * n - 1) * X * Y)
+    return Factored(_ref_sign(n + 1), [quad, *_ref_linear_factors(2 * n - 2)])
+
+
+def _ref_thm1_odd(n):
+    if n == 0:
+        return Factored(1, (A,))
+    quad = (A * X + n * n * B * X + n * (n - 1) * C * X + n * n * X * X
+            + A * Y + n * n * B * Y + n * (n + 1) * C * Y
+            + n * (n + 1) * Y * Y + n * (2 * n + 1) * X * Y)
+    return Factored(_ref_sign(n), [quad, *_ref_linear_factors(2 * n - 1)])
+
+
+def _ref_qpower_tail(count):
+    return [1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
+            for i in range(count)]
+
+
+def _ref_thm2_even(n):
+    bx = _ref_exact_third(n * (2 * n * n + 1))
+    cy = _ref_exact_third(2 * (n - 1) * n * (n + 1))
+    prefactor = LaurentPoly.monomial(exponents(a=2 * n, b=bx, c=cy, x=bx, y=cy))
+    return Factored(_ref_sign(n), [prefactor, *_ref_qpower_tail(2 * n - 1)])
+
+
+def _ref_thm2_odd(n):
+    e = _ref_exact_third(n * (n + 1) * (2 * n + 1))
+    prefactor = LaurentPoly.monomial(exponents(a=2 * n + 1, b=e, c=e, x=e, y=e))
+    return Factored(_ref_sign(n), [prefactor, *_ref_qpower_tail(2 * n)])
+
+
+def _ref_run_bracket(k):
+    return bracket(exponents(b=Fraction(k, 2), c=Fraction(k, 2), x=k + 1))
+
+
+def _ref_angle_first(k):
+    return angle(exponents(a=1, b=k * (k + 1), c=k * k, x=k * (2 * k + 1)))
+
+
+def _ref_angle_second(k):
+    return angle(exponents(a=1, b=Fraction(2 * k * k - 2 * k + 1, 2),
+                           c=Fraction(2 * k * k - 1, 2), x=k * (2 * k - 1)))
+
+
+def _ref_bracket_factors(run, firsts, seconds):
+    factors = [_ref_run_bracket(k) for k in range(0, run, 2)]
+    factors += [_ref_angle_first(k) for k in range(1, firsts + 1)]
+    factors += [_ref_run_bracket(2 * k - 1) * _ref_angle_second(k)
+                for k in range(1, seconds + 1)]
+    return factors
+
+
+def _ref_thm3_even(n):
+    if n == 0:
+        return Factored(1, ())
+    head = bracket(exponents(a=2, b=2 * n * n - 2 * n + 1, c=2 * n * n - 2 * n,
+                             x=2 * n * (2 * n - 1)))
+    return Factored(_ref_sign(n + 1), [head, *_ref_bracket_factors(2 * n - 1, n - 1, n - 1)])
+
+
+def _ref_thm3_odd(n):
+    if n == 0:
+        return Factored(1, (bracket(exponents(a=1)),))
+    head = bracket(exponents(a=2, b=2 * n * n, c=2 * n * n, x=2 * n * (2 * n + 1)))
+    return Factored(_ref_sign(n), [head, *_ref_bracket_factors(2 * n, n - 1, n)])
+
+
+PER_PARITY = {1: (_ref_thm1_even, _ref_thm1_odd), 2: (_ref_thm2_even, _ref_thm2_odd),
+              3: (_ref_thm3_even, _ref_thm3_odd)}
+
+
+class TestPerParityStatements:
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_theorem_equals_per_parity_factors(self, k):
+        even, odd = PER_PARITY[k]
+        for size in range(0, 81):
+            expected = (odd if size % 2 else even)(size // 2)
+            got = theorem(k, size)
+            assert got.sign == expected.sign, size
+            assert [f.terms for f in got.factors] == [f.terms for f in expected.factors], size
 
 
 class TestReductions:
