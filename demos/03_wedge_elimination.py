@@ -1,6 +1,6 @@
 """Watch the wedge elimination zero out a bracket spiral.
 
-Replacing column C_j by C_j - <x>*C_{j-1} + C_{j-2} (even sizes) annihilates
+Replacing column C_j by C_j - <x>*C_{j-1} + C_{j-2}, at every size, annihilates
 every cell whose three source cells sit on one horizontal run of the spiral,
 because brackets satisfy [A x^2] - <x>[A x] + [A] = 0.  What survives is a
 2x2 corner block and one antidiagonal, so the determinant factors on sight.

@@ -132,12 +132,15 @@ def _angle_second(k: int) -> LaurentPoly:
 
 
 def antidiagonal_entry_formulas(n: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Closed forms of the two antidiagonal entries indexed by k = n-i+1 (even case).
+    """Closed forms F_k, S_k of the antidiagonal entries, for 1 <= k <= n-1 (size 2n).
 
-    Each is a bracket times an angle bracket:
+    F_k is theorem 3's run bracket 2k times its angle k, S_k its paired factor k:
 
-        [(bc)^k x^(2k+1)] <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
-        [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>
+        F_k = [(bc)^k x^(2k+1)] <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
+        S_k = [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>
+
+    At size N, with (n, m) = centre_cell(N), the antidiagonal rows 2..N-1
+    read F_{n-1}, ..., F_1, S_1, ..., S_m.
     """
     if not 1 <= k <= n - 1:
         raise IndexError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")

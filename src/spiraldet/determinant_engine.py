@@ -7,10 +7,11 @@ size, Bareiss's fraction-free elimination on plain ints after the rational
 matrix's row and column contents are divided out.
 
 The wedge elimination implements the column-operation proof of the bracket
-family's determinant factorization: replacing C_j by C_j - <x>*C_{j-1} +
-C_{j-2} (even sizes; the mirrored C_j - <x>*C_{j+1} + C_{j+2} for odd sizes)
-zeroes two triangular wedges, after which the determinant reads off as a
-signed 2x2 corner factor times the product of an antidiagonal.
+family's determinant factorization: at every size, replacing C_j by
+C_j - <x>*C_{j-1} + C_{j-2} zeroes two triangular wedges, after which the
+determinant reads off as a signed 2x2 corner factor times the product of an
+antidiagonal.  The paper mirrors the operation at odd sizes; the unmirrored
+one reads off the same corner and factors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
+from .spiral_builder import centre_cell
 
 COFACTOR_SIZE_GUARD = 8
 _SAMPLE_RANGE = (-50, 49)  # a sample coordinate v >= 0 then moves to v + 1
@@ -318,64 +320,52 @@ class WedgeFactorization:
         return Factored(self.sign, (self.corner_factor, *self.antidiagonal_factors)).expand()
 
 
-def _even_zero_cells(n: int):
-    """1-based wedge cells of the transformed 2n x 2n matrix that must vanish."""
-    big = 2 * n
-    for i in range(1, n + 1):
-        for j in range(max(3, i + 1), big + 1 - i + 1):
-            yield i, j
-    for i in range(n + 1, big + 1):
-        for j in range(max(3, big - i + 3), min(i, big) + 1):
-            yield i, j
+def _zero_cells(size: int):
+    """1-based wedge cells of the transformed N x N matrix, N = size, that must vanish.
 
-
-def _odd_zero_cells(n: int):
-    """1-based wedge cells of the transformed (2n+1) x (2n+1) matrix."""
-    big = 2 * n + 1
-    for i in range(1, n + 1):
-        for j in range(i, 2 * n - i + 1):
-            yield i, j
-    for i in range(n + 2, big + 1):
-        for j in range(2 * n + 2 - i, min(i - 1, 2 * n - 1) + 1):
-            yield i, j
-
-
-def wedge_eliminate_even(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:
-    """Column operations C_j <- C_j - <x>*C_{j-1} + C_{j-2} for j = 3..2n.
-
-    Asserts that both wedges vanish exactly and returns the factorization
-    (sign (-1)^(n-1), 2x2 corner factor from columns 1-2 and rows 1/2n, and
-    the antidiagonal entries of the transformed matrix).
+    With (n, m) = centre_cell(size), the upper wedge is in rows 1..n and the
+    lower in rows n+1..N; neither reaches columns 1-2.
     """
-    size = _check_square(z)
-    if size % 2 or size < 2:
-        raise ValueError("even-size elimination needs an even matrix of size >= 2")
-    n = size // 2
+    n, m = centre_cell(size)
+    for i in range(1, n + 1):
+        for j in range(max(3, i + 2 + m - n), size + 2 - i):
+            yield i, j
+    for i in range(n + 1, size + 1):
+        for j in range(max(3, size + 3 - i), min(i + 1 + m - n, size) + 1):
+            yield i, j
+
+
+def _eliminate(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:
+    """C_j <- C_j - <x>*C_{j-1} + C_{j-2} for j = 3..N; a nonzero zero-map cell raises.
+
+    Rows 1 and N then vanish from column 3 on and the middle block keeps only
+    its antidiagonal, so det z is theorem 3's sign (-1)^m times the 2x2
+    corner of rows 1/N and columns 1-2 times that antidiagonal.
+    """
+    size = len(z)
     t = [[z[i][j] - _ANGLE_X * z[i][j - 1] + z[i][j - 2] if j >= 2 else z[i][j]
           for j in range(size)] for i in range(size)]
-    for i, j in _even_zero_cells(n):
+    for i, j in _zero_cells(size):
         if t[i - 1][j - 1]:
             raise WedgeNotZeroError(i, j, t[i - 1][j - 1])
     corner = z[0][0] * z[size - 1][1] - z[0][1] * z[size - 1][0]
-    factors = tuple(t[i - 1][2 * n - i + 1] for i in range(2, 2 * n))
-    sign = -1 if (n - 1) % 2 else 1
-    return t, WedgeFactorization(sign, corner, factors)
+    factors = tuple(t[i][size - i] for i in range(1, size - 1))
+    return t, WedgeFactorization((-1) ** centre_cell(size)[1], corner, factors)
+
+
+def wedge_eliminate_even(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:
+    """The transformed matrix and factorization of an even size >= 2 (see ``_eliminate``)."""
+    size = _check_square(z)
+    if size % 2 or size < 2:
+        raise ValueError("even-size elimination needs an even matrix of size >= 2")
+    return _eliminate(z)
 
 
 def wedge_eliminate_odd(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:
-    """Column operations C_j <- C_j - <x>*C_{j+1} + C_{j+2} for j = 1..2n-1."""
+    """The transformed matrix and factorization of an odd size; a 1x1 matrix is its own corner."""
     size = _check_square(z)
     if size % 2 == 0:
         raise ValueError("odd-size elimination needs an odd matrix")
     if size == 1:
         return [list(z[0])], WedgeFactorization(1, z[0][0], ())
-    n = size // 2
-    t = [[z[i][j] - _ANGLE_X * z[i][j + 1] + z[i][j + 2] if j <= size - 3 else z[i][j]
-          for j in range(size)] for i in range(size)]
-    for i, j in _odd_zero_cells(n):
-        if t[i - 1][j - 1]:
-            raise WedgeNotZeroError(i, j, t[i - 1][j - 1])
-    corner = z[0][size - 2] * z[size - 1][size - 1] - z[0][size - 1] * z[size - 1][size - 2]
-    factors = tuple(t[i - 1][2 * n + 1 - i - 1] for i in range(2, 2 * n + 1))
-    sign = -1 if n % 2 else 1
-    return t, WedgeFactorization(sign, corner, factors)
+    return _eliminate(z)

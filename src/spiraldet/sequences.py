@@ -26,7 +26,7 @@ from .determinant_engine import (
     det_bareiss_rational,
     det_cofactor,
 )
-from .exponent_algebra import LaurentPoly, _format_terms
+from .exponent_algebra import HalfExponentError, LaurentPoly, _format_terms
 from .spiral_builder import build_qpower, specialize_additive
 
 
@@ -51,11 +51,12 @@ class SequenceSpec:
 
 
 def q_series(p: LaurentPoly) -> dict[int, int]:
-    """Collapse a polynomial with integer exponents onto powers of a single q."""
+    """Collapse a polynomial onto powers of a single q; a half-integer degree raises."""
     out: dict[int, int] = {}
     for vec, coeff in p.terms.items():
         doubled = sum(vec)
-        assert doubled % 2 == 0, "q-degree is not an integer"
+        if doubled % 2:
+            raise HalfExponentError(f"q-degree {doubled}/2 is not an integer")
         deg = doubled // 2
         total = out.get(deg, 0) + coeff
         if total:

@@ -10,6 +10,7 @@ from spiraldet.determinant_engine import (
     SizeGuardError,
     _pack,
     _unpack,
+    _zero_cells,
     VerificationReport,
     WedgeNotZeroError,
     Witness,
@@ -44,6 +45,7 @@ from spiraldet.spiral_builder import (
     build_bracket_xx,
     build_generalized_bracket,
     build_qpower,
+    centre_cell,
     specialize_additive,
     step_counts,
     theorem_matrix,
@@ -113,16 +115,65 @@ def random_entry_poly(rng, spread, max_terms=3):
     return LaurentPoly(terms)
 
 
-def random_generalized_spec(rng, n):
+def random_generalized_spec(rng, n, half=False):
+    """Random up/down increments; with ``half`` their exponents may be half-integers."""
     counts = step_counts(n)
+    step = 1 if half else 2
 
     def monomials(count):
-        return tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
+        return tuple(tuple(step * rng.randint(-2, 2) for _ in range(5))
                      for _ in range(count))
 
     return SpiralSpec(n,
                       up_increments=monomials(counts["up"]),
                       down_increments=monomials(counts["down"]))
+
+
+_ANGLE_X = angle(exponents(x=1))
+
+
+def mirrored_odd_zero_cells(n):
+    """Reference: the 1-based wedge cells of the mirrored operation at size 2n+1."""
+    big = 2 * n + 1
+    for i in range(1, n + 1):
+        for j in range(i, 2 * n - i + 1):
+            yield i, j
+    for i in range(n + 2, big + 1):
+        for j in range(2 * n + 2 - i, min(i - 1, 2 * n - 1) + 1):
+            yield i, j
+
+
+def mirrored_wedge_eliminate_odd(z):
+    """Reference (sign, corner, antidiagonal) of the paper's odd-size elimination.
+
+    The operation is mirrored: C_j <- C_j - <x>*C_{j+1} + C_{j+2} for
+    j = 1..N-2, the corner sits in the last two columns and the antidiagonal
+    is read one column further left than at even sizes.
+    """
+    size = len(z)
+    n = size // 2
+    t = [[z[i][j] - _ANGLE_X * z[i][j + 1] + z[i][j + 2] if j <= size - 3 else z[i][j]
+          for j in range(size)] for i in range(size)]
+    for i, j in mirrored_odd_zero_cells(n):
+        assert not t[i - 1][j - 1], (i, j)
+    corner = z[0][size - 2] * z[size - 1][size - 1] - z[0][size - 1] * z[size - 1][size - 2]
+    factors = tuple(t[i - 1][2 * n + 1 - i - 1] for i in range(2, 2 * n + 1))
+    return (-1 if n % 2 else 1), corner, factors
+
+
+def even_zero_cells(n):
+    """Reference: the 1-based wedge cells of the 2n x 2n elimination, per parity."""
+    big = 2 * n
+    for i in range(1, n + 1):
+        for j in range(max(3, i + 1), big + 1 - i + 1):
+            yield i, j
+    for i in range(n + 1, big + 1):
+        for j in range(max(3, big - i + 3), min(i, big) + 1):
+            yield i, j
+
+
+def readout(fac):
+    return fac.sign, fac.corner_factor, fac.antidiagonal_factors
 
 
 class TestDetCofactor:
@@ -611,8 +662,8 @@ class TestWedgeElimination:
 
     @pytest.mark.parametrize("size", range(1, 12))
     def test_product_equals_theorem_3(self, size):
-        # sizes 7 and 9 reach the cells (i, i) of the odd lower wedge, which
-        # are antidiagonal entries, not wedge cells
+        # the zero map claims no antidiagonal cell at either parity
+        # (TestZeroMap), so odd sizes read off theorem 3 as even ones do
         eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
         expected = (thm3_odd if size % 2 else thm3_even)(size // 2)
         _, fac = eliminate(build_bracket_xx(size))
@@ -629,8 +680,12 @@ class TestWedgeElimination:
         with pytest.raises(WedgeNotZeroError) as excinfo:
             wedge_eliminate_even(build_bracket(4))
         assert 1 <= excinfo.value.row <= 4 and 3 <= excinfo.value.col <= 4
-        with pytest.raises(WedgeNotZeroError):
+        with pytest.raises(WedgeNotZeroError) as excinfo:
             wedge_eliminate_odd(build_bracket(5))
+        # the horizontal multipliers differ above the centre, so an upper
+        # wedge cell fails first; no cell of columns 1-2 is ever claimed
+        n, _ = centre_cell(5)
+        assert 1 <= excinfo.value.row <= n and excinfo.value.col >= 3
 
     def test_column_operations_preserve_determinant(self):
         for n in (3, 4, 5):
@@ -644,6 +699,72 @@ class TestWedgeElimination:
             wedge_eliminate_even(build_bracket_xx(3))
         with pytest.raises(ValueError):
             wedge_eliminate_odd(build_bracket_xx(4))
+
+    @pytest.mark.parametrize("size", range(2, 41))
+    def test_factorization_is_theorem_3_regrouped(self, size):
+        # the corner is theorem 3's head times the first run bracket [x]; the
+        # antidiagonal pairs run bracket 2k with angle k for k = n-1..1, then
+        # reads the paired factors in order
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        _, fac = eliminate(build_bracket_xx(size))
+        f = theorem(3, size)
+        n, _ = centre_cell(size)
+        runs, angles, paired = f.factors[1:n + 1], f.factors[n + 1:2 * n], f.factors[2 * n:]
+        assert fac.sign == f.sign
+        assert fac.corner_factor == f.factors[0] * f.factors[1]
+        assert fac.antidiagonal_factors == tuple(
+            runs[k] * angles[k - 1] for k in range(n - 1, 0, -1)) + tuple(paired)
+
+
+def perfect_matchings(rows, cols, allowed):
+    """Number of perfect matchings of rows onto cols using only allowed cells."""
+    count = {0: 1}
+    for i in rows:
+        step = {}
+        for mask, ways in count.items():
+            for k, j in enumerate(cols):
+                if not mask >> k & 1 and (i, j) in allowed:
+                    step[mask | 1 << k] = step.get(mask | 1 << k, 0) + ways
+        count = step
+    return sum(count.values())
+
+
+class TestZeroMap:
+    """The cells the elimination checks are enough for the readout."""
+
+    @pytest.mark.parametrize("size", range(3, 14))
+    def test_cells_imply_the_readout(self, size):
+        # rows 1 and N vanish from column 3 on, so the determinant is the
+        # corner times the middle block's; the middle block has one perfect
+        # matching left, its antidiagonal, so its determinant is that product
+        zero = set(_zero_cells(size))
+        assert {(i, j) for i in (1, size) for j in range(3, size + 1)} <= zero
+        assert all(j >= 3 for _, j in zero)
+        middle_rows, middle_cols = range(2, size), range(3, size + 1)
+        allowed = {(i, j) for i in middle_rows for j in middle_cols} - zero
+        assert perfect_matchings(middle_rows, middle_cols, allowed) == 1
+        assert all((i, size + 2 - i) in allowed for i in middle_rows)
+
+    @pytest.mark.parametrize("size", range(2, 39, 2))
+    def test_even_sizes_keep_the_per_parity_map(self, size):
+        assert list(_zero_cells(size)) == list(even_zero_cells(size // 2))
+
+
+class TestMirroredReference:
+    """The odd-size routine reads off what the paper's mirrored operation reads off."""
+
+    @pytest.mark.parametrize("size", range(3, 12, 2))
+    def test_bracket_spiral(self, size):
+        z = build_bracket_xx(size)
+        assert readout(wedge_eliminate_odd(z)[1]) == mirrored_wedge_eliminate_odd(z)
+
+    @pytest.mark.parametrize("half", (False, True), ids=("integer", "half"))
+    @pytest.mark.parametrize("size", range(3, 12, 2))
+    def test_generalized_spirals(self, size, half):
+        rng = random.Random(1200 + 2 * size + half)
+        for _ in range(3):
+            z = build_generalized_bracket(random_generalized_spec(rng, size, half))
+            assert readout(wedge_eliminate_odd(z)[1]) == mirrored_wedge_eliminate_odd(z)
 
 
 class TestGeneralizedWedge:

@@ -1,14 +1,20 @@
 """Tests for the integer-sequence specializations."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from spiraldet import sequences
 from spiraldet.determinant_engine import det_bareiss_rational
+from spiraldet.exponent_algebra import HalfExponentError, LaurentPoly, exponents
 from spiraldet.sequences import (
     SequenceId,
     SequenceSpec,
+    q_series,
     q_series_string,
     sequence_csv,
     term,
@@ -54,6 +60,26 @@ class TestTerm:
         series = term(QSPIRAL, 2)
         assert series == {4: -1, 6: 1}
         assert q_series_string(series) == "-q^4 + q^6"
+
+    def test_q_series_refuses_a_half_integer_degree(self):
+        with pytest.raises(HalfExponentError):
+            q_series(LaurentPoly.monomial(exponents(b=Fraction(1, 2))) + 3)
+
+    def test_q_series_refuses_a_half_integer_degree_under_optimize(self):
+        # python -O strips assert statements, so the check must not be one
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        script = ("from fractions import Fraction\n"
+                  "from spiraldet.exponent_algebra import HalfExponentError, LaurentPoly, exponents\n"
+                  "from spiraldet.sequences import q_series\n"
+                  "try:\n"
+                  "    q_series(LaurentPoly.monomial(exponents(b=Fraction(1, 2))) + 3)\n"
+                  "except HalfExponentError:\n"
+                  "    print('refused')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refused\n"
 
 
 class TestVerify:
