@@ -47,8 +47,7 @@ from .closed_forms import (
     ReductionSkipError,
     antidiagonal_entry_formulas,
     qreduction_check,
-    reduce_even,
-    reduce_odd,
+    reduction,
     theorem,
     thm1_even,
     thm1_odd,

@@ -1,5 +1,6 @@
 """Closed-form determinant formulas for the three spiral families, plus the
-row/column reduction procedures that prove the additive and q-power cases.
+size-reduction step that proves the additive case and the row reduction of
+the q-power case.
 
 Each theorem is one formula in (n, m) = (N // 2, (N - 1) // 2), the
 :func:`centre_cell` of the N x N spiral.  The paper states it once per parity:
@@ -26,6 +27,12 @@ exponents even though the expanded product never does.
 :func:`theorem` builds each formula as a :class:`Factored` product, which
 numeric checks evaluate factor by factor; the ``thm*`` functions expand it.
 
+The additive proof reduces size N to N - 1 by one step, :func:`reduction`,
+also written in (n, m): subtract the next row inward from the row on the side
+where the walk ends (:func:`_last_side`), then clear that row with the column
+in which that side begins.  :func:`qreduction_check` makes the same row
+operation on the q-power spiral.
+
 Theorem 1 polynomials reuse the LaurentPoly container with all exponents
 nonnegative and the variables reinterpreted as additive indeterminates; there
 is no separate dense-polynomial type.
@@ -33,7 +40,7 @@ is no separate dense-polynomial type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .determinant_engine import VerificationReport, Witness, sample_point
@@ -183,72 +190,58 @@ def thm3_odd(n: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class ReductionData:
-    """One size-reduction step of the additive family's determinant.
+    """The step from the size x size additive determinant to size - 1.
 
-    The (2n+1) -> 2n step ("odd" parity) rewrites the determinant as
-    scalar_factor times the determinant of the 2n-size matrix with new centre
-    centre_numerator/pivot, new up increment up_increment and new down
-    increment down_increment (x and y unchanged); the 2n -> 2n-1 step ("even")
-    is analogous.  The centre is kept as an explicit numerator/pivot pair
-    because it is not polynomial.
+    The determinant is scalar_factor times the determinant of the size - 1
+    matrix with centre centre_numerator/pivot, up increment up_increment and
+    down increment down_increment; x and y are unchanged.  The centre is kept
+    as a numerator/pivot pair because it is not polynomial.
+
+    On the matrix, the last side's row minus its next row (:func:`_last_side`)
+    is row_difference in every column but the pivot column, where it is pivot;
+    border is the pivot column's entry in the centre row.
     """
 
-    parity: str
-    n: int
+    size: int
     centre_numerator: LaurentPoly
     pivot: LaurentPoly
     up_increment: LaurentPoly
     down_increment: LaurentPoly
     scalar_factor: LaurentPoly
-    auxiliary: dict = field(default_factory=dict)
+    row_difference: LaurentPoly
+    border: LaurentPoly
 
 
-def _border_entries_odd(n: int) -> dict[str, LaurentPoly]:
-    """The labelled border entries of the (2n+1)-size additive spiral."""
-    return {
-        "E1": _A + n * n * _B + n * n * _C + n * n * _X + n * (n + 1) * _Y,
-        "E2": _A + n * n * _B + (n * n + n - 1) * _C + n * n * _X + n * (n + 1) * _Y,
-        "E3": _A + (n - 1) ** 2 * _B + n * (n - 1) * _C + (n - 1) ** 2 * _X + n * (n - 1) * _Y,
-        "E4": _A + (n - 1) ** 2 * _B + n * (n - 1) * _C + n * n * _X + n * (n - 1) * _Y,
-        "E5": _A + n * n * _B + n * (n + 1) * _C + n * n * _X + n * (n + 1) * _Y,
-        "E6": _A + n * n * _B + n * (n + 1) * _C + (n * n + 1) * _X + n * (n + 1) * _Y,
-        "E7": _A + n * n * _B + n * (n + 1) * _C + n * (n + 2) * _X + n * (n + 1) * _Y,
-    }
+def _last_side(size: int) -> tuple[int, int, int]:
+    """(row, next_row, pivot_col) of the side where the size x size spiral ends.
 
-
-def reduce_odd(n: int) -> ReductionData:
-    """Reduction of the (2n+1)-size additive determinant to size 2n.
-
-    Subtracting the next-to-last row from the last row leaves a row that is
-    constant except in the first column; eliminating it with the first column
-    (pivot c) yields scalar_factor c and the new parameters below.
+    The walk ends on the bottom row when n = m and on the top row otherwise,
+    and the pivot column is the one in which that side begins; the reductions
+    subtract the next row inward from the side's row.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    borders = _border_entries_odd(n)
-    d1 = (2 * n - 1) * _B + 2 * n * _C + 2 * n * _X + 2 * n * _Y
-    b1 = 2 * n * (_B + _C + _X + _Y)
-    c1 = -(2 * n - 1) * (_B + _C) - 2 * n * (_X + _Y)
-    numerator = _A * _C - d1 * borders["E1"]
-    auxiliary = {"D1": d1, **borders}
-    return ReductionData("odd", n, numerator, _C, b1, c1, _C, auxiliary)
+    n, m = centre_cell(size)
+    return (size - 1, size - 2, 0) if n == m else (0, 1, size - 1)
 
 
-def reduce_even(n: int) -> ReductionData:
-    """Reduction of the 2n-size additive determinant to size 2n-1.
+def reduction(size: int) -> ReductionData:
+    """The step N -> N - 1 of the additive determinant, for N = size >= 2.
 
-    Subtracting the second row from the first leaves a row that is constant
-    except in the last column; eliminating it with the last column (pivot b)
-    yields scalar_factor -b and the new parameters below.
+    With (n, m) = centre_cell(N), the up and down increments of the smaller
+    matrix are G = (N-1)(b+c+x+y) and b + c - G, in that order when n = m
+    (pivot c) and swapped otherwise (pivot b).  The row difference is G minus
+    the other one of b and c, the border is a + nm(b+c) + n^2 x + m(m+1) y,
+    and the scalar factor is (-1)^(n-m) times the pivot.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d2 = (2 * n - 1) * _B + (2 * n - 2) * _C + (2 * n - 1) * _X + (2 * n - 1) * _Y
-    companion = _A + n * (n - 1) * _B + n * (n - 1) * _C + n * n * _X + n * (n - 1) * _Y
-    b2 = -(2 * n - 2) * (_B + _C) - (2 * n - 1) * (_X + _Y)
-    c2 = (2 * n - 1) * (_B + _C + _X + _Y)
-    numerator = _A * _B - d2 * companion
-    return ReductionData("even", n, numerator, _B, b2, c2, -_B, {"D2": d2, "E": companion})
+    if size < 2:
+        raise ValueError("size must be >= 2")
+    n, m = centre_cell(size)
+    grow = (size - 1) * (_B + _C + _X + _Y)
+    shrink = _B + _C - grow
+    pivot, other, up, down = (_C, _B, grow, shrink) if n == m else (_B, _C, shrink, grow)
+    difference = grow - other
+    border = _A + n * m * (_B + _C) + n * n * _X + m * (m + 1) * _Y
+    return ReductionData(size, _A * pivot - difference * border, pivot, up, down,
+                         (-1) ** (n - m) * pivot, difference, border)
 
 
 class ReductionSkipError(ValueError):
@@ -262,20 +255,22 @@ class ReductionSkipError(ValueError):
 
 
 def verify_reduction(parity: str, n: int, trials: int, seed: int) -> VerificationReport:
-    """Check the reduction relation at random integer points with exact rationals.
+    """Check the step of :func:`reduction` from size 2n+1 ("odd") or 2n ("even")
+    at random integer points with exact rationals.
 
     Points whose derived parameters hit zero (where the closed forms cannot be
     evaluated as Laurent polynomials) are skipped deterministically; after
     ``10 * trials + 100`` attempts :class:`ReductionSkipError` is raised.
     """
-    if parity == "odd":
-        data = reduce_odd(n)
-        small, big = theorem(1, 2 * n), theorem(1, 2 * n + 1)
-    elif parity == "even":
-        data = reduce_even(n)
-        small, big = theorem(1, 2 * n - 1), theorem(1, 2 * n)
-    else:
+    if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    size = 2 * n + (parity == "odd")
+    data = reduction(size)
+    small, big = theorem(1, size - 1), theorem(1, size)
     witnesses = []
     done = 0
     attempt = 0
@@ -299,32 +294,30 @@ def verify_reduction(parity: str, n: int, trials: int, seed: int) -> Verificatio
     return VerificationReport(seed, trials, tuple(witnesses))
 
 
-def qreduction_check(n: int) -> VerificationReport:
+def qreduction_check(size: int) -> VerificationReport:
     """Row subtraction on the q-power spiral leaves a boundary row with one nonzero entry.
 
-    For odd n the last row minus the monomial-ratio multiple of the
-    next-to-last row vanishes except in the first column; for even n the
-    first row minus the multiple of the second row vanishes except in the
-    last column.  No column operations are needed.
+    On the last side of :func:`_last_side`, the row minus the monomial-ratio
+    multiple of the next row vanishes except in the pivot column: the first
+    column when the walk ends on the bottom row, the last when it ends on the
+    top row.  No column operations are needed.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    q = build_qpower(n)
+    if size < 2:
+        raise ValueError("size must be >= 2")
+    q = build_qpower(size)
 
     def _mono(p: LaurentPoly):
         (vec, coeff), = p.terms.items()
         assert coeff == 1
         return vec
 
-    if n % 2:
-        target, source, ref_col, expect_col = n - 1, n - 2, 1, 0
-    else:
-        target, source, ref_col, expect_col = 0, 1, 0, n - 1
+    row, next_row, pivot_col = _last_side(size)
+    ref_col = size - 1 - pivot_col
     ratio = LaurentPoly.monomial(tuple(
-        t - s for t, s in zip(_mono(q[target][ref_col]), _mono(q[source][ref_col]))))
-    new_row = [q[target][j] - ratio * q[source][j] for j in range(n)]
+        t - s for t, s in zip(_mono(q[row][ref_col]), _mono(q[next_row][ref_col]))))
+    new_row = [q[row][j] - ratio * q[next_row][j] for j in range(size)]
     nonzero = [j for j, entry in enumerate(new_row) if entry]
-    if nonzero == [expect_col]:
+    if nonzero == [pivot_col]:
         return VerificationReport(0, 1, ())
-    witness = Witness((n,), f"nonzero columns {nonzero}", f"expected [{expect_col}]")
+    witness = Witness((size,), f"nonzero columns {nonzero}", f"expected [{pivot_col}]")
     return VerificationReport(0, 1, (witness,))

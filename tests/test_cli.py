@@ -163,6 +163,14 @@ class TestReduce:
             main(["reduce", "--n", "1", "--trials", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_n_below_one_is_usage_error(self, n, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reduce", "--n", n])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must be >= 1" in captured.err
+
 
 class TestSeq:
     def test_csv(self, capsys):
@@ -400,6 +408,8 @@ GOLDEN_DIGESTS = {
         "c11ca09094581d35c67af6ced5bed53d85061732d841bed691ac04618f3ff4fa",
     "reduce --n 2 --trials 10 --seed 3":
         "c4dc5d74f38cb8dbe2e187932ce06268581de5081bca2d08ba82c8cb6e2e2c47",
+    "reduce --n 7 --trials 10 --seed 3":
+        "6a162223de76644bd4326b3c1a1b70cc7955440827d723f24870b8b8f8f57f8d",
     "funceq --alpha 1.5 --trials 50 --seed 1":
         "e14ea988dfbab3c8f30b72f367c23a7b8187f8a0857f619da53ac8485a5ad326",
     "funceq --alpha 0.7 --imaginary --trials 50 --seed 2":
@@ -411,6 +421,8 @@ GOLDEN_DIGESTS = {
         "d9f844b7186c3d2abfc9493444795a43a5c395d9c275461bdb52c83d033b0913",
     "reduce --n 2 --trials 10 --seed 3 --format text":
         "8e4b5bf96f0f1b86a52e83584063c479fe826139cec95cdbe3a5ded708565d24",
+    "reduce --n 12 --trials 10 --seed 3 --format text":
+        "224d170366dd9f5e03ea483b984eccc1f621eb12654144c283828690a2db218b",
     "seq --seq inward --n-max 8 --seed 0 --format text":
         "bba91e28f097f8908db3e6a0da107ad44c9fa3c42421f10f3bcf7a6317634c99",
     "seq --seq outward --n-max 8 --seed 0":

@@ -8,8 +8,7 @@ from spiraldet import closed_forms
 from spiraldet.closed_forms import (
     ReductionSkipError,
     qreduction_check,
-    reduce_even,
-    reduce_odd,
+    reduction,
     thm1_even,
     thm1_odd,
     thm2_even,
@@ -32,7 +31,9 @@ from spiraldet.spiral_builder import (
     build_additive,
     build_bracket_xx,
     build_qpower,
+    centre_cell,
     specialize_additive,
+    theorem_matrix,
 )
 
 A, B, C, X, Y = (LaurentPoly.variable(v) for v in "abcxy")
@@ -265,38 +266,72 @@ class TestPerParityStatements:
             assert [f.terms for f in got.factors] == [f.terms for f in expected.factors], size
 
 
+# The reduction steps as the paper states them, one per parity: the odd step
+# (2n+1 -> 2n) with its labelled border entry E1 and the even step (2n -> 2n-1).
+def _ref_reduce_odd(n):
+    e1 = A + n * n * B + n * n * C + n * n * X + n * (n + 1) * Y
+    d1 = (2 * n - 1) * B + 2 * n * C + 2 * n * X + 2 * n * Y
+    b1 = 2 * n * (B + C + X + Y)
+    c1 = -(2 * n - 1) * (B + C) - 2 * n * (X + Y)
+    return {"centre_numerator": A * C - d1 * e1, "pivot": C, "up_increment": b1,
+            "down_increment": c1, "scalar_factor": C, "row_difference": d1, "border": e1}
+
+
+def _ref_reduce_even(n):
+    d2 = (2 * n - 1) * B + (2 * n - 2) * C + (2 * n - 1) * X + (2 * n - 1) * Y
+    companion = A + n * (n - 1) * B + n * (n - 1) * C + n * n * X + n * (n - 1) * Y
+    b2 = -(2 * n - 2) * (B + C) - (2 * n - 1) * (X + Y)
+    c2 = (2 * n - 1) * (B + C + X + Y)
+    return {"centre_numerator": A * B - d2 * companion, "pivot": B, "up_increment": b2,
+            "down_increment": c2, "scalar_factor": -B, "row_difference": d2,
+            "border": companion}
+
+
 class TestReductions:
     def test_odd_1_data(self):
-        data = reduce_odd(1)
-        assert data.auxiliary["D1"] == B + 2 * C + 2 * X + 2 * Y
+        data = reduction(3)
+        assert data.row_difference == B + 2 * C + 2 * X + 2 * Y
         assert data.up_increment == 2 * (B + C + X + Y)
         assert data.down_increment == -(B + C) - 2 * (X + Y)
         assert data.scalar_factor == C
         assert data.pivot == C
 
     def test_even_1_data(self):
-        data = reduce_even(1)
+        data = reduction(2)
         assert data.up_increment == -(X + Y)
         assert data.down_increment == B + C + X + Y
-        assert data.auxiliary["D2"] == B + X + Y
+        assert data.row_difference == B + X + Y
         assert data.scalar_factor == -B
 
     def test_even_1_centre_is_polynomial_after_clearing(self):
         # -b * A_2 = D_2*E - a*b equals the closed form of the 2x2 determinant
-        data = reduce_even(1)
+        data = reduction(2)
         assert -1 * data.centre_numerator == thm1_even(1)
 
-    def test_border_entries_match_matrix(self):
-        for n in (1, 2, 3):
-            data = reduce_odd(n)
-            matrix = additive_polys(2 * n + 1)
-            positions = {
-                "E1": (n, 0), "E2": (2 * n - 1, 0), "E3": (2 * n - 1, 1),
-                "E4": (2 * n - 1, 2 * n), "E5": (2 * n, 0), "E6": (2 * n, 1),
-                "E7": (2 * n, 2 * n),
-            }
-            for name, (i, j) in positions.items():
-                assert data.auxiliary[name] == matrix[i][j], name
+    def test_step_equals_per_parity_reference(self):
+        for size in range(2, 42):
+            ref = (_ref_reduce_odd if size % 2 else _ref_reduce_even)(size // 2)
+            data = reduction(size)
+            assert data.size == size
+            for name, expected in ref.items():
+                assert getattr(data, name) == expected, (size, name)
+
+    def test_step_matches_matrix(self):
+        # the matrix half: the last side's row operation leaves the stated
+        # row difference, pivot and border at every size
+        for size in range(2, 42):
+            data = reduction(size)
+            matrix = theorem_matrix(1, size)
+            row, next_row, pivot_col = closed_forms._last_side(size)
+            for j in range(size):
+                expected = data.pivot if j == pivot_col else data.row_difference
+                assert matrix[row][j] - matrix[next_row][j] == expected, (size, j)
+            assert data.border == matrix[centre_cell(size)[0]][pivot_col], size
+            assert data.up_increment + data.down_increment == B + C, size
+
+    def test_small_size_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 2"):
+            reduction(1)
 
     def test_odd_recurrence_20_points(self):
         assert verify_reduction("odd", 1, 20, seed=2718).failures == 0
@@ -304,14 +339,25 @@ class TestReductions:
     def test_even_recurrence_20_points(self):
         assert verify_reduction("even", 1, 20, seed=2718).failures == 0
 
+    @pytest.mark.parametrize("parity", ("odd", "even"))
+    def test_recurrence_through_n_20(self, parity):
+        for n in range(1, 21):
+            assert verify_reduction(parity, n, 10, seed=n).failures == 0, n
+
     def test_scalar_factors(self):
         for n in (1, 2, 3):
-            assert reduce_odd(n).scalar_factor == C
-            assert reduce_even(n).scalar_factor == -B
+            assert reduction(2 * n + 1).scalar_factor == C
+            assert reduction(2 * n).scalar_factor == -B
 
     def test_bad_parity_rejected(self):
         with pytest.raises(ValueError):
             verify_reduction("sideways", 1, 1, 0)
+
+    @pytest.mark.parametrize("trials", (0, -3))
+    def test_trials_below_one_rejected(self, trials):
+        # a report of zero checks must not read as a pass
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_reduction("odd", 1, trials, seed=0)
 
     def test_skip_loop_is_bounded(self, monkeypatch):
         # b + c + x + y = 0 zeroes the odd step's up increment at every point
@@ -323,7 +369,7 @@ class TestReductions:
 
 
 class TestQReduction:
-    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_single_row_operation_clears_boundary(self, n):
         assert qreduction_check(n).failures == 0
 
