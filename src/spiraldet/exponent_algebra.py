@@ -7,6 +7,9 @@ in plain Python integers while still admitting the half-integer powers that
 show up inside bracket/angle factorisations.  Such a polynomial has no value
 at a rational point, and :func:`evaluate` refuses it.
 
+:func:`evaluate` is one integer sum over per-variable power tables, reduced
+once, at integral and rational points alike.
+
 A polynomial is a dict mapping exponent vectors (5-tuples of doubled ints) to
 nonzero arbitrary-precision integer coefficients; the zero polynomial is the
 empty dict.  Every operation returns a canonical value (no zero coefficient is
@@ -22,13 +25,14 @@ for a monomial m, which satisfy  bracket(a)*angle(x) = bracket(a*x) +
 bracket(a/x)  and  bracket(a)*bracket(x) = angle(a*x) - angle(a/x).
 
 :class:`Factored` keeps a product of polynomials unexpanded and evaluates it
-factor by factor.
+factor by factor, multiplying the factors' integer pairs and reducing once.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import log2, prod
+from math import log2
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -119,12 +123,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value: int) -> "LaurentPoly":
-        return cls._raw({ZERO_VECTOR: value} if value else {})
+        return cls.monomial(ZERO_VECTOR, value)
 
     @classmethod
     def monomial(cls, vec: ExponentVector, coeff: int = 1) -> "LaurentPoly":
-        vec = as_exponent_vector(vec)
-        return cls._raw({vec: coeff} if coeff else {})
+        return cls({as_exponent_vector(vec): coeff})
 
     @classmethod
     def variable(cls, name: str) -> "LaurentPoly":
@@ -251,6 +254,34 @@ def _coordinates(point: Sequence[ExponentLike]) -> list[Fraction]:
     return coords
 
 
+def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
+    """p's value at the coordinates as an unreduced integer pair (num, den).
+
+    With v = n/d a coordinate and [low, high] the range of its variable's
+    exponents, v^e = n^(e-low) * d^(high-e) * n^low / d^high.  One table per
+    variable maps each exponent of its column (doubled, as stored) to the
+    integer n^(e-low) * d^(high-e), so the terms add up as one integer sum and
+    the common n^low / d^high goes on the pair once, at integral and rational
+    points alike.  An odd doubled exponent raises HalfExponentError.
+    """
+    if not p.terms:
+        return 0, 1
+    num = den = 1
+    tables = []
+    for column, v in zip(map(set, zip(*p.terms)), coords):
+        if any(e % 2 for e in column):
+            raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
+        low, high = min(column) // 2, max(column) // 2
+        n, d = v.numerator, v.denominator
+        tables.append({e: n ** (e // 2 - low) * d ** (high - e // 2) for e in column})
+        num *= n ** max(low, 0) * d ** max(-high, 0)
+        den *= n ** max(-low, 0) * d ** max(high, 0)
+    ta, tb, tc, tx, ty = tables
+    total = sum(coeff * ta[a] * tb[b] * tc[c] * tx[x] * ty[y]
+                for (a, b, c, x, y), coeff in p.terms.items())
+    return total * num, den
+
+
 def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
     """Exact rational value of p at a point of 5 nonzero rationals.
 
@@ -258,54 +289,7 @@ def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
     homomorphism: the value of p*q is the product of the values.  A
     polynomial with a half-integer exponent raises HalfExponentError.
     """
-    coords = _coordinates(point)
-    if p.has_half_exponents():
-        raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
-    if not p.terms:
-        return Fraction(0)
-    # Factor out the per-variable minimum exponent so the inner loop runs on
-    # nonnegative powers.  At a non-integral point v_i = n_i/d_i, a term with
-    # shifted exponents e_i is prod n_i^e_i * d_i^(span_i - e_i) over the
-    # common denominator prod d_i^span_i, span_i being the exponent range.
-    # Big formulas thus evaluate in pure integer arithmetic at every point.
-    effective = {vec: tuple(d // 2 for d in vec) for vec in p.terms}
-    mins = [min(es[i] for es in effective.values()) for i in range(NVARS)]
-    if all(v.denominator == 1 for v in coords):
-        spans = [0] * NVARS
-    else:
-        spans = [max(es[i] for es in effective.values()) - mins[i] for i in range(NVARS)]
-    caches: list[dict[int, int]] = [{} for _ in range(NVARS)]
-
-    def power(i: int, e: int) -> int:
-        value = caches[i].get(e)
-        if value is None:
-            value = coords[i].numerator ** e
-            if spans[i]:
-                value *= coords[i].denominator ** (spans[i] - e)
-            caches[i][e] = value
-        return value
-
-    total = 0
-    for vec, coeff in p.terms.items():
-        term = coeff
-        es = effective[vec]
-        for i in range(NVARS):
-            e = es[i] - mins[i]
-            if e or spans[i]:
-                term = term * power(i, e)
-        total = total + term
-    # Put the minimum exponents back on the integer numerator and denominator
-    # and normalize once, rather than once per Fraction power.
-    num = total
-    den = prod(v.denominator ** span for v, span in zip(coords, spans))
-    for v, m in zip(coords, mins):
-        if m > 0:
-            num *= v.numerator ** m
-            den *= v.denominator ** m
-        elif m < 0:
-            num *= v.denominator ** -m
-            den *= v.numerator ** -m
-    return Fraction(num, den)
+    return Fraction(*_value(p, _coordinates(point)))
 
 
 class Factored:
@@ -360,11 +344,12 @@ class Factored:
         A factor with a half-integer exponent raises HalfExponentError, even
         where the product has integer exponents only.
         """
-        _coordinates(point)  # a bad point raises even when there are no factors
-        value = Fraction(self.sign)
+        coords = _coordinates(point)  # a bad point raises even with no factors
+        num, den = self.sign, 1
         for factor in self.factors:
-            value *= evaluate(factor, point)
-        return value
+            n, d = _value(factor, coords)
+            num, den = num * n, den * d
+        return Fraction(num, den)
 
 
 # -- serialization ----------------------------------------------------------
@@ -384,7 +369,10 @@ def to_records(p: LaurentPoly) -> list[dict]:
 def from_records(records: Iterable[Mapping]) -> LaurentPoly:
     terms: dict[ExponentVector, int] = {}
     for rec in records:
-        vec = exponents(*[Fraction(e) for e in rec["exponents"]])
+        exps = list(rec["exponents"])
+        if len(exps) != NVARS:
+            raise ValueError(f"a record needs {NVARS} exponents, got {len(exps)}")
+        vec = exponents(*exps)
         coeff = rec["coefficient"]
         if not isinstance(coeff, int):
             raise TypeError(f"coefficient {coeff!r} is not an integer")
@@ -471,16 +459,17 @@ def from_string(s: str) -> LaurentPoly:
             if factor[0] not in _VAR_INDEX:
                 coeff *= int(factor)
                 continue
-            name, _, exp = factor.partition("^")
+            name, caret, exp = factor.partition("^")
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
-            if not exp:
-                doubled = 2
-            else:
-                d = 2 * Fraction(exp.strip().strip("()"))
-                if d.denominator != 1:
-                    raise ValueError(f"exponent {exp!r} is not a half-integer")
-                doubled = int(d)
+            doubled = 2
+            if caret:
+                # the exponents to_string writes: ``-3`` or ``(-3/2)``
+                match = re.fullmatch(r"(-?\d+)|\((-?\d+)/2\)", exp.strip())
+                if match is None:
+                    raise ValueError(f"malformed exponent {exp!r} in {factor!r}")
+                whole, half = match.groups()
+                doubled = 2 * int(whole) if half is None else int(half)
             vec[_VAR_INDEX[name]] += doubled
         key = tuple(vec)
         total = terms.get(key, 0) + coeff

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -306,6 +306,149 @@ class TestFactored:
                 Factored(1, factors).evaluate((1, 1, 1, 0, 1))
 
 
+# -- reference evaluation: evaluate as it stood before the one integer sum, with
+# an integral and a common-denominator path and a cache of powers per variable
+
+
+def reference_evaluate(p, point):
+    coords = [Fraction(v) for v in point]
+    if p.has_half_exponents():
+        raise HalfExponentError("half-integer exponent")
+    if not p.terms:
+        return Fraction(0)
+    effective = {vec: tuple(d // 2 for d in vec) for vec in p.terms}
+    mins = [min(es[i] for es in effective.values()) for i in range(5)]
+    if all(v.denominator == 1 for v in coords):
+        spans = [0] * 5
+    else:
+        spans = [max(es[i] for es in effective.values()) - mins[i] for i in range(5)]
+    caches = [{} for _ in range(5)]
+
+    def power(i, e):
+        value = caches[i].get(e)
+        if value is None:
+            value = coords[i].numerator ** e
+            if spans[i]:
+                value *= coords[i].denominator ** (spans[i] - e)
+            caches[i][e] = value
+        return value
+
+    total = 0
+    for vec, coeff in p.terms.items():
+        term = coeff
+        es = effective[vec]
+        for i in range(5):
+            e = es[i] - mins[i]
+            if e or spans[i]:
+                term = term * power(i, e)
+        total = total + term
+    num = total
+    den = prod(v.denominator ** span for v, span in zip(coords, spans))
+    for v, m in zip(coords, mins):
+        if m > 0:
+            num *= v.numerator ** m
+            den *= v.denominator ** m
+        elif m < 0:
+            num *= v.denominator ** -m
+            den *= v.numerator ** -m
+    return Fraction(num, den)
+
+
+def wide_poly(rng, max_terms=6):
+    """Doubled exponents up to +-120; each column mixed, all negative, all positive or constant."""
+    draws = {"mixed": lambda: 2 * rng.randint(-60, 60),
+             "negative": lambda: -2 * rng.randint(1, 60),
+             "positive": lambda: 2 * rng.randint(1, 60)}
+    columns = []
+    for _ in range(5):
+        shape = rng.choice(("mixed", "negative", "positive", "constant"))
+        if shape == "constant":
+            value = 2 * rng.randint(-60, 60)
+            columns.append(lambda value=value: value)
+        else:
+            columns.append(draws[shape])
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        vec = tuple(draw() for draw in columns)
+        terms[vec] = terms.get(vec, 0) + rng.choice((1, -1)) * rng.randint(1, 10**6)
+    return LaurentPoly(terms)
+
+
+def wide_points(rng):
+    """An integral, a rational, a float and a string point, with signs mixed."""
+    def nonzero():
+        v = rng.randint(-9, 8)
+        return v if v < 0 else v + 1
+    yield tuple(nonzero() for _ in range(5))
+    yield tuple(Fraction(nonzero(), rng.randint(1, 9)) for _ in range(5))
+    yield tuple(nonzero() / rng.choice((1, 2, 4, 8, 10)) for _ in range(5))
+    yield tuple(f"{nonzero()}/{rng.randint(1, 9)}" for _ in range(5))
+
+
+class TestOneEvaluationPath:
+    """One integer sum over per-variable power tables at every kind of point."""
+
+    def test_equals_the_two_path_reference(self):
+        rng = random.Random(1980)
+        shapes = set()
+        for _ in range(150):
+            p = wide_poly(rng)
+            for column in zip(*p.terms):
+                shapes.add("constant" if len(set(column)) == 1 else
+                           "negative" if max(column) < 0 else
+                           "positive" if min(column) > 0 else "mixed")
+            for point in wide_points(rng):
+                value = evaluate(p, point)
+                assert type(value) is Fraction
+                assert value == reference_evaluate(p, point), (p, point)
+        assert shapes == {"constant", "negative", "positive", "mixed"}
+
+    def test_factored_equals_the_reference_product(self):
+        rng = random.Random(1979)
+        for trial in range(40):
+            factors = [wide_poly(rng, max_terms=3) for _ in range(rng.randint(1, 3))]
+            if trial % 4 == 0:
+                factors.insert(rng.randint(0, len(factors)), LaurentPoly.zero())
+            factored = Factored(rng.choice((1, -1)), factors)
+            for point in wide_points(rng):
+                expected = Fraction(factored.sign)
+                for factor in factors:
+                    expected *= reference_evaluate(factor, point)
+                value = factored.evaluate(point)
+                assert type(value) is Fraction
+                assert value == expected == evaluate(factored.expand(), point)
+                if trial % 4 == 0:
+                    assert value == 0
+
+    @pytest.mark.parametrize("var", range(5))
+    def test_one_odd_exponent_in_each_variable_is_refused(self, var):
+        vec = [0] * 5
+        vec[var] = 2 * var + 1  # the one odd doubled exponent
+        p = LaurentPoly({exponents(a=1, x=-2): 3, tuple(vec): -1})
+        assert p.has_half_exponents()
+        for point in ((2, 3, 5, 7, 11), (Fraction(1, 2), -3, Fraction(5, 4), 7, Fraction(-1, 9))):
+            with pytest.raises(HalfExponentError):
+                evaluate(p, point)
+            with pytest.raises(HalfExponentError):
+                Factored(1, [X, p]).evaluate(point)
+
+
+class TestCoefficientTypes:
+    @pytest.mark.parametrize("coeff", (1.5, 2.0, Fraction(1, 2), Fraction(4), "3", None))
+    def test_constant_and_monomial_refuse_non_integers(self, coeff):
+        for build in (lambda: LaurentPoly.constant(coeff),
+                      lambda: LaurentPoly.monomial(exponents(a=1), coeff),
+                      lambda: LaurentPoly({exponents(a=1): coeff})):
+            with pytest.raises(TypeError, match="is not an integer"):
+                build()
+
+    def test_integer_coefficients_are_kept(self):
+        assert LaurentPoly.constant(0) == LaurentPoly.zero()
+        assert LaurentPoly.constant(-4) == -4
+        assert LaurentPoly.monomial(exponents(x=-1), 0) == LaurentPoly.zero()
+        assert LaurentPoly.monomial([0, 0, 0, -2, 0], 3).terms == {exponents(x=-1): 3}
+
+
 class TestRingAxioms:
     def test_ring_axioms_500_cases(self):
         rng = random.Random(2024)
@@ -406,6 +549,23 @@ class TestSerialization:
         (rec,) = to_records(p)
         assert rec["coefficient"] == 7
         assert rec["exponents"] == ["0", "3/2", "0", "0", "-2"]
+
+    @pytest.mark.parametrize("text", ("x^", "x^(1/2", "x^2.0", "x^1/2", "x^(1/3)", "x^(1.0/2)",
+                                      "x^()", "x^--1", "2*a^b", "a + x^(-3/2)*c^"))
+    def test_malformed_exponent_string_refused(self, text):
+        with pytest.raises(ValueError):
+            from_string(text)
+
+    def test_written_exponents_parse(self):
+        assert from_string("x") == X
+        assert from_string("x^-1") == LaurentPoly.monomial(exponents(x=-1))
+        assert from_string("3*c^(-3/2)*x^12") == LaurentPoly.monomial(
+            exponents(c=Fraction(-3, 2), x=12), 3)
+
+    @pytest.mark.parametrize("count", (0, 1, 4, 6))
+    def test_record_with_wrong_exponent_count_refused(self, count):
+        with pytest.raises(ValueError, match="5 exponents"):
+            from_records([{"coefficient": 1, "exponents": ["1"] * count}])
 
 
 # -- reference printers: the term loops as they stood before the shared formatter
