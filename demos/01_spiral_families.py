@@ -12,7 +12,7 @@ from spiraldet import (
     build_bracket,
     build_qpower,
     matrix_to_latex,
-    specialize_additive,
+    numeric_theorem_matrix,
     to_string,
 )
 
@@ -25,11 +25,11 @@ print(matrix_to_latex(build_additive(4)))
 
 print("\nSetting a = 16 and b = c = x = y = -1 recovers the classical inward")
 print("integer spiral, with 1..16 winding from the corner to the centre:")
-for row in specialize_additive(4, (16, -1, -1, -1, -1)):
+for row in numeric_theorem_matrix(1, 4, (16, -1, -1, -1, -1)):
     print("   ", "  ".join(f"{int(v):>3}" for v in row))
 
 print("\nAll parameters equal to 1 give the outward-winding spiral instead:")
-for row in specialize_additive(4, (1, 1, 1, 1, 1)):
+for row in numeric_theorem_matrix(1, 4, (1, 1, 1, 1, 1)):
     print("   ", "  ".join(f"{int(v):>3}" for v in row))
 
 print("\nThe q-power family replaces each additive entry X by q^X; entries are")

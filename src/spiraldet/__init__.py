@@ -27,7 +27,7 @@ from .spiral_builder import (
     build_qpower,
     matrix_to_latex,
     matrix_to_text,
-    specialize_additive,
+    numeric_theorem_matrix,
     step_counts,
 )
 from .determinant_engine import (
@@ -44,7 +44,6 @@ from .determinant_engine import (
 )
 from .closed_forms import (
     ReductionData,
-    ReductionSkipError,
     antidiagonal_entry_formulas,
     qreduction_check,
     reduction,

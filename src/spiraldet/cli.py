@@ -185,7 +185,7 @@ def _cmd_bench(args, seed: int):
     failures = 0
     for n in range(1, args.n_max + 1):
         point = determinant_engine.sample_point(seed, n)
-        matrix = spiral_builder.specialize_additive(n, point)
+        matrix = spiral_builder.numeric_theorem_matrix(1, n, point)
         formula = closed_forms.theorem(1, n)
         methods = {"bareiss": lambda: determinant_engine.det_bareiss_rational(matrix),
                    "formula": lambda: formula.evaluate(point)}

@@ -244,23 +244,12 @@ def reduction(size: int) -> ReductionData:
                          (-1) ** (n - m) * pivot, difference, border)
 
 
-class ReductionSkipError(ValueError):
-    """Too many sample points of a reduction check were skipped."""
-
-    def __init__(self, skipped: int, attempts: int):
-        self.skipped = skipped
-        self.attempts = attempts
-        super().__init__(f"reduction check skipped {skipped} of {attempts} sample points "
-                         "whose derived parameters hit zero")
-
-
 def verify_reduction(parity: str, n: int, trials: int, seed: int) -> VerificationReport:
     """Check the step of :func:`reduction` from size 2n+1 ("odd") or 2n ("even")
     at random integer points with exact rationals.
 
-    Points whose derived parameters hit zero (where the closed forms cannot be
-    evaluated as Laurent polynomials) are skipped deterministically; after
-    ``10 * trials + 100`` attempts :class:`ReductionSkipError` is raised.
+    Theorem 1 is a polynomial identity, so it holds wherever a derived
+    parameter of the smaller matrix is zero, and every sample point is checked.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
@@ -272,21 +261,11 @@ def verify_reduction(parity: str, n: int, trials: int, seed: int) -> Verificatio
     data = reduction(size)
     small, big = theorem(1, size - 1), theorem(1, size)
     witnesses = []
-    done = 0
-    attempt = 0
-    max_attempts = 10 * trials + 100
-    while done < trials:
-        if attempt == max_attempts:
-            raise ReductionSkipError(attempt - done, attempt)
-        point = sample_point(seed, attempt)
-        attempt += 1
-        pivot = evaluate(data.pivot, point)
-        centre = evaluate(data.centre_numerator, point) / pivot
+    for t in range(trials):
+        point = sample_point(seed, t)
+        centre = evaluate(data.centre_numerator, point) / evaluate(data.pivot, point)
         derived = (centre, evaluate(data.up_increment, point),
-                   evaluate(data.down_increment, point), Fraction(point[3]), Fraction(point[4]))
-        if any(v == 0 for v in derived):
-            continue
-        done += 1
+                   evaluate(data.down_increment, point), point[3], point[4])
         lhs = evaluate(data.scalar_factor, point) * small.evaluate(derived)
         rhs = big.evaluate(point)
         if lhs != rhs:

@@ -51,7 +51,10 @@ ExponentLike = Union[int, Fraction]
 
 
 class ZeroCoordinateError(ValueError):
-    """An evaluation point contains a zero coordinate."""
+    """A polynomial with a negative power of a variable has no value where it is zero."""
+
+    def __init__(self, message: str = "a negative power of a zero coordinate has no value"):
+        super().__init__(message)
 
 
 class HalfExponentError(ValueError):
@@ -79,7 +82,8 @@ def as_exponent_vector(seq: Iterable[int]) -> ExponentVector:
     vec = tuple(seq)
     if len(vec) != NVARS:
         raise ValueError(f"exponent vector must have {NVARS} entries, got {len(vec)}")
-    if not all(isinstance(d, int) for d in vec):
+    # a bool is an int, but would print and serialize as True/False
+    if not all(type(d) is int for d in vec):
         raise TypeError("doubled exponents must be ints")
     return vec
 
@@ -98,7 +102,7 @@ class LaurentPoly:
         if terms:
             for vec, coeff in terms.items():
                 vec = as_exponent_vector(vec)
-                if not isinstance(coeff, int):
+                if type(coeff) is not int:
                     raise TypeError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     clean[vec] = coeff
@@ -244,13 +248,14 @@ def angle(vec: ExponentVector) -> LaurentPoly:
 
 
 def _coordinates(point: Sequence[ExponentLike]) -> list[Fraction]:
-    """The point as 5 nonzero Fractions; raises on a wrong length or a zero."""
+    """The point as 5 Fractions, zeros included; raises on a wrong length or type.
+
+    Whether a zero coordinate has a value is the polynomial's question, so
+    :func:`_value` alone decides it.
+    """
     coords = [Fraction(v) for v in point]
     if len(coords) != NVARS:
         raise ValueError(f"evaluation point must have {NVARS} coordinates")
-    for v in coords:
-        if v == 0:
-            raise ZeroCoordinateError("evaluation point has a zero coordinate")
     return coords
 
 
@@ -262,17 +267,22 @@ def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
     variable maps each exponent of its column (doubled, as stored) to the
     integer n^(e-low) * d^(high-e), so the terms add up as one integer sum and
     the common n^low / d^high goes on the pair once, at integral and rational
-    points alike.  An odd doubled exponent raises HalfExponentError.
+    points alike.  Variable by variable, a zero coordinate whose column has a
+    negative exponent raises ZeroCoordinateError, and then an odd doubled
+    exponent raises HalfExponentError.  A zero with no negative power is
+    n = 0 in the same tables, with 0^0 = 1.
     """
     if not p.terms:
         return 0, 1
     num = den = 1
     tables = []
     for column, v in zip(map(set, zip(*p.terms)), coords):
-        if any(e % 2 for e in column):
-            raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
         low, high = min(column) // 2, max(column) // 2
         n, d = v.numerator, v.denominator
+        if low < 0 and n == 0:
+            raise ZeroCoordinateError()
+        if any(e % 2 for e in column):
+            raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
         tables.append({e: n ** (e // 2 - low) * d ** (high - e // 2) for e in column})
         num *= n ** max(low, 0) * d ** max(-high, 0)
         den *= n ** max(-low, 0) * d ** max(high, 0)
@@ -283,11 +293,13 @@ def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
 
 
 def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
-    """Exact rational value of p at a point of 5 nonzero rationals.
+    """Exact rational value of p at a point of 5 rationals.
 
     Each coordinate is its variable's value, so evaluation is a ring
-    homomorphism: the value of p*q is the product of the values.  A
-    polynomial with a half-integer exponent raises HalfExponentError.
+    homomorphism: the value of p*q is the product of the values.  A zero
+    coordinate is refused, with ZeroCoordinateError, only where p has a
+    negative power of its variable, and a polynomial with a half-integer
+    exponent raises HalfExponentError.
     """
     return Fraction(*_value(p, _coordinates(point)))
 
@@ -304,7 +316,7 @@ class Factored:
     __slots__ = ("sign", "factors")
 
     def __init__(self, sign: int, factors: Iterable[LaurentPoly]):
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         factors = tuple(factors)
         for factor in factors:
@@ -342,9 +354,11 @@ class Factored:
         """Exact value at the point; equals ``evaluate(self.expand(), point)``.
 
         A factor with a half-integer exponent raises HalfExponentError, even
-        where the product has integer exponents only.
+        where the product has integer exponents only; likewise a factor with a
+        negative power of a zero coordinate raises ZeroCoordinateError, even
+        where the product has no negative power of that variable.
         """
-        coords = _coordinates(point)  # a bad point raises even with no factors
+        coords = _coordinates(point)  # a wrong length or type raises even with no factors
         num, den = self.sign, 1
         for factor in self.factors:
             n, d = _value(factor, coords)
@@ -374,7 +388,7 @@ def from_records(records: Iterable[Mapping]) -> LaurentPoly:
             raise ValueError(f"a record needs {NVARS} exponents, got {len(exps)}")
         vec = exponents(*exps)
         coeff = rec["coefficient"]
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise TypeError(f"coefficient {coeff!r} is not an integer")
         terms[vec] = terms.get(vec, 0) + coeff
     return LaurentPoly(terms)

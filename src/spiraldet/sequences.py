@@ -27,7 +27,7 @@ from .determinant_engine import (
     det_cofactor,
 )
 from .exponent_algebra import HalfExponentError, LaurentPoly, _format_terms
-from .spiral_builder import build_qpower, specialize_additive
+from .spiral_builder import numeric_theorem_matrix, theorem_matrix
 
 
 class SequenceId(Enum):
@@ -85,8 +85,8 @@ def term(spec: SequenceSpec, n: int):
 
 def _oracle(spec: SequenceSpec, n: int):
     if spec.id is SequenceId.QSPIRAL:
-        return q_series(det_cofactor(build_qpower(n)))
-    value = det_bareiss_rational(specialize_additive(n, spec.additive_point(n)))
+        return q_series(det_cofactor(theorem_matrix(2, n)))
+    value = det_bareiss_rational(numeric_theorem_matrix(1, n, spec.additive_point(n)))
     assert value.denominator == 1
     return int(value)
 

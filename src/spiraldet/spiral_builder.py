@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .exponent_algebra import (
     ExponentVector,
     LaurentPoly,
+    ZeroCoordinateError,
     _coordinates,
     as_exponent_vector,
     bracket,
@@ -200,19 +201,25 @@ def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
 
 
 def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[Fraction]]:
-    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 nonzero rationals.
+    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 rationals.
 
     Walks the spiral in the rationals instead of evaluating each entry: a
     running sum for theorem 1, a running product for theorem 2 and, for
     theorem 3, a running product m with y set to x, each cell then m - 1/m.
-    A bad point raises as ``numeric_matrix`` does.
+    A point raises exactly as ``numeric_matrix`` does: theorems 1 and 2 have
+    no negative power and take zero coordinates, and a theorem-3 cell whose
+    running product is 0 has 1/m at a zero coordinate, so it raises
+    ZeroCoordinateError.
     """
     if theorem not in (1, 2, 3):
         raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
     a, b, c, x, y = _coordinates(point)
-    if theorem == 3:
-        return [[m - 1 / m for m in row] for row in _spiral(n, a, b, c, x, x, mul)]
-    return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
+    if theorem < 3:
+        return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
+    grid = _spiral(n, a, b, c, x, x, mul)
+    if any(0 in row for row in grid):
+        raise ZeroCoordinateError()
+    return [[m - 1 / m for m in row] for row in grid]
 
 
 def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
@@ -231,12 +238,6 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
             f"got {len(ups)} / {len(downs)}")
     grid = _walk(spec.n, _A, repeat(_X), ups, repeat(_X), downs)
     return [[bracket(vec) for vec in row] for row in grid]
-
-
-def specialize_additive(n: int, values: Sequence) -> list[list[Fraction]]:
-    """Numeric additive spiral at the given (a, b, c, x, y) values, zeros allowed."""
-    a, b, c, x, y = (Fraction(v) for v in values)
-    return _spiral(n, a, b, c, x, y, add)
 
 
 # -- serialization ----------------------------------------------------------

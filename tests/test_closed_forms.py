@@ -6,7 +6,6 @@ import pytest
 
 from spiraldet import closed_forms
 from spiraldet.closed_forms import (
-    ReductionSkipError,
     qreduction_check,
     reduction,
     thm1_even,
@@ -32,7 +31,7 @@ from spiraldet.spiral_builder import (
     build_bracket_xx,
     build_qpower,
     centre_cell,
-    specialize_additive,
+    numeric_theorem_matrix,
     theorem_matrix,
 )
 
@@ -64,7 +63,7 @@ class TestTheorem1:
         assert evaluate(thm1_even(1), (4, -1, -1, -1, -1)) == -5
 
     def test_odd_1_at_all_ones(self):
-        value = det_bareiss_rational(specialize_additive(3, (1, 1, 1, 1, 1)))
+        value = det_bareiss_rational(numeric_theorem_matrix(1, 3, (1, 1, 1, 1, 1)))
         assert evaluate(thm1_odd(1), (1, 1, 1, 1, 1)) == value
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -359,13 +358,14 @@ class TestReductions:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_reduction("odd", 1, trials, seed=0)
 
-    def test_skip_loop_is_bounded(self, monkeypatch):
-        # b + c + x + y = 0 zeroes the odd step's up increment at every point
-        monkeypatch.setattr(closed_forms, "sample_point", lambda seed, index: (1, 1, 1, -1, -1))
-        with pytest.raises(ReductionSkipError) as excinfo:
-            verify_reduction("odd", 1, 3, seed=0)
-        assert excinfo.value.skipped == excinfo.value.attempts == 10 * 3 + 100
-        assert "skipped 130 of 130" in str(excinfo.value)
+    def test_point_with_zero_derived_parameter_is_checked(self, monkeypatch):
+        # b + c + x + y = 0 zeroes the odd step's up increment at every point;
+        # theorem 1 has no negative power, so the smaller matrix is checked there
+        point = (1, 1, 1, -1, -1)
+        assert evaluate(reduction(3).up_increment, point) == 0
+        monkeypatch.setattr(closed_forms, "sample_point", lambda seed, index: point)
+        report = verify_reduction("odd", 1, 3, seed=0)
+        assert (report.trials, report.failures) == (3, 0)
 
 
 class TestQReduction:

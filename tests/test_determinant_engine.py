@@ -46,7 +46,7 @@ from spiraldet.spiral_builder import (
     build_generalized_bracket,
     build_qpower,
     centre_cell,
-    specialize_additive,
+    numeric_theorem_matrix,
     step_counts,
     theorem_matrix,
 )
@@ -429,7 +429,7 @@ class TestDetBareiss:
         assert det_bareiss_rational([[0, 0], [0, 1]]) == 0
 
     def test_specialized_matrix_agrees_with_cofactor(self):
-        m = specialize_additive(4, (16, -1, -1, -1, -1))
+        m = numeric_theorem_matrix(1, 4, (16, -1, -1, -1, -1))
         assert det_bareiss_rational(m) == Fraction(det_cofactor(m))
 
     def test_row_scaling_multilinearity(self):

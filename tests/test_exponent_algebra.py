@@ -134,8 +134,10 @@ class TestEvaluate:
         assert evaluate(LaurentPoly.zero(), (3, -2, 5, 7, 1)) == 0
 
     def test_zero_coordinate_rejected(self):
+        # x alone is 0 at x = 0; only a negative power of x has no value there
+        assert evaluate(X, (1, 1, 1, 0, 1)) == 0
         with pytest.raises(ZeroCoordinateError):
-            evaluate(X, (1, 1, 1, 0, 1))
+            evaluate(X + LaurentPoly.monomial(exponents(x=-1)), (1, 1, 1, 0, 1))
 
     def test_non_integral_point_matches_termwise_fractions(self):
         rng = random.Random(13)
@@ -297,13 +299,20 @@ class TestFactored:
     def test_sign_must_be_unit(self):
         with pytest.raises(ValueError):
             Factored(2, [X])
+        for sign in (True, 1.0, Fraction(-1)):  # equal to a unit, but not an int
+            with pytest.raises(ValueError, match="sign must be 1 or -1"):
+                Factored(sign, [X])
 
     def test_bad_point_raises_like_evaluate(self):
         for factors in ((), (X,)):
             with pytest.raises(ValueError):
                 Factored(1, factors).evaluate((1, 2, 3))
-            with pytest.raises(ZeroCoordinateError):
-                Factored(1, factors).evaluate((1, 1, 1, 0, 1))
+        zero_x = (1, 1, 1, 0, 1)
+        assert Factored(-1, ()).evaluate(zero_x) == -1
+        assert Factored(1, (X,)).evaluate(zero_x) == 0
+        # the product x * x^-1 is 1, but its factor x^-1 has no value at x = 0
+        with pytest.raises(ZeroCoordinateError):
+            Factored(1, (X, LaurentPoly.monomial(exponents(x=-1)))).evaluate(zero_x)
 
 
 # -- reference evaluation: evaluate as it stood before the one integer sum, with
@@ -433,6 +442,74 @@ class TestOneEvaluationPath:
                 Factored(1, [X, p]).evaluate(point)
 
 
+def zero_rule_reference(p, point):
+    """p's value termwise, or the error the zero and half-exponent rules raise.
+
+    Variable by variable: a zero coordinate with a negative exponent in its
+    column raises ZeroCoordinateError, then an odd doubled exponent raises
+    HalfExponentError.
+    """
+    for column, v in zip(zip(*p.terms), point):
+        if v == 0 and min(column) < 0:
+            return ZeroCoordinateError
+        if any(d % 2 for d in column):
+            return HalfExponentError
+    return termwise_value(p, point)
+
+
+def points_with_zeros(rng):
+    """An integral and a rational point, each with one to five zero coordinates."""
+    zeros = rng.sample(range(5), rng.randint(1, 5))
+    integral = [0 if i in zeros else v for i, v in enumerate(random_point(rng))]
+    return tuple(integral), tuple(Fraction(v, rng.randint(1, 9)) for v in integral)
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroCoordinateError, HalfExponentError) as exc:
+        return type(exc)
+
+
+class TestZeroCoordinates:
+    """A zero coordinate is refused only where a negative power of it exists."""
+
+    def test_evaluate_against_the_termwise_reference(self):
+        rng = random.Random(1980)
+        outcomes = set()
+        for trial in range(400):
+            p = random_poly(rng) if trial % 2 else random_integer_poly(rng)
+            for point in points_with_zeros(rng):
+                expected = zero_rule_reference(p, point)
+                outcomes.add(expected if isinstance(expected, type) else "value")
+                assert value_or_error(evaluate, p, point) == expected, (p, point)
+        assert outcomes == {"value", ZeroCoordinateError, HalfExponentError}
+
+    def test_factored_against_the_reference_product(self):
+        rng = random.Random(1981)
+        outcomes = set()
+        for _ in range(200):
+            factors = [random_integer_poly(rng, max_terms=3) for _ in range(rng.randint(0, 3))]
+            factored = Factored(rng.choice((1, -1)), factors)
+            for point in points_with_zeros(rng):
+                expected = Fraction(factored.sign)
+                for factor in factors:
+                    value = zero_rule_reference(factor, point)
+                    if isinstance(value, type):
+                        expected = value
+                        break
+                    expected *= value
+                outcomes.add(expected if isinstance(expected, type) else "value")
+                assert value_or_error(factored.evaluate, point) == expected, (factors, point)
+        assert outcomes == {"value", ZeroCoordinateError}
+
+    def test_nonnegative_powers_take_zeros(self):
+        # a^2 b - 3 c + 5 at a = 0 and c = 0
+        p = A * A * LaurentPoly.variable("b") - 3 * LaurentPoly.variable("c") + 5
+        assert evaluate(p, (0, 7, 0, 1, 1)) == 5
+        assert evaluate(p, (0, 0, 0, 0, 0)) == 5
+
+
 class TestCoefficientTypes:
     @pytest.mark.parametrize("coeff", (1.5, 2.0, Fraction(1, 2), Fraction(4), "3", None))
     def test_constant_and_monomial_refuse_non_integers(self, coeff):
@@ -441,6 +518,17 @@ class TestCoefficientTypes:
                       lambda: LaurentPoly({exponents(a=1): coeff})):
             with pytest.raises(TypeError, match="is not an integer"):
                 build()
+
+    def test_bool_is_not_an_integer(self):
+        # a bool would print as a^(True/2) and serialize as JSON true
+        for build in (lambda: LaurentPoly.constant(True),
+                      lambda: LaurentPoly({exponents(a=1): False}),
+                      lambda: from_records([{"coefficient": True, "exponents": [0] * 5}])):
+            with pytest.raises(TypeError, match="is not an integer"):
+                build()
+        for vec in ((True, 0, 0, 0, 0), (0, 0, 0, 0, False)):
+            with pytest.raises(TypeError, match="doubled exponents must be ints"):
+                LaurentPoly.monomial(vec)
 
     def test_integer_coefficients_are_kept(self):
         assert LaurentPoly.constant(0) == LaurentPoly.zero()

@@ -20,7 +20,7 @@ from spiraldet.sequences import (
     term,
     verify_sequence,
 )
-from spiraldet.spiral_builder import specialize_additive
+from spiraldet.spiral_builder import numeric_theorem_matrix
 
 INWARD = SequenceSpec(SequenceId.INWARD)
 OUTWARD = SequenceSpec(SequenceId.OUTWARD)
@@ -37,11 +37,11 @@ class TestTerm:
         assert term(INWARD, 2) == -5
 
     def test_inward_4_against_brute_force(self):
-        expected = det_bareiss_rational(specialize_additive(4, (16, -1, -1, -1, -1)))
+        expected = det_bareiss_rational(numeric_theorem_matrix(1, 4, (16, -1, -1, -1, -1)))
         assert term(INWARD, 4) == expected == 660
 
     def test_outward_4_against_brute_force(self):
-        expected = det_bareiss_rational(specialize_additive(4, (1, 1, 1, 1, 1)))
+        expected = det_bareiss_rational(numeric_theorem_matrix(1, 4, (1, 1, 1, 1, 1)))
         assert term(OUTWARD, 4) == expected == -1380
 
     def test_classical_display_values(self):

@@ -21,7 +21,6 @@ from spiraldet.spiral_builder import (
     matrix_to_latex,
     matrix_to_text,
     numeric_theorem_matrix,
-    specialize_additive,
     spiral_walk,
     step_counts,
     theorem_matrix,
@@ -277,28 +276,28 @@ class TestWalkAgainstReferences:
 
 class TestSpecialize:
     def test_inward_displays(self):
-        assert specialize_additive(4, (16, -1, -1, -1, -1)) == [
+        assert numeric_theorem_matrix(1, 4, (16, -1, -1, -1, -1)) == [
             [Fraction(v) for v in row] for row in INWARD_4]
         # For odd n the path ends in the bottom-right corner, so the classical
         # display is the 180-degree rotation of the specialization; rotation
         # conjugates by the reversal permutation and preserves the determinant.
-        rotated = [row[::-1] for row in specialize_additive(5, (25, -1, -1, -1, -1))][::-1]
+        rotated = [row[::-1] for row in numeric_theorem_matrix(1, 5, (25, -1, -1, -1, -1))][::-1]
         assert rotated == [[Fraction(v) for v in row] for row in INWARD_5]
 
     def test_outward_displays(self):
-        assert specialize_additive(4, (1, 1, 1, 1, 1)) == [
+        assert numeric_theorem_matrix(1, 4, (1, 1, 1, 1, 1)) == [
             [Fraction(v) for v in row] for row in OUTWARD_4]
-        assert specialize_additive(5, (1, 1, 1, 1, 1)) == [
+        assert numeric_theorem_matrix(1, 5, (1, 1, 1, 1, 1)) == [
             [Fraction(v) for v in row] for row in OUTWARD_5]
 
     def test_n1(self):
-        assert specialize_additive(1, (1, 7, -3, 2, 9)) == [[Fraction(1)]]
+        assert numeric_theorem_matrix(1, 1, (1, 7, -3, 2, 9)) == [[Fraction(1)]]
 
     def test_commutes_with_entry_evaluation(self):
         rng = random.Random(5)
         for n in (2, 3, 4, 6):
             point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5))
-            direct = specialize_additive(n, point)
+            direct = numeric_theorem_matrix(1, n, point)
             entrywise = [[reference_linear_form_value(form, point) for form in row]
                          for row in build_additive(n)]
             assert direct == entrywise
@@ -313,10 +312,10 @@ class TestSpecialize:
         for n in range(1, 13):
             entrywise = [[reference_linear_form_value(form, point) for form in row]
                          for row in build_additive(n)]
-            assert specialize_additive(n, point) == entrywise
+            assert numeric_theorem_matrix(1, n, point) == entrywise
 
     def test_entries_are_fractions(self):
-        matrix = specialize_additive(3, (1, 2, 3, 4, 5))
+        matrix = numeric_theorem_matrix(1, 3, (1, 2, 3, 4, 5))
         assert all(type(v) is Fraction for row in matrix for v in row)
 
 
@@ -343,15 +342,45 @@ class TestNumericTheoremMatrix:
 
     @pytest.mark.parametrize("theorem", (1, 2, 3))
     def test_bad_points_raise_as_numeric_matrix_does(self, theorem):
+        # theorems 1 and 2 have no negative power, so a zero coordinate has a
+        # value there; theorem 3's m - 1/m has none
         symbolic = theorem_matrix(theorem, 3)
-        for point, error in (((1, 2, 3, 4), ValueError),
-                             ((1, 2, 0, 4, 5), ZeroCoordinateError),
-                             ((1, 2, "0/3", 4, 5), ZeroCoordinateError)):
-            with pytest.raises(error) as expected:
+        with pytest.raises(ValueError) as expected:
+            numeric_matrix(symbolic, (1, 2, 3, 4))
+        with pytest.raises(ValueError) as walked:
+            numeric_theorem_matrix(theorem, 3, (1, 2, 3, 4))
+        assert str(walked.value) == str(expected.value)
+        for point in ((1, 2, 0, 4, 5), (1, 2, "0/3", 4, 5)):
+            if theorem < 3:
+                walked = numeric_theorem_matrix(theorem, 3, point)
+                assert walked == numeric_matrix(symbolic, point)
+                continue
+            with pytest.raises(ZeroCoordinateError) as expected:
                 numeric_matrix(symbolic, point)
-            with pytest.raises(error) as walked:
+            with pytest.raises(ZeroCoordinateError) as walked:
                 numeric_theorem_matrix(theorem, 3, point)
             assert str(walked.value) == str(expected.value)
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_each_zero_coordinate_as_numeric_matrix(self, theorem):
+        base = (Fraction(-3, 2), 5, Fraction(-2, 9), 4, Fraction(-7, 5))
+        outcomes = set()
+        for n in range(1, 9):
+            symbolic = theorem_matrix(theorem, n)
+            for var in range(5):
+                point = base[:var] + (0,) + base[var + 1:]
+                try:
+                    expected = numeric_matrix(symbolic, point)
+                except ZeroCoordinateError as exc:
+                    with pytest.raises(ZeroCoordinateError) as walked:
+                        numeric_theorem_matrix(theorem, n, point)
+                    assert str(walked.value) == str(exc), (n, var)
+                    outcomes.add("refused")
+                else:
+                    assert numeric_theorem_matrix(theorem, n, point) == expected, (n, var)
+                    outcomes.add("value")
+        # theorem 3 at n = 1 has only the centre a - 1/a, so b, c, x and y may be 0
+        assert outcomes == ({"value"} if theorem < 3 else {"value", "refused"})
 
     @pytest.mark.parametrize("theorem", (0, 4))
     def test_unknown_theorem(self, theorem):
@@ -379,7 +408,8 @@ class TestSerialization:
         def bare(cell):
             return "".join(ch for ch in cell if ch not in " *{}")
 
-        for matrix in (build_additive(3), build_bracket(3), specialize_additive(3, (1, 2, 3, 4, 5))):
+        for matrix in (build_additive(3), build_bracket(3),
+                       numeric_theorem_matrix(1, 3, (1, 2, 3, 4, 5))):
             text_cells = [line.split("  ") for line in matrix_to_text(matrix).splitlines()]
             latex_rows = matrix_to_latex(matrix).splitlines()[1:-1]
             latex_cells = [row.removesuffix(r" \\").split(" & ") for row in latex_rows]
@@ -397,5 +427,5 @@ class TestSerialization:
         assert qpower["entries"][1][0] == [{"coefficient": 1,
                                             "exponents": ["1", "0", "0", "0", "0"]}]
         numeric = matrix_to_json_dict(
-            specialize_additive(2, (1, 1, 1, 1, 1)), Family.ADDITIVE, 2)
+            numeric_theorem_matrix(1, 2, (1, 1, 1, 1, 1)), Family.ADDITIVE, 2)
         assert numeric["entries"][1][0] == "1"
