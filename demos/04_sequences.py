@@ -6,20 +6,18 @@ those of the outward-winding ones.  Every term is cross-checked against a
 fraction-free determinant of the actual specialized matrix.
 """
 
-from spiraldet import SequenceId, SequenceSpec, sequence_csv, term, verify_sequence
+from spiraldet import SequenceId, sequence_csv, term, verify_sequence
 from spiraldet.sequences import q_series_string
 
 for sid in (SequenceId.INWARD, SequenceId.OUTWARD):
-    spec = SequenceSpec(sid)
-    report = verify_sequence(spec, 10)
-    terms = [term(spec, n) for n in range(1, 11)]
+    report = verify_sequence(sid, 10)
+    terms = [term(sid, n) for n in range(1, 11)]
     print(f"{sid.value:<8} n=1..10: {terms}")
     print(f"{'':8} verified against brute force: {report.failures} failures")
 
 print("\nCSV emission for the inward family:")
-print(sequence_csv(SequenceSpec(SequenceId.INWARD), 6))
+print(sequence_csv(SequenceId.INWARD, 6))
 
 print("q-power terms stay symbolic in q:")
-spec = SequenceSpec(SequenceId.QSPIRAL)
 for n in range(1, 5):
-    print(f"    n={n}: {q_series_string(term(spec, n))}")
+    print(f"    n={n}: {q_series_string(term(SequenceId.QSPIRAL, n))}")

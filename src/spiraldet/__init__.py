@@ -63,12 +63,11 @@ from .funceq import (
     ResidualReport,
     UnclassifiableError,
     UnknownRelationError,
-    check_relation,
     check_relations,
     classify,
     eval_f,
     eval_g,
 )
-from .sequences import SequenceId, SequenceSpec, sequence_csv, term, verify_sequence
+from .sequences import SequenceId, sequence_csv, term, verify_sequence
 
 __version__ = "0.1.0"

@@ -140,10 +140,10 @@ def _cmd_verify(args, seed: int):
 
 
 def _cmd_reduce(args, seed: int):
-    reports = {
-        parity: closed_forms.verify_reduction(parity, args.n, args.trials, seed)
-        for parity in ("odd", "even")
-    }
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    reports = {parity: closed_forms.verify_reduction(size, args.trials, seed)
+               for parity, size in (("odd", 2 * args.n + 1), ("even", 2 * args.n))}
     failures = sum(rep.failures for rep in reports.values())
     if args.format == "text":
         return {"n": args.n}, args.trials, "".join(
@@ -154,12 +154,12 @@ def _cmd_reduce(args, seed: int):
 
 
 def _cmd_seq(args, seed: int):
-    spec = sequences.SequenceSpec(sequences.SequenceId(args.seq))
+    seq = sequences.SequenceId(args.seq)
     fields = {"seq": args.seq, "n_max": args.n_max}
     if args.format == "csv":
-        report = sequences.sequence_csv(spec, args.n_max)
+        report = sequences.sequence_csv(seq, args.n_max)
         return fields, args.n_max, report, report.count(",false")
-    rep = sequences.verify_sequence(spec, args.n_max, seed)
+    rep = sequences.verify_sequence(seq, args.n_max, seed)
     summary = f"{args.seq}: {rep.failures}/{rep.trials} failures\n"
     report = summary if args.format == "text" else rep.to_json_dict()
     return fields, args.n_max, report, rep.failures

@@ -244,21 +244,16 @@ def reduction(size: int) -> ReductionData:
                          (-1) ** (n - m) * pivot, difference, border)
 
 
-def verify_reduction(parity: str, n: int, trials: int, seed: int) -> VerificationReport:
-    """Check the step of :func:`reduction` from size 2n+1 ("odd") or 2n ("even")
-    at random integer points with exact rationals.
+def verify_reduction(size: int, trials: int, seed: int) -> VerificationReport:
+    """Check the step of :func:`reduction` from size to size - 1 at random
+    integer points with exact rationals; a size below 2 is refused.
 
     Theorem 1 is a polynomial identity, so it holds wherever a derived
     parameter of the smaller matrix is zero, and every sample point is checked.
     """
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    data = reduction(size)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = 2 * n + (parity == "odd")
-    data = reduction(size)
     small, big = theorem(1, size - 1), theorem(1, size)
     witnesses = []
     for t in range(trials):

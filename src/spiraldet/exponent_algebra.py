@@ -213,18 +213,6 @@ class LaurentPoly:
     def has_half_exponents(self) -> bool:
         return any(d % 2 for vec in self.terms for d in vec)
 
-    def set_y_to_x(self) -> "LaurentPoly":
-        """Substitute y := x (fold every y exponent onto x)."""
-        out: dict[ExponentVector, int] = {}
-        for (ea, eb, ec, ex, ey), coeff in self.terms.items():
-            vec = (ea, eb, ec, ex + ey, 0)
-            s = out.get(vec, 0) + coeff
-            if s:
-                out[vec] = s
-            else:
-                out.pop(vec, None)
-        return LaurentPoly._raw(out)
-
     def __repr__(self) -> str:
         return f"LaurentPoly({to_string(self)})"
 

@@ -14,18 +14,18 @@ Relations are referred to by the fixed identifiers
     6.16  g(x^3) = g(x)^3 - 3g(x)
     6.17  g(a)g(x) = g(ax) + g(a/x)
 
-check_relation evaluates residuals of these identities at log-uniform sample
-points.  The closed forms are exact identities, so residuals are computed in
-extended precision (mpmath); plain double evaluation leaves libm noise of
-order 1e-8 at the large end of the sampling box, which would drown the
-1e-9 verification tolerance.
+check_relations evaluates residuals of these identities at log-uniform sample
+points; _RESIDUALS writes each relation's lhs - rhs once.  The closed forms are
+exact identities, so residuals are computed in extended precision (mpmath);
+plain double evaluation leaves libm noise of order 1e-8 at the large end of
+the sampling box, which would drown the 1e-9 verification tolerance.
 
-check_relations checks several relations in one pass.  Each sample (a, x) is
-drawn once, and f and g are evaluated once per distinct point of it (a, x,
-ax, a/x, 1/x, x^2, x^3), shared by every relation that reads them.  This
-keeps each relation's evaluations independent: f and g are pure, so a shared
-value is the one the relation would compute alone, and every term is still
-evaluated at its own argument (g(x^2) at x^2, never derived from g(x), which
+Several relations are checked in one pass.  Each sample (a, x) is drawn once,
+and f and g are evaluated once per distinct point of it (a, x, ax, a/x, 1/x,
+x^2, x^3), shared by every relation that reads them.  This keeps each
+relation's evaluations independent: f and g are pure, so a shared value is
+the one the relation would compute alone, and every term is still evaluated
+at its own argument (g(x^2) at x^2, never derived from g(x), which
 would make 6.15 hold by construction).
 """
 
@@ -39,7 +39,15 @@ from typing import Callable
 
 import mpmath
 
-RELATIONS = ("6.1", "6.14", "6.15", "6.16", "6.17")
+# lhs - rhs of each relation, with f and g the family's functions
+_RESIDUALS = {
+    "6.1": lambda f, g, a, x: f(a) * g(x) - f(a * x) - f(a / x),
+    "6.14": lambda f, g, a, x: g(x) - g(1 / x),
+    "6.15": lambda f, g, a, x: g(x * x) - (g(x) ** 2 - 2),
+    "6.16": lambda f, g, a, x: g(x ** 3) - (g(x) ** 3 - 3 * g(x)),
+    "6.17": lambda f, g, a, x: g(a) * g(x) - g(a * x) - g(a / x),
+}
+RELATIONS = tuple(_RESIDUALS)
 _TWO_ARG = {"6.1", "6.17"}
 
 _MP_DPS = 40
@@ -126,21 +134,6 @@ def eval_f(spec: FamilySpec, x: float) -> float:
     return _fg(spec, _check_positive(x), math)[0]
 
 
-def _residual_mp(relation: str, f, g, a, x):
-    """lhs - rhs of the relation, with f and g the family's functions."""
-    if relation == "6.1":
-        return f(a) * g(x) - f(a * x) - f(a / x)
-    if relation == "6.14":
-        return g(x) - g(1 / x)
-    if relation == "6.15":
-        return g(x * x) - (g(x) ** 2 - 2)
-    if relation == "6.16":
-        return g(x ** 3) - (g(x) ** 3 - 3 * g(x))
-    if relation == "6.17":
-        return g(a) * g(x) - g(a * x) - g(a / x)
-    raise UnknownRelationError(f"unknown relation {relation!r}")
-
-
 def _sample_log_uniform(seed: int, index: int, count: int = 2) -> tuple[float, ...]:
     """Per-sample point(s) in [0.1, 10], depending only on (seed, index)."""
     rng = random.Random(f"funceq:{seed}:{index}")
@@ -162,23 +155,20 @@ def _working_digits(spec: FamilySpec) -> int:
     return _MP_DPS
 
 
-def check_relation(spec: FamilySpec, relation: str, samples: int, seed: int) -> ResidualReport:
-    """Max |lhs - rhs| of the named relation over log-uniform samples in [0.1, 10].
-
-    A NaN or infinite residual is the maximum, so no tolerance passes it; the
-    first such sample is the reported argmax.
-    """
-    return check_relations(spec, [relation], samples, seed)[0]
-
-
 def check_relations(spec: FamilySpec, relations, samples: int,
                     seed: int) -> list[ResidualReport]:
-    """One check_relation report per named relation, in order, from one pass.
+    """Max |lhs - rhs| of each named relation over log-uniform samples in [0.1, 10].
 
-    Each sample is drawn once, and f and g are evaluated once per distinct
-    point of it, shared by every relation; every residual equals the one
-    check_relation computes alone.
+    One report per relation, in order, from one pass: each sample is drawn
+    once, and f and g are evaluated once per distinct point of it, shared by
+    every relation, so each residual equals the one its relation gives alone.
+    A NaN or infinite residual is the maximum, so no tolerance passes it; the
+    first such sample is the reported argmax.  ``relations`` is a list of
+    identifiers: a bare string such as "6.15" is refused, write ["6.15"].
     """
+    if isinstance(relations, str):
+        raise TypeError(f'relations must be a list of identifiers, '
+                        f'such as ["{relations}"], not a string')
     relations = list(relations)
     for relation in relations:
         if relation not in RELATIONS:
@@ -206,7 +196,7 @@ def check_relations(spec: FamilySpec, relations, samples: int,
             f, g = (lambda v: fg(v)[0]), (lambda v: fg(v)[1])
             a_mp, x_mp = mpmath.mpf(a), mpmath.mpf(x)
             for j, relation in enumerate(relations):
-                r = abs(_residual_mp(relation, f, g, a_mp, x_mp))
+                r = abs(_RESIDUALS[relation](f, g, a_mp, x_mp))
                 # NaN compares false, so a NaN r enters here, and a non-finite
                 # worst is never replaced
                 if not r <= worst[j] and (r > worst[j] or math.isfinite(worst[j])):
@@ -224,7 +214,7 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     real exponent is the base-2 log of the larger root of z^2 - g*z + 1 = 0;
     for |g(x0)| < 2 the smallest t >= 0 with 2*cos(t*log 2) = g(x0) is used.
     The fitted spec is validated against the oracle on sample points and via
-    check_relation on 6.17.  alpha (or t) is normalised to be >= 0, matching
+    check_relations on 6.17.  alpha (or t) is normalised to be >= 0, matching
     the evenness of x^alpha + x^(-alpha).  A NaN or infinite oracle value, or
     a fitted g that leaves the float range on the samples, is unclassifiable.
     """
@@ -253,7 +243,7 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     if not mismatch <= tolerance:
         raise UnclassifiableError(
             f"fitted family deviates from the oracle by {mismatch:.3g} > {tolerance:.3g}")
-    report = check_relation(fitted, "6.17", samples, seed)
+    report, = check_relations(fitted, ["6.17"], samples, seed)
     if not report.max_residual <= tolerance:
         raise UnclassifiableError(
             f"fitted family violates 6.17 by {report.max_residual:.3g}")

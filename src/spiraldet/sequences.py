@@ -16,7 +16,6 @@ value is ever trusted from an outside table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .closed_forms import theorem
@@ -35,19 +34,13 @@ class SequenceId(Enum):
     OUTWARD = "outward"
     QSPIRAL = "qspiral"
 
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A sequence identifier; its parameter binding is fixed and read-only."""
-
-    id: SequenceId
-
     def additive_point(self, n: int) -> tuple[int, int, int, int, int]:
-        if self.id is SequenceId.INWARD:
+        """The fixed (a, b, c, x, y) of the additive spiral at size n."""
+        if self is SequenceId.INWARD:
             return (n * n, -1, -1, -1, -1)
-        if self.id is SequenceId.OUTWARD:
+        if self is SequenceId.OUTWARD:
             return (1, 1, 1, 1, 1)
-        raise ValueError(f"{self.id} has no additive parameter binding")
+        raise ValueError(f"{self} has no additive parameter binding")
 
 
 def q_series(p: LaurentPoly) -> dict[int, int]:
@@ -72,51 +65,51 @@ def q_series_string(series: dict[int, int]) -> str:
                          "*", " ", "{}^{}", "{}^({}/2)")
 
 
-def term(spec: SequenceSpec, n: int):
+def term(seq: SequenceId, n: int):
     """Formula value of the n-th term: an int, or a q-power dict for qspiral."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spec.id is SequenceId.QSPIRAL:
+    if seq is SequenceId.QSPIRAL:
         return q_series(theorem(2, n).expand())
-    value = theorem(1, n).evaluate(spec.additive_point(n))
+    value = theorem(1, n).evaluate(seq.additive_point(n))
     assert value.denominator == 1, "specialized determinant must be an integer"
     return int(value)
 
 
-def _oracle(spec: SequenceSpec, n: int):
-    if spec.id is SequenceId.QSPIRAL:
+def _oracle(seq: SequenceId, n: int):
+    if seq is SequenceId.QSPIRAL:
         return q_series(det_cofactor(theorem_matrix(2, n)))
-    value = det_bareiss_rational(numeric_theorem_matrix(1, n, spec.additive_point(n)))
+    value = det_bareiss_rational(numeric_theorem_matrix(1, n, seq.additive_point(n)))
     assert value.denominator == 1
     return int(value)
 
 
-def _rows(spec: SequenceSpec, count: int):
+def _rows(seq: SequenceId, count: int):
     """(n, formula term, brute-force oracle) for n = 1..count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return ((n, term(spec, n), _oracle(spec, n)) for n in range(1, count + 1))
+    return ((n, term(seq, n), _oracle(seq, n)) for n in range(1, count + 1))
 
 
-def _text(spec: SequenceSpec):
+def _text(seq: SequenceId):
     """How a term of the sequence prints, in witnesses and CSV rows alike."""
-    return q_series_string if spec.id is SequenceId.QSPIRAL else str
+    return q_series_string if seq is SequenceId.QSPIRAL else str
 
 
-def verify_sequence(spec: SequenceSpec, count: int, seed: int = 0) -> VerificationReport:
+def verify_sequence(seq: SequenceId, count: int, seed: int = 0) -> VerificationReport:
     """Compare formula terms against brute-force determinants for n = 1..count.
 
     The terms are deterministic; ``seed`` is only echoed in the report.
     """
-    text = _text(spec)
+    text = _text(seq)
     witnesses = tuple(Witness((n,), text(expected), text(actual))
-                      for n, expected, actual in _rows(spec, count) if expected != actual)
+                      for n, expected, actual in _rows(seq, count) if expected != actual)
     return VerificationReport(seed, count, witnesses)
 
 
-def sequence_csv(spec: SequenceSpec, count: int) -> str:
+def sequence_csv(seq: SequenceId, count: int) -> str:
     """CSV rows: n, formula term, brute-force oracle, match flag."""
-    text = _text(spec)
+    text = _text(seq)
     return "n,term,oracle,match\n" + "".join(
         f"{n},{text(expected)},{text(actual)},{str(expected == actual).lower()}\n"
-        for n, expected, actual in _rows(spec, count))
+        for n, expected, actual in _rows(seq, count))

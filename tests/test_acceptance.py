@@ -31,7 +31,7 @@ from spiraldet.funceq import (
     check_relations,
     classify,
 )
-from spiraldet.sequences import SequenceId, SequenceSpec, verify_sequence
+from spiraldet.sequences import SequenceId, verify_sequence
 from spiraldet.spiral_builder import (
     SpiralSpec,
     build_bracket_xx,
@@ -101,7 +101,8 @@ def test_criterion_05_wedge_elimination_soundness():
 def test_criterion_06_reduction_recurrences():
     for parity in ("odd", "even"):
         for n in (1, 2):
-            report = verify_reduction(parity, n, trials=50, seed=60_000 + n)
+            report = verify_reduction(2 * n + (parity == "odd"), trials=50,
+                                      seed=60_000 + n)
             assert report.failures == 0, (parity, n, report.witnesses[:1])
     _announce(6, "both size-reduction recurrences hold at 50 random rational "
                  "points for n = 1, 2")
@@ -131,7 +132,7 @@ def test_criterion_07_generalized_increments():
 
 def test_criterion_08_sequence_specializations():
     for sid in (SequenceId.INWARD, SequenceId.OUTWARD):
-        report = verify_sequence(SequenceSpec(sid), 10)
+        report = verify_sequence(sid, 10)
         assert report.failures == 0, (sid, report.witnesses[:1])
     _announce(8, "inward (a = n^2, rest -1) and outward (all ones) sequences "
                  "match brute-force determinants for n = 1..10")

@@ -303,7 +303,7 @@ class TestFailureExitCodes:
         assert run_cli(argv, capsys)[0] == 0
         witness = determinant_engine.Witness((1, 2, 3, 4, 5), 6, 7)
         monkeypatch.setattr(
-            closed_forms, "verify_reduction", lambda parity, n, trials, seed:
+            closed_forms, "verify_reduction", lambda size, trials, seed:
             determinant_engine.VerificationReport(seed, trials, (witness,)))
         code, out = run_cli(argv, capsys)
         assert code == 1 and shown in out

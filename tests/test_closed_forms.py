@@ -333,30 +333,30 @@ class TestReductions:
             reduction(1)
 
     def test_odd_recurrence_20_points(self):
-        assert verify_reduction("odd", 1, 20, seed=2718).failures == 0
+        assert verify_reduction(3, 20, seed=2718).failures == 0
 
     def test_even_recurrence_20_points(self):
-        assert verify_reduction("even", 1, 20, seed=2718).failures == 0
+        assert verify_reduction(2, 20, seed=2718).failures == 0
 
     @pytest.mark.parametrize("parity", ("odd", "even"))
     def test_recurrence_through_n_20(self, parity):
         for n in range(1, 21):
-            assert verify_reduction(parity, n, 10, seed=n).failures == 0, n
+            assert verify_reduction(2 * n + (parity == "odd"), 10, seed=n).failures == 0, n
 
     def test_scalar_factors(self):
         for n in (1, 2, 3):
             assert reduction(2 * n + 1).scalar_factor == C
             assert reduction(2 * n).scalar_factor == -B
 
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ValueError):
-            verify_reduction("sideways", 1, 1, 0)
+    def test_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 2"):
+            verify_reduction(1, 1, 0)
 
     @pytest.mark.parametrize("trials", (0, -3))
     def test_trials_below_one_rejected(self, trials):
         # a report of zero checks must not read as a pass
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            verify_reduction("odd", 1, trials, seed=0)
+            verify_reduction(3, trials, seed=0)
 
     def test_point_with_zero_derived_parameter_is_checked(self, monkeypatch):
         # b + c + x + y = 0 zeroes the odd step's up increment at every point;
@@ -364,7 +364,7 @@ class TestReductions:
         point = (1, 1, 1, -1, -1)
         assert evaluate(reduction(3).up_increment, point) == 0
         monkeypatch.setattr(closed_forms, "sample_point", lambda seed, index: point)
-        report = verify_reduction("odd", 1, 3, seed=0)
+        report = verify_reduction(3, 3, seed=0)
         assert (report.trials, report.failures) == (3, 0)
 
 

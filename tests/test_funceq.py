@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import mpmath
@@ -16,7 +17,6 @@ from spiraldet.funceq import (
     FamilySpec,
     UnclassifiableError,
     UnknownRelationError,
-    check_relation,
     check_relations,
     classify,
     eval_f,
@@ -160,27 +160,27 @@ class TestCheckRelation:
 
     def test_constant_g_relation_6_15(self):
         # g = 2 everywhere: 2 = 4 - 2 with zero residual
-        report = check_relation(FamilySpec(FamilyKind.LOG_AFFINE), "6.15", 100, seed=4)
+        report = check_relations(FamilySpec(FamilyKind.LOG_AFFINE), ["6.15"], 100, seed=4)[0]
         assert report.max_residual == 0.0
 
     def test_all_specs_all_relations(self):
         for name, spec in ACCEPTED_SPECS.items():
             for relation in RELATIONS:
-                report = check_relation(spec, relation, 200, seed=10)
+                report = check_relations(spec, [relation], 200, seed=10)[0]
                 assert report.max_residual < 1e-9, (name, relation)
 
     def test_deterministic(self):
         spec = FamilySpec(POWER, alpha=2.5)
-        a = check_relation(spec, "6.16", 50, seed=3)
-        b = check_relation(spec, "6.16", 50, seed=3)
+        a = check_relations(spec, ["6.16"], 50, seed=3)[0]
+        b = check_relations(spec, ["6.16"], 50, seed=3)[0]
         assert a == b
 
     def test_unknown_relation(self):
         with pytest.raises(UnknownRelationError):
-            check_relation(FamilySpec(FamilyKind.ZERO), "6.2", 10, seed=0)
+            check_relations(FamilySpec(FamilyKind.ZERO), ["6.2"], 10, seed=0)
 
     def test_report_json_shape(self):
-        report = check_relation(FamilySpec(POWER, alpha=1.0), "6.17", 25, seed=1)
+        report = check_relations(FamilySpec(POWER, alpha=1.0), ["6.17"], 25, seed=1)[0]
         blob = json.loads(json.dumps(report.to_json_dict()))
         assert set(blob) == {"relation", "samples", "max_residual", "argmax"}
         assert blob["samples"] == 25
@@ -193,7 +193,8 @@ class TestCheckRelations:
         for seed in (0, 7):
             expected = [repr(_reference_check(spec, rel, 30, seed)) for rel in RELATIONS]
             assert [repr(rep) for rep in check_relations(spec, RELATIONS, 30, seed)] == expected
-            assert [repr(check_relation(spec, rel, 30, seed)) for rel in RELATIONS] == expected
+            assert [repr(check_relations(spec, [rel], 30, seed)[0])
+                    for rel in RELATIONS] == expected
 
     @pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
     def test_eval_f_and_g_equal_the_separate_formulas(self, spec):
@@ -207,7 +208,7 @@ class TestCheckRelations:
         spec = FamilySpec(POWER, alpha=2.5)
         reports = check_relations(spec, ("6.17", "6.15", "6.17"), 20, seed=3)
         assert [rep.relation for rep in reports] == ["6.17", "6.15", "6.17"]
-        assert reports[0] == reports[2] == check_relation(spec, "6.17", 20, seed=3)
+        assert reports[0] == reports[2] == check_relations(spec, ["6.17"], 20, seed=3)[0]
 
     @pytest.mark.parametrize("spec", (FamilySpec(POWER, alpha=1.5, c1=0.3, c2=-1.7),
                                       FamilySpec(POWER, alpha=0.75, imaginary=True)),
@@ -243,6 +244,14 @@ class TestCheckRelations:
         with pytest.raises(UnknownRelationError):
             check_relations(FamilySpec(POWER, alpha=1.0), relations, 10, seed=0)
 
+    def test_bare_string_is_refused_naming_the_list_form(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(funceq, "_sample_log_uniform", draw)
+        with pytest.raises(TypeError, match=re.escape('["6.15"]')):
+            check_relations(FamilySpec(POWER, alpha=1.0), "6.15", 3, seed=0)
+
     @pytest.mark.parametrize("relations", ([], ()))
     def test_empty_relation_list_is_refused(self, relations):
         with pytest.raises(ValueError) as excinfo:
@@ -255,7 +264,7 @@ class TestCheckRelations:
             check_relations(FamilySpec(POWER, alpha=1.0), RELATIONS, samples, seed=0)
         assert excinfo.type is ValueError
         with pytest.raises(ValueError):
-            check_relation(FamilySpec(POWER, alpha=1.0), "6.15", samples, seed=0)
+            check_relations(FamilySpec(POWER, alpha=1.0), ["6.15"], samples, seed=0)
 
     def test_exported_from_the_package(self):
         import spiraldet
@@ -271,7 +280,7 @@ class TestLargeAlpha:
     def test_every_relation_passes(self, alpha, imaginary):
         spec = FamilySpec(POWER, alpha=alpha, imaginary=imaginary)
         for relation in RELATIONS:
-            report = check_relation(spec, relation, 200, seed=0)
+            report = check_relations(spec, [relation], 200, seed=0)[0]
             assert report.max_residual <= 1e-9, (alpha, imaginary, relation)
 
     def test_cli_alpha_20_exits_0(self, capsys):
@@ -285,11 +294,8 @@ class TestLargeAlpha:
         ("6.1", lambda f, g, a, x: f(a) * g(x) + 1 - f(a * x) - f(a / x)),
     ))
     def test_wrong_relation_still_fails(self, monkeypatch, relation, off_by_one):
-        def residual(rel, f, g, a, x):
-            return off_by_one(f, g, a, x)
-
-        monkeypatch.setattr(funceq, "_residual_mp", residual)
-        report = check_relation(FamilySpec(POWER, alpha=20.0), relation, 200, seed=0)
+        monkeypatch.setitem(funceq._RESIDUALS, relation, off_by_one)
+        report = check_relations(FamilySpec(POWER, alpha=20.0), [relation], 200, seed=0)[0]
         assert not report.max_residual <= 1e-9
         # the +1 survives next to terms of size 10^60
         assert abs(report.max_residual - 1) < 1e-9
@@ -312,7 +318,7 @@ class TestNonFiniteResiduals:
     @pytest.mark.parametrize("alpha", (math.nan, math.inf))
     @pytest.mark.parametrize("relation", RELATIONS)
     def test_non_finite_alpha_reports_a_non_finite_maximum(self, alpha, relation):
-        report = check_relation(FamilySpec(POWER, alpha=alpha), relation, 20, seed=4)
+        report = check_relations(FamilySpec(POWER, alpha=alpha), [relation], 20, seed=4)[0]
         assert not math.isfinite(report.max_residual)
         assert not report.max_residual <= 1e-9
         assert report.argmax  # the first non-finite sample is the witness
@@ -325,15 +331,15 @@ class TestNonFiniteResiduals:
                         "argmax": [2.0]}
 
     def test_nan_after_finite_samples_is_the_maximum(self, monkeypatch):
-        real = funceq._residual_mp
+        real = funceq._RESIDUALS["6.15"]
         calls = []
 
-        def residual(relation, f, g, a, x):
+        def residual(f, g, a, x):
             calls.append(x)
-            return mpmath.mpf("nan") if len(calls) == 4 else real(relation, f, g, a, x)
+            return mpmath.mpf("nan") if len(calls) == 4 else real(f, g, a, x)
 
-        monkeypatch.setattr(funceq, "_residual_mp", residual)
-        report = check_relation(FamilySpec(POWER, alpha=1.0), "6.15", 10, seed=2)
+        monkeypatch.setitem(funceq._RESIDUALS, "6.15", residual)
+        report = check_relations(FamilySpec(POWER, alpha=1.0), ["6.15"], 10, seed=2)[0]
         assert math.isnan(report.max_residual)
         assert report.argmax == (float(calls[3]),)
 
@@ -376,7 +382,7 @@ class TestClassify:
 
     def test_fitted_spec_satisfies_6_17(self):
         fitted = classify(lambda x: math.pow(x, 1.7) + math.pow(x, -1.7), 300, seed=8)
-        report = check_relation(fitted, "6.17", 1000, seed=8)
+        report = check_relations(fitted, ["6.17"], 1000, seed=8)[0]
         assert report.max_residual < 1e-9
 
     def test_below_minus_two_unclassifiable(self):

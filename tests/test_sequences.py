@@ -13,7 +13,6 @@ from spiraldet.determinant_engine import det_bareiss_rational
 from spiraldet.exponent_algebra import HalfExponentError, LaurentPoly, exponents
 from spiraldet.sequences import (
     SequenceId,
-    SequenceSpec,
     q_series,
     q_series_string,
     sequence_csv,
@@ -22,9 +21,9 @@ from spiraldet.sequences import (
 )
 from spiraldet.spiral_builder import numeric_theorem_matrix
 
-INWARD = SequenceSpec(SequenceId.INWARD)
-OUTWARD = SequenceSpec(SequenceId.OUTWARD)
-QSPIRAL = SequenceSpec(SequenceId.QSPIRAL)
+INWARD = SequenceId.INWARD
+OUTWARD = SequenceId.OUTWARD
+QSPIRAL = SequenceId.QSPIRAL
 
 
 class TestTerm:
@@ -54,6 +53,10 @@ class TestTerm:
         for spec in (INWARD, OUTWARD):
             for n in range(1, 11):
                 assert isinstance(term(spec, n), int)
+
+    def test_qspiral_has_no_additive_binding(self):
+        with pytest.raises(ValueError, match="no additive parameter binding"):
+            QSPIRAL.additive_point(3)
 
     def test_qspiral_term_is_q_polynomial(self):
         # det of [[q^4, q^3], [q, q^2]] is q^6 - q^4
