@@ -10,8 +10,6 @@ from .exponent_algebra import (
     bracket,
     evaluate,
     exponents,
-    from_records,
-    from_string,
     to_records,
     to_string,
 )

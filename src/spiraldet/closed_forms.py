@@ -21,8 +21,10 @@ Theorem 3 (bracket, y = x): det = (-1)^m [a^2 b^(n^2+m^2) c^(2nm) x^(2n(2m+1))]
 prod_{k=0}^{n-1} [(bc)^k x^(2k+1)] prod_{k=1}^{n-1} <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
 prod_{k=1}^{m} [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>.
 The head is [a^2 (bc)^(2n^2) x^(2n(2n+1))] at odd N and
-[a^2 b (bc)^(2n^2-2n) x^(2n(2n-1))] at even N.  Some factors carry half-integer
-exponents even though the expanded product never does.
+[a^2 b (bc)^(2n^2-2n) x^(2n(2n-1))] at even N.  The last product's factors are
+built by [m]<m'> = [mm'] + [m/m'] as
+[a b^(k^2) c^(k^2+k-1) x^(k(2k+1))] - [a b^((k-1)^2) c^(k(k-1)) x^(k(2k-3))],
+so every factor has integer exponents only, and evaluates at a point.
 
 :func:`theorem` builds each formula as a :class:`Factored` product, which
 numeric checks evaluate factor by factor; the ``thm*`` functions expand it.
@@ -41,7 +43,6 @@ is no separate dense-polynomial type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .determinant_engine import VerificationReport, Witness, sample_point
 from .exponent_algebra import (
@@ -52,7 +53,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import build_qpower, centre_cell
+from .spiral_builder import build_qpower, centre_cell, check_theorem
 
 _A = LaurentPoly.variable("a")
 _B = LaurentPoly.variable("b")
@@ -69,13 +70,8 @@ def theorem(k: int, size: int) -> Factored:
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    if k == 1:
-        return _thm1(size)
-    if k == 2:
-        return _thm2(size)
-    if k == 3:
-        return _thm3(size)
-    raise ValueError(f"theorem must be 1, 2 or 3, got {k!r}")
+    check_theorem(k)
+    return (_thm1, _thm2, _thm3)[k - 1](size)
 
 
 def _thm1(size: int) -> Factored:
@@ -125,34 +121,36 @@ def thm2_odd(n: int) -> LaurentPoly:
 
 
 def _run_bracket(k: int) -> LaurentPoly:
-    """[(bc)^(k/2) x^(k+1)], the k-th factor of the bracket run."""
-    return bracket(exponents(b=Fraction(k, 2), c=Fraction(k, 2), x=k + 1))
+    """[(bc)^k x^(2k+1)], the k-th factor of the bracket run."""
+    return bracket(exponents(b=k, c=k, x=2 * k + 1))
 
 
 def _angle_first(k: int) -> LaurentPoly:
     return angle(exponents(a=1, b=k * (k + 1), c=k * k, x=k * (2 * k + 1)))
 
 
-def _angle_second(k: int) -> LaurentPoly:
-    return angle(exponents(a=1, b=Fraction(2 * k * k - 2 * k + 1, 2),
-                           c=Fraction(2 * k * k - 1, 2), x=k * (2 * k - 1)))
+def _paired(k: int) -> LaurentPoly:
+    """[(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>,
+    written with integer exponents by [m]<m'> = [mm'] + [m/m']."""
+    return (bracket(exponents(a=1, b=k * k, c=k * k + k - 1, x=k * (2 * k + 1)))
+            - bracket(exponents(a=1, b=(k - 1) ** 2, c=k * (k - 1), x=k * (2 * k - 3))))
 
 
 def antidiagonal_entry_formulas(n: int, k: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Closed forms F_k, S_k of the antidiagonal entries, for 1 <= k <= n-1 (size 2n).
 
-    F_k is theorem 3's run bracket 2k times its angle k, S_k its paired factor k:
+    F_k is theorem 3's run bracket k times its angle k, S_k its paired factor k:
 
         F_k = [(bc)^k x^(2k+1)] <a b^(k(k+1)) c^(k^2) x^(k(2k+1))>
         S_k = [(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>
+            = [a b^(k^2) c^(k^2+k-1) x^(k(2k+1))] - [a b^((k-1)^2) c^(k(k-1)) x^(k(2k-3))]
 
     At size N, with (n, m) = centre_cell(N), the antidiagonal rows 2..N-1
     read F_{n-1}, ..., F_1, S_1, ..., S_m.
     """
     if not 1 <= k <= n - 1:
         raise IndexError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    return (_run_bracket(2 * k) * _angle_first(k),
-            _run_bracket(2 * k - 1) * _angle_second(k))
+    return _run_bracket(k) * _angle_first(k), _paired(k)
 
 
 def _thm3(size: int) -> Factored:
@@ -160,22 +158,18 @@ def _thm3(size: int) -> Factored:
         return Factored(1, (bracket(exponents(a=1)),) * size)
     n, m = centre_cell(size)
     head = bracket(exponents(a=2, b=n * n + m * m, c=2 * n * m, x=2 * n * (2 * m + 1)))
-    factors = [head, *(_run_bracket(2 * k) for k in range(n))]
+    factors = [head, *(_run_bracket(k) for k in range(n))]
     factors += [_angle_first(k) for k in range(1, n)]
-    # The odd-k brackets of the run and every second angle carry odd doubled
-    # exponents on exactly b and c.  Bracket 2k-1 is paired with angle k into
-    # [m]<m'> = [mm'] + [m/m'], a 4-term factor with integer exponents, which
-    # ``evaluate`` can value at a point; the run holds exactly one odd bracket
-    # per second angle.
-    factors += [_run_bracket(2 * k - 1) * _angle_second(k) for k in range(1, m + 1)]
+    factors += [_paired(k) for k in range(1, m + 1)]
     return Factored((-1) ** m, factors)
 
 
 def thm3_even(n: int) -> LaurentPoly:
     """Closed-form determinant of the 2n x 2n bracket spiral with y = x.
 
-    Some factors of the published form carry half-integer exponents of b and
-    c; :func:`theorem` pairs them into factors with integer exponents only.
+    The published form pairs half-integer powers of b and c in a bracket and
+    an angle; :func:`theorem` writes each pair as a difference of two brackets
+    with integer exponents only.
     """
     return theorem(3, 2 * n).expand()
 

@@ -3,8 +3,8 @@
 Exponents live in half-integer units: every exponent is stored as a *doubled*
 integer, so the monomial b**(1/2) has the doubled vector (0, 1, 0, 0, 0) and an
 ordinary integer exponent is an even doubled value.  This keeps all arithmetic
-in plain Python integers while still admitting the half-integer powers that
-show up inside bracket/angle factorisations.  Such a polynomial has no value
+in plain Python integers while still admitting half-integer powers, such as
+those of a generalized spiral's increments.  Such a polynomial has no value
 at a rational point, and :func:`evaluate` refuses it.
 
 :func:`evaluate` is one integer sum over per-variable power tables, reduced
@@ -26,11 +26,14 @@ bracket(a/x)  and  bracket(a)*bracket(x) = angle(a*x) - angle(a/x).
 
 :class:`Factored` keeps a product of polynomials unexpanded and evaluates it
 factor by factor, multiplying the factors' integer pairs and reducing once.
+
+Serialization is write-only: :func:`to_records`, :func:`to_string` and
+:func:`to_latex` write a polynomial for the CLI's JSON, text and LaTeX
+output, and nothing reads either form back.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import log2
 from operator import add as _add
@@ -368,20 +371,6 @@ def to_records(p: LaurentPoly) -> list[dict]:
     return records
 
 
-def from_records(records: Iterable[Mapping]) -> LaurentPoly:
-    terms: dict[ExponentVector, int] = {}
-    for rec in records:
-        exps = list(rec["exponents"])
-        if len(exps) != NVARS:
-            raise ValueError(f"a record needs {NVARS} exponents, got {len(exps)}")
-        vec = exponents(*exps)
-        coeff = rec["coefficient"]
-        if type(coeff) is not int:
-            raise TypeError(f"coefficient {coeff!r} is not an integer")
-        terms[vec] = terms.get(vec, 0) + coeff
-    return LaurentPoly(terms)
-
-
 def _format_terms(terms: Mapping[ExponentVector, int], names: Sequence[str], times: str,
                   gap: str, power: str, half_power: str) -> str:
     """Terms in ascending exponent order, such as ``3 - 2*a*x^-1``.
@@ -415,68 +404,3 @@ def to_string(p: LaurentPoly) -> str:
 def to_latex(p: LaurentPoly) -> str:
     """LaTeX form like ``-x^{-3}+2 a b^{2} c^{1/2}``; terms in canonical order."""
     return _format_terms(p.terms, VARIABLES, " ", "", "{}^{{{}}}", "{}^{{{}/2}}")
-
-
-def _split_terms(s: str) -> list[tuple[int, str]]:
-    """Split on top-level +/- (ignoring signs inside parens and after '^')."""
-    parts: list[tuple[int, str]] = []
-    sign, start, depth = 1, 0, 0
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            prev = s[:i].rstrip()
-            if prev and not prev.endswith("^"):
-                parts.append((sign, s[start:i]))
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            elif not prev:
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-        i += 1
-    parts.append((sign, s[start:]))
-    return parts
-
-
-def from_string(s: str) -> LaurentPoly:
-    """Parse the output of :func:`to_string` back into a polynomial."""
-    s = s.strip()
-    if not s or s == "0":
-        return LaurentPoly.zero()
-    terms: dict[ExponentVector, int] = {}
-    for sign, chunk in _split_terms(s):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"empty term in {s!r}")
-        coeff = sign
-        vec = [0] * NVARS
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
-            if factor[0] not in _VAR_INDEX:
-                coeff *= int(factor)
-                continue
-            name, caret, exp = factor.partition("^")
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {name!r}")
-            doubled = 2
-            if caret:
-                # the exponents to_string writes: ``-3`` or ``(-3/2)``
-                match = re.fullmatch(r"(-?\d+)|\((-?\d+)/2\)", exp.strip())
-                if match is None:
-                    raise ValueError(f"malformed exponent {exp!r} in {factor!r}")
-                whole, half = match.groups()
-                doubled = 2 * int(whole) if half is None else int(half)
-            vec[_VAR_INDEX[name]] += doubled
-        key = tuple(vec)
-        total = terms.get(key, 0) + coeff
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
-    return LaurentPoly._raw(terms)

@@ -185,19 +185,24 @@ def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     return [[bracket(vec) for vec in row] for row in _spiral(n, y=_X)]
 
 
+def check_theorem(theorem) -> None:
+    """Refuse anything but the int 1, 2 or 3; a bool or float is refused too."""
+    if type(theorem) is not int or theorem not in (1, 2, 3):
+        raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
+
+
 def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
     """The n x n matrix whose determinant theorem 1, 2 or 3 gives in closed form.
 
     Theorem 1 is the additive family (entries as polynomials), theorem 2 the
     q-power family and theorem 3 the bracket family with y set to x.
     """
+    check_theorem(theorem)
     if theorem == 1:
         return [[form.to_poly() for form in row] for row in build_additive(n)]
     if theorem == 2:
         return build_qpower(n)
-    if theorem == 3:
-        return build_bracket_xx(n)
-    raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
+    return build_bracket_xx(n)
 
 
 def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[Fraction]]:
@@ -211,8 +216,7 @@ def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[F
     running product is 0 has 1/m at a zero coordinate, so it raises
     ZeroCoordinateError.
     """
-    if theorem not in (1, 2, 3):
-        raise ValueError(f"theorem must be 1, 2 or 3, got {theorem!r}")
+    check_theorem(theorem)
     a, b, c, x, y = _coordinates(point)
     if theorem < 3:
         return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
@@ -225,9 +229,11 @@ def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[F
 def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
     """Bracket spiral whose k-th up/down step multiplies by a chosen monomial.
 
-    Horizontal steps multiply by x in both directions; freeing the horizontal
-    multipliers as well would break the wedge elimination, so only the
-    vertical increments are parameters.
+    Horizontal steps multiply by x in both directions, and only the vertical
+    increments are parameters.  The wedge elimination needs each horizontal
+    run to be geometric with ratio x or 1/x: left steps by 1/x keep it (the
+    product of its factors is still the determinant), but a free left
+    multiplier breaks it.
     """
     counts = step_counts(spec.n)
     ups = tuple(as_exponent_vector(v) for v in (spec.up_increments or ()))

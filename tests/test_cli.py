@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -276,6 +277,20 @@ class TestBench:
                    if line.startswith("10,")]
         assert {row.split(",")[1] for row in rows_10} == {"bareiss", "formula"}
         assert len({row.split(",")[3] for row in rows_10}) == 1
+
+    def test_masked_output_is_pinned(self, capsys):
+        # median_ns is a timing, so it is masked; every other byte is fixed
+        def mask(text):
+            return re.sub(r"^(\d+,\w+,)\d+,", r"\g<1>-,", text, flags=re.M)
+
+        argv = ["bench", "--n-max", "9", "--trials", "1", "--seed", "0"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(mask(out).encode()).hexdigest() == \
+            "02f63aade22eb1d3e119899a8f2a34fb70abbeb04dd6b6ba7ed0ab03a78ea1ed"
+        code, blob = run_json(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert mask(blob["report"]["csv"]) == mask(out)
 
     def test_empty_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

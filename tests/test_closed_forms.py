@@ -6,6 +6,7 @@ import pytest
 
 from spiraldet import closed_forms
 from spiraldet.closed_forms import (
+    antidiagonal_entry_formulas,
     qreduction_check,
     reduction,
     thm1_even,
@@ -152,6 +153,10 @@ class TestFactoredTheorems:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             theorem(4, 2)
+        # a bool or float is not a theorem number, though True == 1 and 2.0 == 2
+        for k in (True, 2.0):
+            with pytest.raises(ValueError, match="theorem must be 1, 2 or 3"):
+                theorem(k, 3)
         with pytest.raises(ValueError):
             theorem(1, -1)
         with pytest.raises(ValueError):
@@ -263,6 +268,15 @@ class TestPerParityStatements:
             got = theorem(k, size)
             assert got.sign == expected.sign, size
             assert [f.terms for f in got.factors] == [f.terms for f in expected.factors], size
+
+    def test_antidiagonal_entries_equal_published_products(self):
+        # S_k is built with integer exponents; the published bracket times
+        # angle, with half-integer exponents, is the same polynomial
+        for n in range(2, 22):
+            for k in range(1, n):
+                first, second = antidiagonal_entry_formulas(n, k)
+                assert first == _ref_run_bracket(2 * k) * _ref_angle_first(k), (n, k)
+                assert second == _ref_run_bracket(2 * k - 1) * _ref_angle_second(k), (n, k)
 
 
 # The reduction steps as the paper states them, one per parity: the odd step

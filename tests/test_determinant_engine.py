@@ -3,9 +3,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
+from spiraldet import spiral_builder
 from spiraldet.determinant_engine import (
     SizeGuardError,
     _pack,
@@ -784,6 +786,17 @@ class TestGeneralizedWedge:
     def test_product_equals_cofactor_past_the_index_pattern_change(self, size):
         rng = random.Random(7000 + size)
         z = build_generalized_bracket(random_generalized_spec(rng, size))
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        _, fac = eliminate(z)
+        assert fac.product() == det_cofactor(z)
+
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_left_steps_by_inverse_x_still_factor(self, size):
+        # a horizontal run geometric with ratio 1/x instead of x keeps the wedges
+        grid = spiral_builder._walk(size, spiral_builder._A, repeat(spiral_builder._X),
+                                    repeat(spiral_builder._B), repeat(exponents(x=-1)),
+                                    repeat(spiral_builder._C))
+        z = [[bracket(vec) for vec in row] for row in grid]
         eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
         _, fac = eliminate(z)
         assert fac.product() == det_cofactor(z)

@@ -16,8 +16,6 @@ from spiraldet.exponent_algebra import (
     bracket,
     evaluate,
     exponents,
-    from_records,
-    from_string,
     to_latex,
     to_records,
     to_string,
@@ -522,8 +520,7 @@ class TestCoefficientTypes:
     def test_bool_is_not_an_integer(self):
         # a bool would print as a^(True/2) and serialize as JSON true
         for build in (lambda: LaurentPoly.constant(True),
-                      lambda: LaurentPoly({exponents(a=1): False}),
-                      lambda: from_records([{"coefficient": True, "exponents": [0] * 5}])):
+                      lambda: LaurentPoly({exponents(a=1): False})):
             with pytest.raises(TypeError, match="is not an integer"):
                 build()
         for vec in ((True, 0, 0, 0, 0), (0, 0, 0, 0, False)):
@@ -612,14 +609,8 @@ class TestSerialization:
         rng = random.Random(11)
         for _ in range(100):
             p = random_poly(rng)
-            encoded = json.dumps(to_records(p))
-            assert from_records(json.loads(encoded)) == p
-
-    def test_string_round_trip(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            p = random_poly(rng)
-            assert from_string(to_string(p)) == p
+            records = json.loads(json.dumps(to_records(p)))
+            assert {exponents(*r["exponents"]): r["coefficient"] for r in records} == p.terms
 
     def test_readable_string_form(self):
         p = LaurentPoly.monomial(exponents(a=1, b=2, c=Fraction(1, 2), x=-3))
@@ -637,23 +628,6 @@ class TestSerialization:
         (rec,) = to_records(p)
         assert rec["coefficient"] == 7
         assert rec["exponents"] == ["0", "3/2", "0", "0", "-2"]
-
-    @pytest.mark.parametrize("text", ("x^", "x^(1/2", "x^2.0", "x^1/2", "x^(1/3)", "x^(1.0/2)",
-                                      "x^()", "x^--1", "2*a^b", "a + x^(-3/2)*c^"))
-    def test_malformed_exponent_string_refused(self, text):
-        with pytest.raises(ValueError):
-            from_string(text)
-
-    def test_written_exponents_parse(self):
-        assert from_string("x") == X
-        assert from_string("x^-1") == LaurentPoly.monomial(exponents(x=-1))
-        assert from_string("3*c^(-3/2)*x^12") == LaurentPoly.monomial(
-            exponents(c=Fraction(-3, 2), x=12), 3)
-
-    @pytest.mark.parametrize("count", (0, 1, 4, 6))
-    def test_record_with_wrong_exponent_count_refused(self, count):
-        with pytest.raises(ValueError, match="5 exponents"):
-            from_records([{"coefficient": 1, "exponents": ["1"] * count}])
 
 
 # -- reference printers: the term loops as they stood before the shared formatter

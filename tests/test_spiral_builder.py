@@ -182,9 +182,9 @@ class TestTheoremMatrix:
             assert theorem_matrix(2, n) == build_qpower(n)
             assert theorem_matrix(3, n) == build_bracket_xx(n)
 
-    @pytest.mark.parametrize("theorem", (0, 4))
+    @pytest.mark.parametrize("theorem", (0, 4, True, 2.0))
     def test_unknown_theorem(self, theorem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theorem must be 1, 2 or 3"):
             theorem_matrix(theorem, 3)
 
 
@@ -387,9 +387,9 @@ class TestNumericTheoremMatrix:
         # theorem 3 at n = 1 has only the centre a - 1/a, so b, c, x and y may be 0
         assert outcomes == ({"value"} if theorem < 3 else {"value", "refused"})
 
-    @pytest.mark.parametrize("theorem", (0, 4))
+    @pytest.mark.parametrize("theorem", (0, 4, True, 2.0))
     def test_unknown_theorem(self, theorem):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theorem must be 1, 2 or 3"):
             numeric_theorem_matrix(theorem, 3, (1, 2, 3, 4, 5))
 
     def test_size_below_one(self):
