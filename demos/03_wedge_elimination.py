@@ -39,9 +39,9 @@ rng = random.Random(42)
 counts = step_counts(6)
 spec = SpiralSpec(
     6,
-    up_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
+    up_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
                         for _ in range(counts["up"])),
-    down_increments=tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5))
+    down_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
                           for _ in range(counts["down"])))
 zg = build_generalized_bracket(spec)
 _, fac_g = wedge_eliminate_even(zg)

@@ -3,7 +3,6 @@
 from .exponent_algebra import (
     ExponentVector,
     Factored,
-    HalfExponentError,
     LaurentPoly,
     ZeroCoordinateError,
     angle,

@@ -67,7 +67,7 @@ def _random_generalized_spec(n: int, seed: int) -> spiral_builder.SpiralSpec:
     counts = spiral_builder.step_counts(n)
 
     def monomials(count):
-        return tuple(tuple(2 * rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
+        return tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
 
     return spiral_builder.SpiralSpec(n, up_increments=monomials(counts["up"]),
                                      down_increments=monomials(counts["down"]))

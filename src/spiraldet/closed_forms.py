@@ -53,7 +53,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import build_qpower, centre_cell, check_theorem
+from .spiral_builder import build_qpower, centre_cell, check_size, check_theorem
 
 _A = LaurentPoly.variable("a")
 _B = LaurentPoly.variable("b")
@@ -68,8 +68,7 @@ def theorem(k: int, size: int) -> Factored:
     This is the single source of theorems 1-3: the ``thm*`` functions expand
     it, and randomized checks evaluate it factor by factor.
     """
-    if size < 0:
-        raise ValueError("size must be >= 0")
+    check_size(size, 0, "size")
     check_theorem(k)
     return (_thm1, _thm2, _thm3)[k - 1](size)
 
@@ -226,8 +225,7 @@ def reduction(size: int) -> ReductionData:
     the other one of b and c, the border is a + nm(b+c) + n^2 x + m(m+1) y,
     and the scalar factor is (-1)^(n-m) times the pivot.
     """
-    if size < 2:
-        raise ValueError("size must be >= 2")
+    check_size(size, 2, "size")
     n, m = centre_cell(size)
     grow = (size - 1) * (_B + _C + _X + _Y)
     shrink = _B + _C - grow
@@ -246,8 +244,7 @@ def verify_reduction(size: int, trials: int, seed: int) -> VerificationReport:
     parameter of the smaller matrix is zero, and every sample point is checked.
     """
     data = reduction(size)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_size(trials, 1, "trials")
     small, big = theorem(1, size - 1), theorem(1, size)
     witnesses = []
     for t in range(trials):
@@ -270,8 +267,7 @@ def qreduction_check(size: int) -> VerificationReport:
     column when the walk ends on the bottom row, the last when it ends on the
     top row.  No column operations are needed.
     """
-    if size < 2:
-        raise ValueError("size must be >= 2")
+    check_size(size, 2, "size")
     q = build_qpower(size)
 
     def _mono(p: LaurentPoly):

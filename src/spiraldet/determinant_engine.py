@@ -31,7 +31,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import centre_cell
+from .spiral_builder import centre_cell, check_size
 
 COFACTOR_SIZE_GUARD = 8
 _SAMPLE_RANGE = (-50, 49)  # a sample coordinate v >= 0 then moves to v + 1
@@ -89,18 +89,18 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     The cost of a memoized expansion is the number of term pairs its minors
     multiply, so it is set by how many terms those minors hold.  The columns
     are therefore expanded heaviest first, the mass of a column being the
-    total |doubled exponent| over its entries' terms, and the memoized
-    minors are those of the lightest columns.  On a spiral these are the
-    central columns, whose minors have the fewest terms: theorem 3 at n = 8
+    total |exponent| over its entries' terms, and the memoized minors are
+    those of the lightest columns.  On a spiral these are the central
+    columns, whose minors have the fewest terms: theorem 3 at n = 8
     multiplies 62,528 term pairs instead of the 964,460 of a row-by-row
     expansion.  Ties keep the column order, so a numeric matrix is expanded
     left to right.  The result is multiplied by the sign of the column
     permutation.
 
     Entries are LaurentPoly, int, Fraction or float.  Each entry is packed
-    once into (key, coefficient) pairs, the key of a monomial with doubled
-    exponents d being sum d[i] * B**i with B = 2*H + 1 and H = n * max|d|
-    over all entries.  A term of a k-row minor has exponents of size at most
+    once into (key, coefficient) pairs, the key of a monomial with exponents
+    d being sum d[i] * B**i with B = 2*H + 1 and H = n * max|d| over all
+    entries.  A term of a k-row minor has exponents of size at most
     k * max|d| <= H, so no two monomials the expansion meets share a key,
     and keys add as exponents do.  Each minor then accumulates its
     entry-times-cofactor products into one dict of keys, dropping zero
@@ -293,8 +293,7 @@ def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
     counterexample.  Each trial's point depends only on (seed, trial index),
     making the report independent of evaluation order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_size(trials, 1, "trials")
     witnesses = []
     for t in range(trials):
         point = sample_point(seed, t)

@@ -1,16 +1,9 @@
 """Exact sparse Laurent-polynomial arithmetic in the variables a, b, c, x, y.
 
-Exponents live in half-integer units: every exponent is stored as a *doubled*
-integer, so the monomial b**(1/2) has the doubled vector (0, 1, 0, 0, 0) and an
-ordinary integer exponent is an even doubled value.  This keeps all arithmetic
-in plain Python integers while still admitting half-integer powers, such as
-those of a generalized spiral's increments.  Such a polynomial has no value
-at a rational point, and :func:`evaluate` refuses it.
-
 :func:`evaluate` is one integer sum over per-variable power tables, reduced
 once, at integral and rational points alike.
 
-A polynomial is a dict mapping exponent vectors (5-tuples of doubled ints) to
+A polynomial is a dict mapping exponent vectors (5-tuples of ints) to
 nonzero arbitrary-precision integer coefficients; the zero polynomial is the
 empty dict.  Every operation returns a canonical value (no zero coefficient is
 ever stored), so two polynomials are equal iff their term dicts are equal.
@@ -37,20 +30,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import log2
 from operator import add as _add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 VARIABLES = ("a", "b", "c", "x", "y")
 NVARS = len(VARIABLES)
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
-#: Exponent vector: 5 doubled-integer exponents, ordered as VARIABLES.
+#: Exponent vector: 5 integer exponents, ordered as VARIABLES.
 #: Plain tuples are used so that lexicographic comparison (canonical term
 #: order) and hashing come for free.
 ExponentVector = tuple
 
 ZERO_VECTOR: ExponentVector = (0,) * NVARS
-
-ExponentLike = Union[int, Fraction]
 
 
 class ZeroCoordinateError(ValueError):
@@ -60,34 +51,23 @@ class ZeroCoordinateError(ValueError):
         super().__init__(message)
 
 
-class HalfExponentError(ValueError):
-    """A polynomial with a half-integer exponent has no value at a rational point."""
+def exponents(a: int = 0, b: int = 0, c: int = 0, x: int = 0, y: int = 0) -> ExponentVector:
+    """The exponent vector of a^a b^b c^c x^x y^y.
 
-
-def exponents(a: ExponentLike = 0, b: ExponentLike = 0, c: ExponentLike = 0,
-              x: ExponentLike = 0, y: ExponentLike = 0) -> ExponentVector:
-    """Build an exponent vector from true exponents (ints or half-integer Fractions).
-
-    >>> exponents(a=1, b=Fraction(1, 2))
-    (2, 1, 0, 0, 0)
+    >>> exponents(a=1, x=-2)
+    (1, 0, 0, -2, 0)
     """
-    vec = []
-    for e in (a, b, c, x, y):
-        d = 2 * Fraction(e)
-        if d.denominator != 1:
-            raise ValueError(f"exponent {e!r} is not an integer or half-integer")
-        vec.append(int(d))
-    return tuple(vec)
+    return as_exponent_vector((a, b, c, x, y))
 
 
 def as_exponent_vector(seq: Iterable[int]) -> ExponentVector:
-    """Validate and normalise a raw doubled-exponent sequence."""
+    """Validate a sequence of 5 int exponents as a tuple."""
     vec = tuple(seq)
     if len(vec) != NVARS:
         raise ValueError(f"exponent vector must have {NVARS} entries, got {len(vec)}")
     # a bool is an int, but would print and serialize as True/False
     if not all(type(d) is int for d in vec):
-        raise TypeError("doubled exponents must be ints")
+        raise TypeError("exponents must be ints")
     return vec
 
 
@@ -139,7 +119,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, name: str) -> "LaurentPoly":
         vec = [0] * NVARS
-        vec[_VAR_INDEX[name]] = 2
+        vec[_VAR_INDEX[name]] = 1
         return cls._raw({tuple(vec): 1})
 
     # -- ring structure ----------------------------------------------------
@@ -211,11 +191,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    # -- structure queries -------------------------------------------------
-
-    def has_half_exponents(self) -> bool:
-        return any(d % 2 for vec in self.terms for d in vec)
-
     def __repr__(self) -> str:
         return f"LaurentPoly({to_string(self)})"
 
@@ -238,7 +213,7 @@ def angle(vec: ExponentVector) -> LaurentPoly:
     return LaurentPoly._raw({vec: 1, _negate(vec): 1})
 
 
-def _coordinates(point: Sequence[ExponentLike]) -> list[Fraction]:
+def _coordinates(point: Sequence) -> list[Fraction]:
     """The point as 5 Fractions, zeros included; raises on a wrong length or type.
 
     Whether a zero coordinate has a value is the polynomial's question, so
@@ -255,26 +230,23 @@ def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
 
     With v = n/d a coordinate and [low, high] the range of its variable's
     exponents, v^e = n^(e-low) * d^(high-e) * n^low / d^high.  One table per
-    variable maps each exponent of its column (doubled, as stored) to the
-    integer n^(e-low) * d^(high-e), so the terms add up as one integer sum and
-    the common n^low / d^high goes on the pair once, at integral and rational
-    points alike.  Variable by variable, a zero coordinate whose column has a
-    negative exponent raises ZeroCoordinateError, and then an odd doubled
-    exponent raises HalfExponentError.  A zero with no negative power is
-    n = 0 in the same tables, with 0^0 = 1.
+    variable maps each exponent of its column to the integer
+    n^(e-low) * d^(high-e), so the terms add up as one integer sum and the
+    common n^low / d^high goes on the pair once, at integral and rational
+    points alike.  A zero coordinate whose column has a negative exponent
+    raises ZeroCoordinateError; a zero with no negative power is n = 0 in the
+    same tables, with 0^0 = 1.
     """
     if not p.terms:
         return 0, 1
     num = den = 1
     tables = []
     for column, v in zip(map(set, zip(*p.terms)), coords):
-        low, high = min(column) // 2, max(column) // 2
+        low, high = min(column), max(column)
         n, d = v.numerator, v.denominator
         if low < 0 and n == 0:
             raise ZeroCoordinateError()
-        if any(e % 2 for e in column):
-            raise HalfExponentError("cannot evaluate a polynomial with a half-integer exponent")
-        tables.append({e: n ** (e // 2 - low) * d ** (high - e // 2) for e in column})
+        tables.append({e: n ** (e - low) * d ** (high - e) for e in column})
         num *= n ** max(low, 0) * d ** max(-high, 0)
         den *= n ** max(-low, 0) * d ** max(high, 0)
     ta, tb, tc, tx, ty = tables
@@ -283,14 +255,13 @@ def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
     return total * num, den
 
 
-def evaluate(p: LaurentPoly, point: Sequence[ExponentLike]) -> Fraction:
+def evaluate(p: LaurentPoly, point: Sequence) -> Fraction:
     """Exact rational value of p at a point of 5 rationals.
 
     Each coordinate is its variable's value, so evaluation is a ring
     homomorphism: the value of p*q is the product of the values.  A zero
     coordinate is refused, with ZeroCoordinateError, only where p has a
-    negative power of its variable, and a polynomial with a half-integer
-    exponent raises HalfExponentError.
+    negative power of its variable.
     """
     return Fraction(*_value(p, _coordinates(point)))
 
@@ -341,13 +312,12 @@ class Factored:
             tail = tail * factor
         return head * tail
 
-    def evaluate(self, point: Sequence[ExponentLike]) -> Fraction:
+    def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at the point; equals ``evaluate(self.expand(), point)``.
 
-        A factor with a half-integer exponent raises HalfExponentError, even
-        where the product has integer exponents only; likewise a factor with a
-        negative power of a zero coordinate raises ZeroCoordinateError, even
-        where the product has no negative power of that variable.
+        A factor with a negative power of a zero coordinate raises
+        ZeroCoordinateError, even where the product has no negative power of
+        that variable.
         """
         coords = _coordinates(point)  # a wrong length or type raises even with no factors
         num, den = self.sign, 1
@@ -366,25 +336,23 @@ def to_records(p: LaurentPoly) -> list[dict]:
     for vec in sorted(p.terms):
         records.append({
             "coefficient": p.terms[vec],
-            "exponents": [str(Fraction(d, 2)) for d in vec],
+            "exponents": [str(d) for d in vec],
         })
     return records
 
 
 def _format_terms(terms: Mapping[ExponentVector, int], names: Sequence[str], times: str,
-                  gap: str, power: str, half_power: str) -> str:
+                  gap: str, power: str) -> str:
     """Terms in ascending exponent order, such as ``3 - 2*a*x^-1``.
 
     ``times`` joins a term's magnitude and factors, ``gap`` surrounds the sign
-    between terms, and ``power``/``half_power`` format a factor from the name
-    and the exponent / doubled exponent, with exponent 1 printed bare.
+    between terms, and ``power`` formats a factor from the name and the
+    exponent, with exponent 1 printed bare.
     """
     chunks = []
     for vec in sorted(terms):
         coeff = terms[vec]
-        factors = [name if d == 2 else
-                   power.format(name, d // 2) if d % 2 == 0 else
-                   half_power.format(name, d)
+        factors = [name if d == 1 else power.format(name, d)
                    for name, d in zip(names, vec) if d]
         mag = abs(coeff)
         # the magnitude is left out only when it is 1 and there are factors
@@ -397,10 +365,10 @@ def _format_terms(terms: Mapping[ExponentVector, int], names: Sequence[str], tim
 
 
 def to_string(p: LaurentPoly) -> str:
-    """Human-readable form like ``a*b^2*c^(1/2)*x^-3``; terms in canonical order."""
-    return _format_terms(p.terms, VARIABLES, "*", " ", "{}^{}", "{}^({}/2)")
+    """Human-readable form like ``a*b^2*x^-3``; terms in canonical order."""
+    return _format_terms(p.terms, VARIABLES, "*", " ", "{}^{}")
 
 
 def to_latex(p: LaurentPoly) -> str:
-    """LaTeX form like ``-x^{-3}+2 a b^{2} c^{1/2}``; terms in canonical order."""
-    return _format_terms(p.terms, VARIABLES, " ", "", "{}^{{{}}}", "{}^{{{}/2}}")
+    """LaTeX form like ``-x^{-3}+2 a b^{2}``; terms in canonical order."""
+    return _format_terms(p.terms, VARIABLES, " ", "", "{}^{{{}}}")

@@ -25,8 +25,8 @@ from .determinant_engine import (
     det_bareiss_rational,
     det_cofactor,
 )
-from .exponent_algebra import HalfExponentError, LaurentPoly, _format_terms
-from .spiral_builder import numeric_theorem_matrix, theorem_matrix
+from .exponent_algebra import LaurentPoly, _format_terms
+from .spiral_builder import check_size, numeric_theorem_matrix, theorem_matrix
 
 
 class SequenceId(Enum):
@@ -44,13 +44,10 @@ class SequenceId(Enum):
 
 
 def q_series(p: LaurentPoly) -> dict[int, int]:
-    """Collapse a polynomial onto powers of a single q; a half-integer degree raises."""
+    """Collapse a polynomial onto powers of a single q."""
     out: dict[int, int] = {}
     for vec, coeff in p.terms.items():
-        doubled = sum(vec)
-        if doubled % 2:
-            raise HalfExponentError(f"q-degree {doubled}/2 is not an integer")
-        deg = doubled // 2
+        deg = sum(vec)
         total = out.get(deg, 0) + coeff
         if total:
             out[deg] = total
@@ -61,14 +58,13 @@ def q_series(p: LaurentPoly) -> dict[int, int]:
 
 def q_series_string(series: dict[int, int]) -> str:
     """Human-readable form like ``-q^-2 + 3 + 2*q``; powers in ascending order."""
-    return _format_terms({(2 * deg,): coeff for deg, coeff in series.items()}, ("q",),
-                         "*", " ", "{}^{}", "{}^({}/2)")
+    return _format_terms({(deg,): coeff for deg, coeff in series.items()}, ("q",),
+                         "*", " ", "{}^{}")
 
 
 def term(seq: SequenceId, n: int):
     """Formula value of the n-th term: an int, or a q-power dict for qspiral."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size(n, 1)
     if seq is SequenceId.QSPIRAL:
         return q_series(theorem(2, n).expand())
     value = theorem(1, n).evaluate(seq.additive_point(n))
@@ -86,8 +82,7 @@ def _oracle(seq: SequenceId, n: int):
 
 def _rows(seq: SequenceId, count: int):
     """(n, formula term, brute-force oracle) for n = 1..count."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_size(count, 1, "count")
     return ((n, term(seq, n), _oracle(seq, n)) for n in range(1, count + 1))
 
 

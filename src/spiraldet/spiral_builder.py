@@ -44,7 +44,7 @@ from .exponent_algebra import (
 
 _DIRS = {"right": (0, 1), "up": (-1, 0), "left": (0, -1), "down": (1, 0)}
 _ORDER = ("right", "up", "left", "down")
-# the monomials a, b, c, x and y as doubled exponent vectors
+# the monomials a, b, c, x and y as exponent vectors
 _A, _B, _C, _X, _Y = (exponents(a=1), exponents(b=1), exponents(c=1),
                       exponents(x=1), exponents(y=1))
 
@@ -65,8 +65,7 @@ class SpiralSpec:
     down_increments: tuple[ExponentVector, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_size(self.n, 1)
 
 
 class LengthMismatchError(ValueError):
@@ -84,8 +83,7 @@ def centre_cell(n: int) -> tuple[int, int]:
 
 def spiral_walk(n: int) -> Iterator[tuple[str | None, int, int]]:
     """Yield (step direction, row, col) for every path cell; centre first with direction None."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size(n, 1)
     r, c = centre_cell(n)
     yield None, r, c
     remaining = n * n - 1
@@ -124,11 +122,12 @@ def _walk(n: int, start, right: Iterable, up: Iterable, left: Iterable, down: It
     default; ``operator.add`` or ``operator.mul`` walk numbers instead.
     """
     steps = {"right": iter(right), "up": iter(up), "left": iter(left), "down": iter(down)}
+    cells = spiral_walk(n)
+    _, r, c = next(cells)  # the centre; a bad size raises here, before the grid
     grid: list[list] = [[None] * n for _ in range(n)]
-    accum = start
-    for direction, r, c in spiral_walk(n):
-        if direction is not None:
-            accum = combine(accum, next(steps[direction]))
+    grid[r][c] = accum = start
+    for direction, r, c in cells:
+        accum = combine(accum, next(steps[direction]))
         grid[r][c] = accum
     assert all(cell is not None for row in grid for cell in row)
     return grid
@@ -168,8 +167,8 @@ class LinearForm:
 
 
 def build_additive(n: int) -> list[list[LinearForm]]:
-    # each coefficient is the q-power exponent of b, c, x or y, halved
-    return [[LinearForm(*(d // 2 for d in vec[1:])) for vec in row] for row in _spiral(n)]
+    # each coefficient is the q-power exponent of b, c, x or y
+    return [[LinearForm(*vec[1:]) for vec in row] for row in _spiral(n)]
 
 
 def build_qpower(n: int) -> list[list[LaurentPoly]]:
@@ -183,6 +182,14 @@ def build_bracket(n: int) -> list[list[LaurentPoly]]:
 def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     """Bracket family with equal horizontal multipliers (y set to x)."""
     return [[bracket(vec) for vec in row] for row in _spiral(n, y=_X)]
+
+
+def check_size(value, minimum: int, name: str = "n") -> None:
+    """Refuse anything but an int >= minimum; a bool or float is refused too."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 def check_theorem(theorem) -> None:

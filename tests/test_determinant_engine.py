@@ -33,7 +33,6 @@ from spiraldet.closed_forms import (
 )
 from spiraldet.exponent_algebra import (
     Factored,
-    HalfExponentError,
     LaurentPoly,
     angle,
     bracket,
@@ -109,7 +108,7 @@ def generic_laplace(matrix):
 
 
 def random_entry_poly(rng, spread, max_terms=3):
-    """A few terms with doubled exponents in [-spread, spread], odd ones included."""
+    """A few terms with exponents in [-spread, spread]."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         vec = tuple(rng.randint(-spread, spread) for _ in range(5))
@@ -117,14 +116,12 @@ def random_entry_poly(rng, spread, max_terms=3):
     return LaurentPoly(terms)
 
 
-def random_generalized_spec(rng, n, half=False):
-    """Random up/down increments; with ``half`` their exponents may be half-integers."""
+def random_generalized_spec(rng, n):
+    """Random up/down increments with exponents in [-2, 2]."""
     counts = step_counts(n)
-    step = 1 if half else 2
 
     def monomials(count):
-        return tuple(tuple(step * rng.randint(-2, 2) for _ in range(5))
-                     for _ in range(count))
+        return tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
 
     return SpiralSpec(n,
                       up_increments=monomials(counts["up"]),
@@ -227,7 +224,7 @@ class TestPackedCofactor:
     @pytest.mark.parametrize("spread", (3, 5000))
     def test_random_laurent_matrices(self, spread):
         # spread 5000 makes H = n * max|d| reach 35,000 at n = 7, so B^5
-        # is far past 2^64; odd doubled exponents are half-integer powers
+        # is far past 2^64
         rng = random.Random(spread)
         for n in range(1, 8):
             for _ in range(3 if n < 6 else 1):
@@ -239,7 +236,7 @@ class TestPackedCofactor:
                 self.assert_matches(m)
 
     def test_large_exponents_hit_the_packing_bound(self):
-        big = exponents(a=2500, b=-2500, c=Fraction(4999, 2), x=-2500, y=2500)
+        big = exponents(a=2500, b=-2500, c=2499, x=-2500, y=2500)
         n = 5
         m = [[LaurentPoly.monomial(big) if i == j else
               LaurentPoly.monomial(tuple(-d for d in big)) if j == (i + 1) % n else 0
@@ -592,40 +589,41 @@ class TestHalfExponentRefusal:
     """A coordinate is its variable's value, so a half-integer power has none."""
 
     @staticmethod
-    def half_increment_spiral():
-        # 4x4 generalized bracket whose increments have half-integer exponents
+    def doubled_increments():
+        # a 4x4 spiral's up and down increments, each exponent doubled
         rng = random.Random(1)
         counts = step_counts(4)
 
         def monomials(count):
             return tuple(tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(count))
 
-        ups = monomials(counts["up"])
-        return build_generalized_bracket(
-            SpiralSpec(4, up_increments=ups, down_increments=monomials(counts["down"])))
+        return monomials(counts["up"]), monomials(counts["down"])
 
     def test_true_identity_is_refused_not_failed(self):
         # reading a coordinate as a square root in some entries and as a
-        # value in others once failed this true identity on all 5 trials
-        z = self.half_increment_spiral()
-        assert any(entry.has_half_exponents() for row in z for entry in row)
-        with pytest.raises(HalfExponentError):
-            verify_identity(lambda pt: numeric_matrix(z, pt), det_cofactor(z), 5, 0)
+        # value in others once failed this true identity on all 5 trials;
+        # a half-integer increment is now refused before any check runs
+        ups, downs = self.doubled_increments()
+        half = [tuple(Fraction(d, 2) for d in vec) for vec in ups]
+        assert any(e.denominator == 2 for vec in half for e in vec)
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            build_generalized_bracket(SpiralSpec(4, up_increments=half, down_increments=downs))
 
     def test_identity_holds_at_the_squares(self):
         # with every exponent doubled the point's coordinates act as square
-        # roots of the variables, and the identity passes
-        def at_squares(p):
-            return LaurentPoly({tuple(2 * d for d in vec): c for vec, c in p.terms.items()})
-
-        z = [[at_squares(entry) for entry in row] for row in self.half_increment_spiral()]
+        # roots of the variables, and the identity passes: the centre a and
+        # the horizontal step x become a^2 and x^2
+        ups, downs = self.doubled_increments()
+        x2 = repeat(exponents(x=2))
+        grid = spiral_builder._walk(4, exponents(a=2), x2, ups, x2, downs)
+        z = [[bracket(vec) for vec in row] for row in grid]
         report = verify_identity(lambda pt: numeric_matrix(z, pt), det_cofactor(z), 5, 0)
         assert report.failures == 0 and report.trials == 5
 
     def test_numeric_matrix_refuses_a_half_exponent_entry(self):
         x = LaurentPoly.variable("x")
-        matrix = [[x, bracket(exponents(c=Fraction(3, 2)))], [LaurentPoly.one(), x]]
-        with pytest.raises(HalfExponentError):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            matrix = [[x, bracket(exponents(c=Fraction(3, 2)))], [LaurentPoly.one(), x]]
             numeric_matrix(matrix, (1, 2, 3, 4, 5))
 
 
@@ -765,7 +763,14 @@ class TestMirroredReference:
     def test_generalized_spirals(self, size, half):
         rng = random.Random(1200 + 2 * size + half)
         for _ in range(3):
-            z = build_generalized_bracket(random_generalized_spec(rng, size, half))
+            spec = random_generalized_spec(rng, size)
+            if half:
+                # an increment exponent is an int, so halved ones are refused
+                halved = tuple(tuple(Fraction(d, 2) for d in vec) for vec in spec.up_increments)
+                with pytest.raises(TypeError, match="exponents must be ints"):
+                    build_generalized_bracket(SpiralSpec(size, halved, spec.down_increments))
+                continue
+            z = build_generalized_bracket(spec)
             assert readout(wedge_eliminate_odd(z)[1]) == mirrored_wedge_eliminate_odd(z)
 
 
@@ -823,9 +828,11 @@ class TestAntidiagonalFormulas:
         first, second = antidiagonal_entry_formulas(2, 1)
         assert first == bracket(exponents(b=1, c=1, x=3)) * angle(
             exponents(a=1, b=2, c=1, x=3))
-        assert second == bracket(
-            exponents(b=Fraction(1, 2), c=Fraction(1, 2), x=2)) * angle(
-            exponents(a=1, b=Fraction(1, 2), c=Fraction(1, 2), x=1))
+        # the published [(bc)^(1/2) x^2] <a (bc)^(1/2) x>, in the squares of
+        # the variables: every exponent doubled
+        at_squares = LaurentPoly({tuple(2 * d for d in vec): c for vec, c in second.terms.items()})
+        assert at_squares == bracket(exponents(b=1, c=1, x=4)) * angle(
+            exponents(a=2, b=1, c=1, x=2))
 
     def test_index_bounds(self):
         with pytest.raises(IndexError):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from spiraldet.determinant_engine import numeric_matrix, sample_point
+from spiraldet.closed_forms import qreduction_check, reduction, theorem, verify_reduction
+from spiraldet.determinant_engine import numeric_matrix, sample_point, verify_identity
 from spiraldet.exponent_algebra import LaurentPoly, ZeroCoordinateError, bracket, exponents
 from spiraldet.spiral_builder import (
     Family,
@@ -148,7 +149,7 @@ class TestQPower:
     def test_all_ones_exponent_totals(self):
         # with every exponent parameter 1, the entries are q^1 .. q^(n^2)
         q4 = build_qpower(4)
-        totals = {sum(vec) // 2 for row in q4 for entry in row for vec in entry.terms}
+        totals = {sum(vec) for row in q4 for entry in row for vec in entry.terms}
         assert totals == set(range(1, 17))
 
 
@@ -228,11 +229,11 @@ def reference_spiral_exponents(n):
 
 def reference_generalized(n, ups, downs):
     grid = [[None] * n for _ in range(n)]
-    accum = [2, 0, 0, 0, 0]
+    accum = [1, 0, 0, 0, 0]
     n_up = n_down = 0
     for direction, r, c in spiral_walk(n):
         if direction in ("right", "left"):
-            accum[3] += 2
+            accum[3] += 1
         elif direction == "up":
             accum = [p + q for p, q in zip(accum, ups[n_up])]
             n_up += 1
@@ -253,11 +254,10 @@ class TestWalkAgainstReferences:
     def test_monomial_families(self):
         for n in self.SIZES:
             ref = reference_spiral_exponents(n)
-            qpower = [[LaurentPoly.monomial((2, 2 * eb, 2 * ec, 2 * ex, 2 * ey))
+            qpower = [[LaurentPoly.monomial((1, eb, ec, ex, ey))
                        for eb, ec, ex, ey in row] for row in ref]
-            brackets = [[bracket((2, 2 * eb, 2 * ec, 2 * ex, 2 * ey))
-                         for eb, ec, ex, ey in row] for row in ref]
-            brackets_xx = [[bracket((2, 2 * eb, 2 * ec, 2 * (ex + ey), 0))
+            brackets = [[bracket((1, eb, ec, ex, ey)) for eb, ec, ex, ey in row] for row in ref]
+            brackets_xx = [[bracket((1, eb, ec, ex + ey, 0))
                             for eb, ec, ex, ey in row] for row in ref]
             assert build_qpower(n) == qpower
             assert build_bracket(n) == brackets
@@ -270,10 +270,9 @@ class TestWalkAgainstReferences:
             if n <= 2:
                 assert counts["down"] == 0
             for _ in range(3):
-                # odd doubled exponents are half-integer powers
-                ups = tuple(tuple(rng.randint(-7, 7) for _ in range(5))
+                ups = tuple(tuple(rng.randint(-3, 3) for _ in range(5))
                             for _ in range(counts["up"]))
-                downs = tuple(tuple(rng.randint(-7, 7) for _ in range(5))
+                downs = tuple(tuple(rng.randint(-3, 3) for _ in range(5))
                               for _ in range(counts["down"]))
                 spec = SpiralSpec(n, up_increments=ups, down_increments=downs)
                 assert build_generalized_bracket(spec) == reference_generalized(n, ups, downs)
@@ -395,6 +394,29 @@ class TestNumericTheoremMatrix:
     def test_size_below_one(self):
         with pytest.raises(ValueError):
             numeric_theorem_matrix(2, 0, (1, 2, 3, 4, 5))
+
+
+class TestSizeArguments:
+    """A size or trial count is an int: True == 1 and 2.0 == 2, but neither is one."""
+
+    @pytest.mark.parametrize("value", (True, 2.0, "3"))
+    def test_non_int_is_refused(self, value):
+        point = (1, 2, 3, 4, 5)
+        for call, name in (
+                (lambda: theorem(3, value), "size"),
+                (lambda: theorem(1, value), "size"),
+                (lambda: reduction(value), "size"),
+                (lambda: qreduction_check(value), "size"),
+                (lambda: theorem_matrix(2, value), "n"),
+                (lambda: numeric_theorem_matrix(3, value, point), "n"),
+                (lambda: step_counts(value), "n"),
+                (lambda: SpiralSpec(value), "n"),
+                (lambda: list(spiral_walk(value)), "n"),
+                (lambda: verify_reduction(3, value, 0), "trials"),
+                (lambda: verify_identity(lambda pt: [[1]], LaurentPoly.one(), value, 0),
+                 "trials")):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                call()
 
 
 class TestSerialization:
