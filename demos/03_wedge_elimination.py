@@ -12,7 +12,6 @@ wedges only need the horizontal steps to multiply by x on both sides.
 import random
 
 from spiraldet import (
-    SpiralSpec,
     build_bracket_xx,
     build_generalized_bracket,
     det_cofactor,
@@ -37,13 +36,9 @@ print("\n    product equals cofactor determinant:", fac.product() == det_cofacto
 print("\nNow with random monomial up/down increments (seeded):")
 rng = random.Random(42)
 counts = step_counts(6)
-spec = SpiralSpec(
-    6,
-    up_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
-                        for _ in range(counts["up"])),
-    down_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
-                          for _ in range(counts["down"])))
-zg = build_generalized_bracket(spec)
+ups = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(counts["up"])]
+downs = [tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(counts["down"])]
+zg = build_generalized_bracket(6, ups, downs)
 _, fac_g = wedge_eliminate_even(zg)
 print("    wedges vanish and the product is exact:",
       fac_g.product() == det_cofactor(zg))

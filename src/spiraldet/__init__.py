@@ -13,10 +13,8 @@ from .exponent_algebra import (
     to_string,
 )
 from .spiral_builder import (
-    Family,
     LengthMismatchError,
     LinearForm,
-    SpiralSpec,
     build_additive,
     build_bracket,
     build_bracket_xx,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import statistics
 import sys
 import time
@@ -21,9 +22,8 @@ from fractions import Fraction
 
 from . import closed_forms, determinant_engine, funceq, sequences, spiral_builder
 from .exponent_algebra import LaurentPoly, to_records, to_string
-from .spiral_builder import Family
 
-_FAMILIES = {f.value: f for f in Family}
+_FAMILIES = ("additive", "bracket", "generalized", "qpower")
 
 
 def _resolve_seed(args) -> int:
@@ -59,47 +59,36 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _random_generalized_spec(n: int, seed: int) -> spiral_builder.SpiralSpec:
-    """Reproducible generalized-family spec with random monomial increments."""
-    import random
-
+def _build_family_matrix(family: str, n: int, seed: int):
+    if family == "additive":
+        return spiral_builder.build_additive(n)
+    if family == "qpower":
+        return spiral_builder.build_qpower(n)
+    if family == "bracket":
+        return spiral_builder.build_bracket(n)
+    # generalized: reproducible random monomial increments, the up steps drawn first
     rng = random.Random(f"gen:{seed}")
     counts = spiral_builder.step_counts(n)
-
-    def monomials(count):
-        return tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
-
-    return spiral_builder.SpiralSpec(n, up_increments=monomials(counts["up"]),
-                                     down_increments=monomials(counts["down"]))
-
-
-def _build_family_matrix(family: Family, n: int, seed: int):
-    if family is Family.ADDITIVE:
-        return spiral_builder.build_additive(n)
-    if family is Family.QPOWER:
-        return spiral_builder.build_qpower(n)
-    if family is Family.BRACKET:
-        return spiral_builder.build_bracket(n)
-    return spiral_builder.build_generalized_bracket(_random_generalized_spec(n, seed))
+    ups, downs = ([tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(counts[d])]
+                  for d in ("up", "down"))
+    return spiral_builder.build_generalized_bracket(n, ups, downs)
 
 
 def _cmd_gen(args, seed: int):
-    family = _FAMILIES[args.family]
-    matrix = _build_family_matrix(family, args.n, seed)
+    matrix = _build_family_matrix(args.family, args.n, seed)
     fields = {"family": args.family, "n": args.n}
     if args.format == "latex":
         return fields, 0, spiral_builder.matrix_to_latex(matrix) + "\n", 0
     if args.format == "text":
         return fields, 0, spiral_builder.matrix_to_text(matrix), 0
-    return fields, 0, spiral_builder.matrix_to_json_dict(matrix, family, args.n), 0
+    return fields, 0, spiral_builder.matrix_to_json_dict(matrix, args.family), 0
 
 
 def _cmd_det(args, seed: int):
-    family = _FAMILIES[args.family]
-    if family is Family.ADDITIVE:
+    if args.family == "additive":
         matrix = spiral_builder.theorem_matrix(1, args.n)
     else:
-        matrix = _build_family_matrix(family, args.n, seed)
+        matrix = _build_family_matrix(args.family, args.n, seed)
     det = determinant_engine.det_cofactor(matrix)
     fields = {"family": args.family, "n": args.n}
     if args.format == "text":
@@ -140,8 +129,6 @@ def _cmd_verify(args, seed: int):
 
 
 def _cmd_reduce(args, seed: int):
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
     reports = {parity: closed_forms.verify_reduction(size, args.trials, seed)
                for parity, size in (("odd", 2 * args.n + 1), ("even", 2 * args.n))}
     failures = sum(rep.failures for rep in reports.values())
@@ -225,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a spiral matrix")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="additive")
+    p.add_argument("--family", choices=_FAMILIES, default="additive")
     common(p, ("json", "latex", "text"))
 
     p = sub.add_parser("det", help="symbolic determinant of a spiral matrix")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="additive")
+    p.add_argument("--family", choices=_FAMILIES, default="additive")
     common(p, ("json", "text"))
 
     p = sub.add_parser("verify", help="check a determinant formula against the matrices")
@@ -241,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ("json", "text"))
 
     p = sub.add_parser("reduce", help="check the size-reduction relations")
-    p.add_argument("--n", type=int, default=1, help="reduction index")
+    p.add_argument("--n", type=_positive_int, default=1, help="reduction index")
     p.add_argument("--trials", type=_positive_int, default=50)
     common(p, ("json", "text"))
 

@@ -53,7 +53,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import build_qpower, centre_cell, check_size, check_theorem
+from .spiral_builder import build_qpower, centre_cell, check_int, check_size, check_theorem
 
 _A = LaurentPoly.variable("a")
 _B = LaurentPoly.variable("b")
@@ -245,6 +245,7 @@ def verify_reduction(size: int, trials: int, seed: int) -> VerificationReport:
     """
     data = reduction(size)
     check_size(trials, 1, "trials")
+    check_int(seed, "seed")
     small, big = theorem(1, size - 1), theorem(1, size)
     witnesses = []
     for t in range(trials):

@@ -31,7 +31,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import centre_cell, check_size
+from .spiral_builder import centre_cell, check_int, check_size
 
 COFACTOR_SIZE_GUARD = 8
 _SAMPLE_RANGE = (-50, 49)  # a sample coordinate v >= 0 then moves to v + 1
@@ -294,6 +294,7 @@ def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
     making the report independent of evaluation order.
     """
     check_size(trials, 1, "trials")
+    check_int(seed, "seed")
     witnesses = []
     for t in range(trials):
         point = sample_point(seed, t)

@@ -39,6 +39,8 @@ from typing import Callable
 
 import mpmath
 
+from .spiral_builder import check_size
+
 # lhs - rhs of each relation, with f and g the family's functions
 _RESIDUALS = {
     "6.1": lambda f, g, a, x: f(a) * g(x) - f(a * x) - f(a / x),
@@ -175,8 +177,7 @@ def check_relations(spec: FamilySpec, relations, samples: int,
             raise UnknownRelationError(f"unknown relation {relation!r}")
     if not relations:
         raise ValueError("relations must not be empty")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_size(samples, 1, "samples")
     worst = [-1.0] * len(relations)
     argmax: list[tuple[float, ...]] = [()] * len(relations)
     with mpmath.workdps(_working_digits(spec)):
@@ -218,6 +219,7 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     the evenness of x^alpha + x^(-alpha).  A NaN or infinite oracle value, or
     a fitted g that leaves the float range on the samples, is unclassifiable.
     """
+    check_size(samples, 1, "samples")
     x0 = 2.0
     g0 = oracle(x0)
     if not math.isfinite(g0):

@@ -26,7 +26,7 @@ from .determinant_engine import (
     det_cofactor,
 )
 from .exponent_algebra import LaurentPoly, _format_terms
-from .spiral_builder import check_size, numeric_theorem_matrix, theorem_matrix
+from .spiral_builder import check_int, check_size, numeric_theorem_matrix, theorem_matrix
 
 
 class SequenceId(Enum):
@@ -96,6 +96,7 @@ def verify_sequence(seq: SequenceId, count: int, seed: int = 0) -> VerificationR
 
     The terms are deterministic; ``seed`` is only echoed in the report.
     """
+    check_int(seed, "seed")
     text = _text(seq)
     witnesses = tuple(Witness((n,), text(expected), text(actual))
                       for n, expected, actual in _rows(seq, count) if expected != actual)

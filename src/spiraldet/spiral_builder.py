@@ -23,7 +23,6 @@ The numeric builders walk the same path in the rationals, at a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -47,25 +46,6 @@ _ORDER = ("right", "up", "left", "down")
 # the monomials a, b, c, x and y as exponent vectors
 _A, _B, _C, _X, _Y = (exponents(a=1), exponents(b=1), exponents(c=1),
                       exponents(x=1), exponents(y=1))
-
-
-class Family(Enum):
-    ADDITIVE = "additive"
-    QPOWER = "qpower"
-    BRACKET = "bracket"
-    GENERALIZED_BRACKET = "generalized"
-
-
-@dataclass(frozen=True)
-class SpiralSpec:
-    """Size and per-step increments of a generalized bracket spiral."""
-
-    n: int
-    up_increments: tuple[ExponentVector, ...] | None = None
-    down_increments: tuple[ExponentVector, ...] | None = None
-
-    def __post_init__(self):
-        check_size(self.n, 1)
 
 
 class LengthMismatchError(ValueError):
@@ -184,10 +164,15 @@ def build_bracket_xx(n: int) -> list[list[LaurentPoly]]:
     return [[bracket(vec) for vec in row] for row in _spiral(n, y=_X)]
 
 
-def check_size(value, minimum: int, name: str = "n") -> None:
-    """Refuse anything but an int >= minimum; a bool or float is refused too."""
+def check_int(value, name: str) -> None:
+    """Refuse anything but an int; a bool or float is refused too."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def check_size(value, minimum: int, name: str = "n") -> None:
+    """Refuse anything but an int >= minimum."""
+    check_int(value, name)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
@@ -233,7 +218,8 @@ def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[F
     return [[m - 1 / m for m in row] for row in grid]
 
 
-def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
+def build_generalized_bracket(n: int, up_increments: Iterable,
+                              down_increments: Iterable) -> list[list[LaurentPoly]]:
     """Bracket spiral whose k-th up/down step multiplies by a chosen monomial.
 
     Horizontal steps multiply by x in both directions, and only the vertical
@@ -242,14 +228,14 @@ def build_generalized_bracket(spec: SpiralSpec) -> list[list[LaurentPoly]]:
     product of its factors is still the determinant), but a free left
     multiplier breaks it.
     """
-    counts = step_counts(spec.n)
-    ups = tuple(as_exponent_vector(v) for v in (spec.up_increments or ()))
-    downs = tuple(as_exponent_vector(v) for v in (spec.down_increments or ()))
+    counts = step_counts(n)
+    ups = tuple(map(as_exponent_vector, up_increments))
+    downs = tuple(map(as_exponent_vector, down_increments))
     if len(ups) != counts["up"] or len(downs) != counts["down"]:
         raise LengthMismatchError(
             f"need {counts['up']} up / {counts['down']} down increments, "
             f"got {len(ups)} / {len(downs)}")
-    grid = _walk(spec.n, _A, repeat(_X), ups, repeat(_X), downs)
+    grid = _walk(n, _A, repeat(_X), ups, repeat(_X), downs)
     return [[bracket(vec) for vec in row] for row in grid]
 
 
@@ -264,10 +250,10 @@ def _cell_json(cell):
     return str(Fraction(cell))
 
 
-def matrix_to_json_dict(matrix, family: Family, n: int) -> dict:
+def matrix_to_json_dict(matrix, family: str) -> dict:
     return {
-        "n": n,
-        "family": family.value,
+        "n": len(matrix),
+        "family": family,
         "entries": [[_cell_json(cell) for cell in row] for row in matrix],
     }
 

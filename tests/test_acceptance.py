@@ -33,12 +33,11 @@ from spiraldet.funceq import (
 )
 from spiraldet.sequences import SequenceId, verify_sequence
 from spiraldet.spiral_builder import (
-    SpiralSpec,
     build_bracket_xx,
+    build_generalized_bracket,
     step_counts,
     theorem_matrix,
 )
-from spiraldet.spiral_builder import build_generalized_bracket
 
 
 def _announce(number, text):
@@ -115,13 +114,10 @@ def test_criterion_07_generalized_increments():
         eliminate = wedge_eliminate_even if n % 2 == 0 else wedge_eliminate_odd
         counts = step_counts(n)
         for _ in range(5):
-            spec = SpiralSpec(
-                n,
-                up_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
-                                    for _ in range(counts["up"])),
-                down_increments=tuple(tuple(rng.randint(-2, 2) for _ in range(5))
-                                      for _ in range(counts["down"])))
-            z = build_generalized_bracket(spec)
+            ups = tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(counts["up"]))
+            downs = tuple(tuple(rng.randint(-2, 2) for _ in range(5))
+                          for _ in range(counts["down"]))
+            z = build_generalized_bracket(n, ups, downs)
             _, fac = eliminate(z)
             assert fac.product() == det_cofactor(z)
             checked += 1

@@ -170,7 +170,7 @@ class TestReduce:
             main(["reduce", "--n", n])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "n must be >= 1" in captured.err
+        assert captured.out == "" and f"argument --n: must be >= 1, got {n}" in captured.err
 
 
 class TestSeq:

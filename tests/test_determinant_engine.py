@@ -40,7 +40,6 @@ from spiraldet.exponent_algebra import (
     exponents,
 )
 from spiraldet.spiral_builder import (
-    SpiralSpec,
     build_additive,
     build_bracket,
     build_bracket_xx,
@@ -116,16 +115,14 @@ def random_entry_poly(rng, spread, max_terms=3):
     return LaurentPoly(terms)
 
 
-def random_generalized_spec(rng, n):
-    """Random up/down increments with exponents in [-2, 2]."""
+def random_generalized_increments(rng, n):
+    """Random (up, down) increments of size n with exponents in [-2, 2]."""
     counts = step_counts(n)
 
     def monomials(count):
         return tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(count))
 
-    return SpiralSpec(n,
-                      up_increments=monomials(counts["up"]),
-                      down_increments=monomials(counts["down"]))
+    return monomials(counts["up"]), monomials(counts["down"])
 
 
 _ANGLE_X = angle(exponents(x=1))
@@ -378,7 +375,7 @@ class TestColumnOrderCofactor:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_generalized_family(self, n):
         rng = random.Random(70 + n)
-        self.assert_matches(build_generalized_bracket(random_generalized_spec(rng, n)))
+        self.assert_matches(build_generalized_bracket(n, *random_generalized_increments(rng, n)))
 
     def test_distinct_column_masses_permute_with_both_signs(self):
         rng = random.Random(8128)
@@ -607,7 +604,7 @@ class TestHalfExponentRefusal:
         half = [tuple(Fraction(d, 2) for d in vec) for vec in ups]
         assert any(e.denominator == 2 for vec in half for e in vec)
         with pytest.raises(TypeError, match="exponents must be ints"):
-            build_generalized_bracket(SpiralSpec(4, up_increments=half, down_increments=downs))
+            build_generalized_bracket(4, half, downs)
 
     def test_identity_holds_at_the_squares(self):
         # with every exponent doubled the point's coordinates act as square
@@ -763,14 +760,14 @@ class TestMirroredReference:
     def test_generalized_spirals(self, size, half):
         rng = random.Random(1200 + 2 * size + half)
         for _ in range(3):
-            spec = random_generalized_spec(rng, size)
+            ups, downs = random_generalized_increments(rng, size)
             if half:
                 # an increment exponent is an int, so halved ones are refused
-                halved = tuple(tuple(Fraction(d, 2) for d in vec) for vec in spec.up_increments)
+                halved = tuple(tuple(Fraction(d, 2) for d in vec) for vec in ups)
                 with pytest.raises(TypeError, match="exponents must be ints"):
-                    build_generalized_bracket(SpiralSpec(size, halved, spec.down_increments))
+                    build_generalized_bracket(size, halved, downs)
                 continue
-            z = build_generalized_bracket(spec)
+            z = build_generalized_bracket(size, ups, downs)
             assert readout(wedge_eliminate_odd(z)[1]) == mirrored_wedge_eliminate_odd(z)
 
 
@@ -781,8 +778,7 @@ class TestGeneralizedWedge:
         rng = random.Random(6060)
         for n in (3, 4, 5):
             for _ in range(5):
-                spec = random_generalized_spec(rng, n)
-                z = build_generalized_bracket(spec)
+                z = build_generalized_bracket(n, *random_generalized_increments(rng, n))
                 eliminate = wedge_eliminate_even if n % 2 == 0 else wedge_eliminate_odd
                 _, fac = eliminate(z)
                 assert fac.product() == det_cofactor(z)
@@ -790,7 +786,7 @@ class TestGeneralizedWedge:
     @pytest.mark.parametrize("size", (7, 8))
     def test_product_equals_cofactor_past_the_index_pattern_change(self, size):
         rng = random.Random(7000 + size)
-        z = build_generalized_bracket(random_generalized_spec(rng, size))
+        z = build_generalized_bracket(size, *random_generalized_increments(rng, size))
         eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
         _, fac = eliminate(z)
         assert fac.product() == det_cofactor(z)
@@ -811,7 +807,7 @@ class TestGeneralizedWedge:
         # integer-exponent increments give integer-exponent factors, so the
         # product evaluates factor by factor
         rng = random.Random(9000 + size)
-        z = build_generalized_bracket(random_generalized_spec(rng, size))
+        z = build_generalized_bracket(size, *random_generalized_increments(rng, size))
         eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
         transformed, fac = eliminate(z)
         product = Factored(fac.sign, (fac.corner_factor,) + fac.antidiagonal_factors)

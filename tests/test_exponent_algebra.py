@@ -19,7 +19,7 @@ from spiraldet.exponent_algebra import (
     to_records,
     to_string,
 )
-from spiraldet.spiral_builder import SpiralSpec, build_generalized_bracket
+from spiraldet.spiral_builder import build_generalized_bracket
 
 
 def random_poly(rng, max_terms=8, max_exp=3, max_coeff=100):
@@ -466,13 +466,12 @@ class TestCoefficientTypes:
                 LaurentPoly.monomial(vec)
         # nor is a Fraction or a float an exponent, at any entry point
         for e in (Fraction(1, 2), 1.0, True):
-            spec = SpiralSpec(2, up_increments=((0, 0, 0, 0, e),), down_increments=())
             for build in (lambda: exponents(a=e),
                           lambda: LaurentPoly({(e, 0, 0, 0, 0): 1}),
                           lambda: LaurentPoly.monomial((0, e, 0, 0, 0)),
                           lambda: bracket((0, 0, e, 0, 0)),
                           lambda: angle((0, 0, 0, e, 0)),
-                          lambda: build_generalized_bracket(spec)):
+                          lambda: build_generalized_bracket(2, ((0, 0, 0, 0, e),), ())):
                 with pytest.raises(TypeError, match="exponents must be ints"):
                     build()
 

@@ -265,6 +265,8 @@ class TestCheckRelations:
         assert excinfo.type is ValueError
         with pytest.raises(ValueError):
             check_relations(FamilySpec(POWER, alpha=1.0), ["6.15"], samples, seed=0)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            classify(lambda x: x + 1 / x, samples, seed=0)
 
     def test_exported_from_the_package(self):
         import spiraldet

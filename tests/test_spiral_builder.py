@@ -8,10 +8,10 @@ import pytest
 from spiraldet.closed_forms import qreduction_check, reduction, theorem, verify_reduction
 from spiraldet.determinant_engine import numeric_matrix, sample_point, verify_identity
 from spiraldet.exponent_algebra import LaurentPoly, ZeroCoordinateError, bracket, exponents
+from spiraldet.funceq import FamilyKind, FamilySpec, check_relations, classify
+from spiraldet.sequences import SequenceId, verify_sequence
 from spiraldet.spiral_builder import (
-    Family,
     LengthMismatchError,
-    SpiralSpec,
     build_additive,
     build_bracket,
     build_bracket_xx,
@@ -193,15 +193,12 @@ class TestGeneralized:
     def test_degenerate_equals_bracket_xx(self):
         for n in (2, 3, 4, 5):
             counts = step_counts(n)
-            spec = SpiralSpec(
-                n,
-                up_increments=tuple(exponents(b=1) for _ in range(counts["up"])),
-                down_increments=tuple(exponents(c=1) for _ in range(counts["down"])))
-            assert build_generalized_bracket(spec) == build_bracket_xx(n)
+            ups = [exponents(b=1)] * counts["up"]
+            downs = [exponents(c=1)] * counts["down"]
+            assert build_generalized_bracket(n, ups, downs) == build_bracket_xx(n)
 
     def test_n2_single_up_increment(self):
-        spec = SpiralSpec(2, up_increments=(exponents(b=3),), down_increments=())
-        g = build_generalized_bracket(spec)
+        g = build_generalized_bracket(2, (exponents(b=3),), ())
         assert g[1][0] == bracket(exponents(a=1))
         assert g[1][1] == bracket(exponents(a=1, x=1))
         assert g[0][1] == bracket(exponents(a=1, b=3, x=1))
@@ -209,8 +206,7 @@ class TestGeneralized:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            build_generalized_bracket(SpiralSpec(
-                3, up_increments=(exponents(b=1),), down_increments=()))
+            build_generalized_bracket(3, (exponents(b=1),), ())
 
 
 # -- reference builders: the walks as they stood before the shared one
@@ -274,8 +270,7 @@ class TestWalkAgainstReferences:
                             for _ in range(counts["up"]))
                 downs = tuple(tuple(rng.randint(-3, 3) for _ in range(5))
                               for _ in range(counts["down"]))
-                spec = SpiralSpec(n, up_increments=ups, down_increments=downs)
-                assert build_generalized_bracket(spec) == reference_generalized(n, ups, downs)
+                assert build_generalized_bracket(n, ups, downs) == reference_generalized(n, ups, downs)
 
 
 class TestSpecialize:
@@ -397,7 +392,8 @@ class TestNumericTheoremMatrix:
 
 
 class TestSizeArguments:
-    """A size or trial count is an int: True == 1 and 2.0 == 2, but neither is one."""
+    """A size, trial or sample count or a seed is an int: True == 1 and 2.0 == 2,
+    but neither is one."""
 
     @pytest.mark.parametrize("value", (True, 2.0, "3"))
     def test_non_int_is_refused(self, value):
@@ -410,11 +406,17 @@ class TestSizeArguments:
                 (lambda: theorem_matrix(2, value), "n"),
                 (lambda: numeric_theorem_matrix(3, value, point), "n"),
                 (lambda: step_counts(value), "n"),
-                (lambda: SpiralSpec(value), "n"),
+                (lambda: build_generalized_bracket(value, (), ()), "n"),
                 (lambda: list(spiral_walk(value)), "n"),
                 (lambda: verify_reduction(3, value, 0), "trials"),
                 (lambda: verify_identity(lambda pt: [[1]], LaurentPoly.one(), value, 0),
-                 "trials")):
+                 "trials"),
+                (lambda: check_relations(FamilySpec(FamilyKind.ZERO), ["6.14"], value, 0),
+                 "samples"),
+                (lambda: classify(lambda x: x + 1 / x, value, 0), "samples"),
+                (lambda: verify_identity(lambda pt: [[1]], LaurentPoly.one(), 1, value), "seed"),
+                (lambda: verify_reduction(3, 1, value), "seed"),
+                (lambda: verify_sequence(SequenceId.INWARD, 3, value), "seed")):
             with pytest.raises(TypeError, match=f"{name} must be an int"):
                 call()
 
@@ -447,12 +449,12 @@ class TestSerialization:
                     assert bare(text) == bare(latex), (text, latex)
 
     def test_json_shapes(self):
-        additive = matrix_to_json_dict(build_additive(2), Family.ADDITIVE, 2)
+        additive = matrix_to_json_dict(build_additive(2), "additive")
         assert additive["n"] == 2 and additive["family"] == "additive"
         assert additive["entries"][1][0] == {"e_b": 0, "e_c": 0, "e_x": 0, "e_y": 0}
-        qpower = matrix_to_json_dict(build_qpower(2), Family.QPOWER, 2)
+        qpower = matrix_to_json_dict(build_qpower(2), "qpower")
         assert qpower["entries"][1][0] == [{"coefficient": 1,
                                             "exponents": ["1", "0", "0", "0", "0"]}]
         numeric = matrix_to_json_dict(
-            numeric_theorem_matrix(1, 2, (1, 1, 1, 1, 1)), Family.ADDITIVE, 2)
+            numeric_theorem_matrix(1, 2, (1, 1, 1, 1, 1)), "additive")
         assert numeric["entries"][1][0] == "1"
