@@ -276,8 +276,7 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(args)
         fields, trials, report, failures = _HANDLERS[args.command](args, seed)
-    except (determinant_engine.SizeGuardError, spiral_builder.LengthMismatchError,
-            ValueError) as exc:
+    except ValueError as exc:  # SizeGuardError and LengthMismatchError among them
         parser.error(str(exc))
     if isinstance(report, str):
         output = report

@@ -16,6 +16,7 @@ one reads off the same corner and factors.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,15 +138,13 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     packed = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
                if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
                for entry in (row[j] for row in matrix)] for j in order]
-    memo = {0: [(0, 1)]}
 
+    @functools.cache
     def minor(mask: int) -> list[tuple[int, object]]:
         # terms of the determinant of the submatrix on the rows set in mask
         # and the columns order[n - popcount(mask)..n-1]
-        try:
-            return memo[mask]
-        except KeyError:
-            pass
+        if not mask:
+            return [(0, 1)]
         column = packed[n - mask.bit_count()]
         out = {}
         get = out.get
@@ -164,12 +163,10 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
                         out[w] = get(w, 0) + cu * cv
             negative = not negative
             rest ^= low
-        terms = [(w, c) for w, c in out.items() if c]
-        memo[mask] = terms
-        return terms
+        return [(w, c) for w, c in out.items() if c]
 
     terms = minor((1 << n) - 1)
-    del minor  # break the closure's reference cycle so the memo is freed now
+    del minor  # break the closure's reference cycle so the cache is freed now
     if symbolic:
         return LaurentPoly._raw({_unpack(key, base): sign * c for key, c in terms})
     return sign * terms[0][1] if terms else 0

@@ -31,6 +31,7 @@ would make 6.15 hold by construction).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ from typing import Callable
 
 import mpmath
 
-from .spiral_builder import check_size
+from .spiral_builder import check_int, check_size
 
 # lhs - rhs of each relation, with f and g the family's functions
 _RESIDUALS = {
@@ -136,10 +137,10 @@ def eval_f(spec: FamilySpec, x: float) -> float:
     return _fg(spec, _check_positive(x), math)[0]
 
 
-def _sample_log_uniform(seed: int, index: int, count: int = 2) -> tuple[float, ...]:
-    """Per-sample point(s) in [0.1, 10], depending only on (seed, index)."""
+def _sample_log_uniform(seed: int, index: int) -> tuple[float, float]:
+    """A per-sample pair of points in [0.1, 10], depending only on (seed, index)."""
     rng = random.Random(f"funceq:{seed}:{index}")
-    return tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(count))
+    return 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.0, 1.0)
 
 
 def _working_digits(spec: FamilySpec) -> int:
@@ -178,6 +179,7 @@ def check_relations(spec: FamilySpec, relations, samples: int,
     if not relations:
         raise ValueError("relations must not be empty")
     check_size(samples, 1, "samples")
+    check_int(seed, "seed")
     worst = [-1.0] * len(relations)
     argmax: list[tuple[float, ...]] = [()] * len(relations)
     with mpmath.workdps(_working_digits(spec)):
@@ -186,14 +188,7 @@ def check_relations(spec: FamilySpec, relations, samples: int,
                          c1=mpmath.mpf(spec.c1), c2=mpmath.mpf(spec.c2))
         for i in range(samples):
             a, x = _sample_log_uniform(seed, i)
-            memo = {}
-
-            def fg(v):
-                pair = memo.get(v)
-                if pair is None:
-                    pair = memo[v] = _fg(family, v, mpmath)
-                return pair
-
+            fg = functools.cache(lambda v: _fg(family, v, mpmath))
             f, g = (lambda v: fg(v)[0]), (lambda v: fg(v)[1])
             a_mp, x_mp = mpmath.mpf(a), mpmath.mpf(x)
             for j, relation in enumerate(relations):
@@ -220,6 +215,7 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
     a fitted g that leaves the float range on the samples, is unclassifiable.
     """
     check_size(samples, 1, "samples")
+    check_int(seed, "seed")
     x0 = 2.0
     g0 = oracle(x0)
     if not math.isfinite(g0):
@@ -234,7 +230,7 @@ def classify(oracle: Callable[[float], float], samples: int, seed: int,
         fitted = FamilySpec(FamilyKind.POWER_SYMMETRIC, alpha=t, imaginary=True)
     mismatch = 0.0
     for i in range(samples):
-        (x,) = _sample_log_uniform(seed, i, count=1)
+        x, _ = _sample_log_uniform(seed, i)
         try:
             fitted_g = eval_g(fitted, x)
         except OverflowError:

@@ -1,5 +1,6 @@
 """Tests for the determinant engines, wedge elimination, and identity verification."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -192,6 +193,20 @@ class TestDetCofactor:
         with pytest.raises(SizeGuardError):
             det_cofactor(eye9)
         assert det_cofactor(eye9, allow_large=True) == 1
+
+    def test_memo_is_freed_without_the_cycle_collector(self):
+        # the memoized minor is a recursive closure, a reference cycle that
+        # det_cofactor breaks before it returns
+        matrix = theorem_matrix(3, 6)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            det_cofactor(matrix)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_matches_bareiss_on_numeric(self):
         rng = random.Random(31337)

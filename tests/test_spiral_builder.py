@@ -416,7 +416,10 @@ class TestSizeArguments:
                 (lambda: classify(lambda x: x + 1 / x, value, 0), "samples"),
                 (lambda: verify_identity(lambda pt: [[1]], LaurentPoly.one(), 1, value), "seed"),
                 (lambda: verify_reduction(3, 1, value), "seed"),
-                (lambda: verify_sequence(SequenceId.INWARD, 3, value), "seed")):
+                (lambda: verify_sequence(SequenceId.INWARD, 3, value), "seed"),
+                (lambda: check_relations(FamilySpec(FamilyKind.ZERO), ["6.14"], 1, value),
+                 "seed"),
+                (lambda: classify(lambda x: x + 1 / x, 1, value), "seed")):
             with pytest.raises(TypeError, match=f"{name} must be an int"):
                 call()
 
