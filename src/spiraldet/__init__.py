@@ -23,6 +23,7 @@ from .spiral_builder import (
     matrix_to_latex,
     matrix_to_text,
     numeric_theorem_matrix,
+    shell_order,
     step_counts,
 )
 from .determinant_engine import (
@@ -32,6 +33,7 @@ from .determinant_engine import (
     WedgeNotZeroError,
     det_bareiss_rational,
     det_cofactor,
+    leading_minors,
     numeric_matrix,
     verify_identity,
     wedge_eliminate_even,

@@ -6,6 +6,13 @@ Laurent-polynomial matrices, guarded to n <= 8), and, for numeric work at any
 size, Bareiss's fraction-free elimination on plain ints after the rational
 matrix's row and column contents are divided out.
 
+Without row swaps, that elimination leaves every leading principal minor on
+its diagonal, so ``leading_minors`` gives the determinants of all leading
+blocks at once.  In ``spiral_builder.shell_order`` every smaller spiral is a
+leading block of the largest, so one elimination per trial serves every size
+that a randomized ``verify`` checks.  At a zero pivot, each larger block falls
+back to its own ``det_bareiss_rational``, with row swaps.
+
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: at every size, replacing C_j by
 C_j - <x>*C_{j-1} + C_{j-2} zeroes two triangular wedges, after which the
@@ -20,7 +27,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .exponent_algebra import (
@@ -172,41 +179,64 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     return sign * terms[0][1] if terms else 0
 
 
-def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact rational determinant of a matrix of ints, Fractions or floats.
+def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The content-free integer matrix, with the scale each index divides out.
 
     Each row is scaled to coprime integers (by the lcm of its denominators
-    over the gcd of its numerators) and each column's gcd is divided out.
-    Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
-    is the product of those contents times the determinant of the
-    content-free integer matrix.  That one comes from Bareiss's fraction-free
-    elimination with row-swap pivoting on plain ints, whose every division
-    is exact.  A q-power matrix at a sample point carries a large common
-    monomial in each row and column, so removing the content first keeps the
-    eliminated entries small.  A zero row or column gives 0 at once.
+    over the gcd of its numerators) and then each column's gcd is divided
+    out.  Row i and column i both enter every leading minor of size > i, so
+    their scales are kept together: the leading k x k minor of the matrix is
+    that of the integer one times prod(nums[:k]) / prod(dens[:k]).  A zero
+    row or column stays zero, with a scale of 0.
     """
-    n = _check_square(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale_num = scale_den = 1
-    m = []
+    m, nums, dens = [], [], []
     for row in matrix:
         row = [Fraction(v) for v in row]
         den = lcm(*(v.denominator for v in row))
         content = gcd(*(v.numerator for v in row))
-        if content == 0:
-            return Fraction(0)
-        m.append([v.numerator * (den // v.denominator) // content for v in row])
-        scale_num *= content
-        scale_den *= den
-    for j in range(n):
+        m.append([v.numerator * (den // v.denominator) // (content or 1) for v in row])
+        nums.append(content)
+        dens.append(den)
+    for j in range(len(m)):
         content = gcd(*(row[j] for row in m))
-        if content == 0:
-            return Fraction(0)
-        if content != 1:
+        if content > 1:
             for row in m:
                 row[j] //= content
-            scale_num *= content
+        nums[j] *= content
+    return m, nums, dens
+
+
+def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
+    """Eliminate column k below the pivot m[k][k], in place.
+
+    With ``prev`` the previous pivot (1 at the first step), every division is
+    exact.  Column k below the pivot is left as it was and never read again.
+    """
+    pivot = m[k][k]
+    tail_k = m[k][k + 1:]
+    for row_i in m[k + 1:]:
+        head = row_i[k]
+        row_i[k + 1:] = [(pivot * a - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)]
+
+
+def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
+    """Exact rational determinant of a matrix of ints, Fractions or floats.
+
+    Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
+    is the product of the row and column contents (see ``_remove_contents``)
+    times the determinant of the content-free integer matrix.  That one
+    comes from Bareiss's fraction-free elimination with row-swap pivoting on
+    plain ints, whose every division is exact.  A q-power matrix at a sample
+    point carries a large common monomial in each row and column, so
+    removing the content first keeps the eliminated entries small.  A zero
+    row or column gives 0 at once.
+    """
+    n = _check_square(matrix)
+    if n == 0:
+        return Fraction(1)
+    m, nums, dens = _remove_contents(matrix)
+    if 0 in nums:
+        return Fraction(0)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -218,16 +248,38 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        _bareiss_step(m, k, prev)
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1] * prod(nums), prod(dens))
+
+
+def leading_minors(matrix: Sequence[Sequence]) -> list[Fraction]:
+    """The determinants of the leading 1 x 1, 2 x 2, ..., n x n blocks, in one elimination.
+
+    Bareiss's elimination without row swaps leaves the k-th leading
+    principal minor of the matrix as its k-th pivot (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968).  It runs once on the content-free integer matrix, and a
+    running product of the row and column contents scales each pivot back.
+    A zero pivot ends the elimination: its minor is 0, and every larger
+    block falls back to its own ``det_bareiss_rational``, which may swap rows.
+    """
+    n = _check_square(matrix)
+    m, nums, dens = _remove_contents(matrix)
+    minors = []
+    num = den = prev = 1
+    for k in range(n):
+        num *= nums[k]
+        den *= dens[k]
         pivot = m[k][k]
-        tail_k = m[k][k + 1:]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            row_i[k + 1:] = [(pivot * a - head * b) // prev
-                             for a, b in zip(row_i[k + 1:], tail_k)]
-            row_i[k] = 0
+        minors.append(Fraction(num * pivot, den))
+        if pivot == 0:
+            break
+        _bareiss_step(m, k, prev)
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1] * scale_num, scale_den)
+    minors += [det_bareiss_rational([row[:k] for row in matrix[:k]])
+               for k in range(len(minors) + 1, n + 1)]
+    return minors
 
 
 def numeric_matrix(matrix: Sequence[Sequence[LaurentPoly]], point) -> list[list[Fraction]]:

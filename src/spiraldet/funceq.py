@@ -38,8 +38,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-import mpmath
-
 from .spiral_builder import check_int, check_size
 
 # lhs - rhs of each relation, with f and g the family's functions
@@ -180,6 +178,8 @@ def check_relations(spec: FamilySpec, relations, samples: int,
         raise ValueError("relations must not be empty")
     check_size(samples, 1, "samples")
     check_int(seed, "seed")
+    import mpmath  # only here, so importing spiraldet does not load it
+
     worst = [-1.0] * len(relations)
     argmax: list[tuple[float, ...]] = [()] * len(relations)
     with mpmath.workdps(_working_digits(spec)):

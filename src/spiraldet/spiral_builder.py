@@ -17,7 +17,9 @@ Four families share the path:
 * generalized bracket -- like bracket, but each up/down step multiplies by a
   caller-chosen monomial; horizontal steps multiply by x in both directions.
 
-The numeric builders walk the same path in the rationals, at a point.
+The numeric builders walk the same path in the rationals, at a point, and
+``shell_order`` orders the rows and columns so that every smaller spiral is a
+leading block.
 """
 
 from __future__ import annotations
@@ -77,6 +79,32 @@ def spiral_walk(n: int) -> Iterator[tuple[str | None, int, int]]:
             yield direction, r, c
         remaining -= min(run // 2 + 1, remaining)
         run += 1
+
+
+def shell_order(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Rows and columns of the n x n grid in the order the spiral's shells add them, and signs.
+
+    The size-k spiral is the first k^2 cells of the walk: the block of rows
+    from n//2 - k//2 and columns from (n-1)//2 - (k-1)//2.  Going from size
+    k - 1 to k, an even k adds a top row and a right column, an odd k a
+    bottom row and a left column.  So with the rows and columns taken in the
+    returned order, every size-k spiral is the leading k x k block.
+
+    That block's rows and columns are out of grid order: a new top row or
+    left column precedes the k - 1 rows or columns placed before it, a new
+    bottom row or right column none.  So ``signs[k - 1]``, the sign of the
+    two permutations, flips at each even k, and the size-k spiral's
+    determinant is ``signs[k - 1]`` times the leading block's.
+    """
+    check_size(n, 1)
+    row, col = centre_cell(n)
+    rows, cols, signs = [row], [col], [1]
+    for k in range(2, n + 1):
+        side = 1 if k % 2 else -1  # odd: below and to the left; even: above and to the right
+        rows.append(row + side * (k // 2))
+        cols.append(col - side * (k // 2))
+        signs.append(signs[-1] * side)
+    return rows, cols, signs
 
 
 def step_counts(n: int) -> dict[str, int]:

@@ -135,6 +135,68 @@ class TestVerify:
         assert [(c["match"], c.get("failures")) for c in blob["report"]["checks"][8:]] == \
             [(False, 2), (False, 2)]
 
+    # Seeds whose elimination meets a zero pivot: theorem 1's trial 3 at seed
+    # 45 has a zero 15th leading minor, and theorem 3's trial 0 at seed 11 has
+    # x = -1, where every minor from the 2nd on is 0.  The sizes past the zero
+    # pivot then take one det_bareiss_rational each.
+    @pytest.mark.parametrize("theorem,n_max,trials,seed,fallback", (
+        (1, 16, 4, 45, [16]), (3, 12, 1, 11, list(range(3, 13)))),
+        ids=("thm1-seed45", "thm3-seed11"))
+    def test_zero_pivot_seeds_pass_and_catch_a_wrong_formula(
+            self, theorem, n_max, trials, seed, fallback, capsys, monkeypatch):
+        argv = ["verify", "--theorem", str(theorem), "--n-max", str(n_max),
+                "--trials", str(trials), "--seed", str(seed)]
+        sizes = []
+        real_bareiss, real_theorem = determinant_engine.det_bareiss_rational, closed_forms.theorem
+
+        def bareiss(matrix):
+            sizes.append(len(matrix))
+            return real_bareiss(matrix)
+
+        monkeypatch.setattr(determinant_engine, "det_bareiss_rational", bareiss)
+        code, blob = run_json(argv, capsys)
+        assert sizes == fallback
+        assert code == 0 and [c["match"] for c in blob["report"]["checks"]] == [True] * n_max
+
+        class OffByOne:
+            # the formula plus one differs from the determinant at every
+            # point, also where the determinant is 0 and a doubled formula
+            # would pass
+            def __init__(self, formula):
+                self.formula = formula
+
+            def evaluate(self, point):
+                return self.formula.evaluate(point) + 1
+
+        monkeypatch.setattr(closed_forms, "theorem", lambda k, n: real_theorem(k, n) if n <= 8
+                            else OffByOne(real_theorem(k, n)))
+        code, blob = run_json(argv, capsys)
+        assert code == 1 and blob["report"]["failures"] == n_max - 8
+        assert [(c["match"], c["failures"]) for c in blob["report"]["checks"][8:]] == \
+            [(False, trials)] * (n_max - 8)
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_one_walk_and_no_per_size_elimination_per_trial(self, theorem, capsys, monkeypatch):
+        # seed 0's first three points meet no zero pivot at size 12
+        walks, eliminations = [], []
+        real_walk, real_bareiss = (spiral_builder.numeric_theorem_matrix,
+                                   determinant_engine.det_bareiss_rational)
+
+        def walk(k, n, point):
+            walks.append(n)
+            return real_walk(k, n, point)
+
+        def bareiss(matrix):
+            eliminations.append(len(matrix))
+            return real_bareiss(matrix)
+
+        monkeypatch.setattr(spiral_builder, "numeric_theorem_matrix", walk)
+        monkeypatch.setattr(determinant_engine, "det_bareiss_rational", bareiss)
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "12",
+                               "--trials", "3", "--seed", "0"], capsys)
+        assert code == 0 and len(blob["report"]["checks"]) == 12
+        assert walks == [12, 12, 12] and eliminations == []
+
     def test_empty_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--theorem", "1", "--n-max", "0"])
@@ -492,6 +554,14 @@ class TestContract:
             main(["verify", "--theorem", "1", "--n-max", "2"])
         assert excinfo.value.code == 2
         assert "SPIRALDET_SEED" in capsys.readouterr().err
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # only funceq.check_relations uses mpmath, and imports it when called
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import spiraldet.cli; "
+                "spiraldet.cli.build_parser(); print('mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-c", code, SRC],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=SRC)

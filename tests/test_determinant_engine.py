@@ -8,7 +8,7 @@ from itertools import repeat
 
 import pytest
 
-from spiraldet import spiral_builder
+from spiraldet import determinant_engine, spiral_builder
 from spiraldet.determinant_engine import (
     SizeGuardError,
     _pack,
@@ -19,6 +19,7 @@ from spiraldet.determinant_engine import (
     Witness,
     det_bareiss_rational,
     det_cofactor,
+    leading_minors,
     numeric_matrix,
     sample_point,
     verify_identity,
@@ -48,6 +49,7 @@ from spiraldet.spiral_builder import (
     build_qpower,
     centre_cell,
     numeric_theorem_matrix,
+    shell_order,
     step_counts,
     theorem_matrix,
 )
@@ -536,6 +538,90 @@ class TestBareissContentRemoval:
             for pt in points:
                 assert det_bareiss_rational(numeric_matrix(matrix, pt)) == formula.evaluate(pt), \
                     (k, n, pt)
+
+
+def leading_blocks(matrix):
+    return [[row[:k] for row in matrix[:k]] for k in range(1, len(matrix) + 1)]
+
+
+def shell_ordered(theorem_number, n, point):
+    rows, cols, signs = shell_order(n)
+    grid = numeric_theorem_matrix(theorem_number, n, point)
+    return [[grid[i][j] for j in cols] for i in rows], signs
+
+
+def count_bareiss_sizes(monkeypatch):
+    """Record the size of every det_bareiss_rational call."""
+    sizes = []
+    real = determinant_engine.det_bareiss_rational
+
+    def counted(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(determinant_engine, "det_bareiss_rational", counted)
+    return sizes
+
+
+class TestLeadingMinors:
+    def test_matches_each_leading_block(self):
+        rng = random.Random(311)
+        for n in range(1, 9):
+            for _ in range(10):
+                m = random_fraction_matrix(rng, n)
+                rows = [Fraction(7 ** rng.randint(0, 12),
+                                 rng.choice((-3, 3)) ** rng.randint(0, 12)) for _ in range(n)]
+                scaled = [[rows[i] * v for v in row] for i, row in enumerate(m)]
+                for matrix in (m, scaled):
+                    minors = leading_minors(matrix)
+                    assert all(type(v) is Fraction for v in minors)
+                    assert minors == [det_bareiss_rational(b) for b in leading_blocks(matrix)]
+
+    def test_empty_and_int_and_float_entries(self):
+        assert leading_minors([]) == []
+        assert leading_minors([[4, -2], [1, 3]]) == [4, 14]
+        assert leading_minors([[0.5, 0.25], [2.0, 0.1]]) == [
+            Fraction(0.5), Fraction(0.5) * Fraction(0.1) - Fraction(0.25) * Fraction(2.0)]
+
+    def test_zero_pivot_falls_back_to_each_block(self, monkeypatch):
+        sizes = count_bareiss_sizes(monkeypatch)
+        assert leading_minors([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == [0, -1, -5]
+        assert sizes == [2, 3]
+        sizes.clear()
+        # a zero row: the minors from its size on are 0
+        assert leading_minors([[2, 1, 1], [0, 0, 0], [1, 1, 3]]) == [2, 0, 0]
+        assert sizes == [3]
+
+    def test_no_bareiss_call_without_a_zero_pivot(self, monkeypatch):
+        sizes = count_bareiss_sizes(monkeypatch)
+        matrix, _ = shell_ordered(2, 16, sample_point(0, 0))
+        assert 0 not in leading_minors(matrix) and sizes == []
+
+    @pytest.mark.parametrize("k,n", ((1, 30), (2, 20), (3, 14)))
+    def test_signed_minors_are_every_size_determinant(self, k, n):
+        for t in range(3):
+            point = sample_point(0, t)
+            matrix, signs = shell_ordered(k, n, point)
+            minors = leading_minors(matrix)
+            for size in range(1, n + 1):
+                own = det_bareiss_rational(numeric_theorem_matrix(k, size, point))
+                assert signs[size - 1] * minors[size - 1] == own == \
+                    theorem(k, size).evaluate(point), (t, size)
+
+    # Named points whose elimination meets a zero pivot: theorem 1 at seed 45,
+    # trial 3 has a zero 15th leading minor, and theorem 3 at seed 11, trial 0
+    # has x = -1, so [x] = 0 and every minor from the 2nd on is 0.
+    @pytest.mark.parametrize("k,n,seed,trial,zero_at", ((1, 16, 45, 3, 15), (3, 12, 11, 0, 2)))
+    def test_named_zero_pivots_take_the_fallback(self, k, n, seed, trial, zero_at, monkeypatch):
+        point = sample_point(seed, trial)
+        matrix, signs = shell_ordered(k, n, point)
+        sizes = count_bareiss_sizes(monkeypatch)
+        minors = leading_minors(matrix)
+        assert 0 not in minors[:zero_at - 1] and minors[zero_at - 1] == 0
+        assert sizes == list(range(zero_at + 1, n + 1))
+        for size in range(1, n + 1):
+            assert signs[size - 1] * minors[size - 1] == theorem(k, size).evaluate(point) == \
+                det_bareiss_rational(numeric_theorem_matrix(k, size, point)), size
 
 
 class TestVerifyIdentity:

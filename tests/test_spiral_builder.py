@@ -22,6 +22,7 @@ from spiraldet.spiral_builder import (
     matrix_to_latex,
     matrix_to_text,
     numeric_theorem_matrix,
+    shell_order,
     spiral_walk,
     step_counts,
     theorem_matrix,
@@ -103,6 +104,32 @@ class TestPath:
             outer = [(r - outer_centre[0], c - outer_centre[1])
                      for _, r, c in spiral_walk(n)]
             assert outer[:len(inner)] == inner
+
+
+def inversion_sign(order):
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+class TestShellOrder:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_spiral_is_a_leading_block(self, n):
+        rows, cols, signs = shell_order(n)
+        assert sorted(rows) == sorted(cols) == list(range(n)) and len(signs) == n
+        cells = [(r, c) for _, r, c in spiral_walk(n)]
+        for k in range(1, n + 1):
+            block = {(r, c) for r in rows[:k] for c in cols[:k]}
+            assert len(set(cells[:k * k])) == k * k and set(cells[:k * k]) == block, k
+            assert signs[k - 1] == inversion_sign(rows[:k]) * inversion_sign(cols[:k]), k
+
+    def test_small_orders(self):
+        assert shell_order(1) == ([0], [0], [1])
+        assert shell_order(4) == ([2, 1, 3, 0], [1, 2, 0, 3], [1, -1, -1, 1])
+
+    @pytest.mark.parametrize("bad", (0, -1, 2.0, True))
+    def test_refuses_a_bad_size(self, bad):
+        with pytest.raises((TypeError, ValueError)):
+            shell_order(bad)
 
 
 class TestSpiralExponents:
