@@ -31,6 +31,7 @@ from .determinant_engine import (
     VerificationReport,
     WedgeFactorization,
     WedgeNotZeroError,
+    cofactor_leading_minors,
     det_bareiss_rational,
     det_cofactor,
     leading_minors,

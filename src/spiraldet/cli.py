@@ -97,13 +97,32 @@ def _cmd_det(args, seed: int):
 
 
 def _symbolic_check(n: int, det: LaurentPoly, expected: LaurentPoly) -> dict:
-    # a function of its own, so that both polynomials are freed before the
-    # next size is expanded
+    # a function of its own, so that the determinant and its expanded formula
+    # are both freed before the next size's determinant is unpacked
     check = {"n": n, "mode": "symbolic", "match": det == expected}
     if not check["match"]:
         # the lowest exponent vector of det - formula and its coefficient
         check["witness"] = to_records(det - expected)[0]
     return check
+
+
+def _symbolic_checks(theorem: int, top: int) -> list[dict]:
+    """The symbolic check of every size 1..top, from one cofactor expansion.
+
+    In ``shell_order`` every size-k spiral is the leading k x k block of the
+    size-top one, so the leading minors of that one matrix give every
+    size's determinant.  They come largest first, and each goes straight
+    into its check, with no name held to it, so it is compared and dropped
+    before the next is unpacked: at most one determinant and one expanded
+    formula are alive.
+    """
+    rows, cols, signs = spiral_builder.shell_order(top)
+    grid = spiral_builder.theorem_matrix(theorem, top)
+    minors = determinant_engine.cofactor_leading_minors(
+        [[grid[i][j] for j in cols] for i in rows], signs)
+    checks = [_symbolic_check(n, next(minors), closed_forms.theorem(theorem, n).expand())
+              for n in range(top, 0, -1)]
+    return checks[::-1]
 
 
 def _randomized_failures(theorem: int, sizes: range, trials: int, seed: int) -> list[int]:
@@ -127,11 +146,7 @@ def _randomized_failures(theorem: int, sizes: range, trials: int, seed: int) -> 
 
 def _cmd_verify(args, seed: int):
     guard = determinant_engine.COFACTOR_SIZE_GUARD
-    checks = []
-    for n in range(1, min(args.n_max, guard) + 1):
-        formula = closed_forms.theorem(args.theorem, n)
-        checks.append(_symbolic_check(n, determinant_engine.det_cofactor(
-            spiral_builder.theorem_matrix(args.theorem, n)), formula.expand()))
+    checks = _symbolic_checks(args.theorem, min(args.n_max, guard))
     sizes = range(guard + 1, args.n_max + 1)
     if sizes:
         failed = _randomized_failures(args.theorem, sizes, args.trials, seed)

@@ -6,12 +6,16 @@ Laurent-polynomial matrices, guarded to n <= 8), and, for numeric work at any
 size, Bareiss's fraction-free elimination on plain ints after the rational
 matrix's row and column contents are divided out.
 
-Without row swaps, that elimination leaves every leading principal minor on
-its diagonal, so ``leading_minors`` gives the determinants of all leading
-blocks at once.  In ``spiral_builder.shell_order`` every smaller spiral is a
-leading block of the largest, so one elimination per trial serves every size
-that a randomized ``verify`` checks.  At a zero pivot, each larger block falls
-back to its own ``det_bareiss_rational``, with row swaps.
+Both engines give every leading principal minor at the cost of the full
+determinant.  In ``spiral_builder.shell_order`` every smaller spiral is a
+leading block of the largest, so one call serves every size that ``verify``
+checks.  The cofactor memo is keyed by row subsets, each minor taking the
+trailing columns of the expansion order, so with the columns expanded last to
+first the minor on the first k rows is the leading k x k block, columns
+reversed (``cofactor_leading_minors``).  Without row swaps, the elimination
+leaves every leading minor on its diagonal (``leading_minors``); at a zero
+pivot, each larger block falls back to its own ``det_bareiss_rational``, with
+row swaps.
 
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: at every size, replacing C_j by
@@ -28,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exponent_algebra import (
     NVARS,
@@ -91,39 +95,20 @@ def _unpack(key: int, base: int) -> ExponentVector:
     return tuple(vec)
 
 
-def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
-    """Exact determinant by Laplace expansion along columns, memoized over row subsets.
+def _packed_columns(matrix: Sequence[Sequence], allow_large: bool):
+    """(symbolic, base, columns) of a matrix that ``det_cofactor`` accepts.
 
-    The cost of a memoized expansion is the number of term pairs its minors
-    multiply, so it is set by how many terms those minors hold.  The columns
-    are therefore expanded heaviest first, the mass of a column being the
-    total |exponent| over its entries' terms, and the memoized minors are
-    those of the lightest columns.  On a spiral these are the central
-    columns, whose minors have the fewest terms: theorem 3 at n = 8
-    multiplies 62,528 term pairs instead of the 964,460 of a row-by-row
-    expansion.  Ties keep the column order, so a numeric matrix is expanded
-    left to right.  The result is multiplied by the sign of the column
-    permutation.
-
-    Entries are LaurentPoly, int, Fraction or float.  Each entry is packed
-    once into (key, coefficient) pairs, the key of a monomial with exponents
-    d being sum d[i] * B**i with B = 2*H + 1 and H = n * max|d| over all
-    entries.  A term of a k-row minor has exponents of size at most
-    k * max|d| <= H, so no two monomials the expansion meets share a key,
-    and keys add as exponents do.  Each minor then accumulates its
-    entry-times-cofactor products into one dict of keys, dropping zero
-    coefficients once per minor.  A number is the constant key 0.
-
-    A matrix with any LaurentPoly entry returns a canonical LaurentPoly (its
-    other nonzero entries must be ints); otherwise the number comes back,
-    with a zero determinant as the int 0.  O(n * 2^n) subproblems; refuses
-    n > 8 unless ``allow_large`` is set.
+    ``columns[j][i]`` is entry (i, j) packed into (key, coefficient) pairs:
+    the key of a monomial with exponents d is sum d[i] * B**i with
+    B = ``base`` = 2*H + 1 and H = n * max|d| over all entries, and a number
+    is the constant key 0.  A term of a k-row minor has exponents of size at
+    most k * max|d| <= H, so no two monomials an expansion meets share a
+    key, and keys add as exponents do.  Refuses n > 8 unless ``allow_large``
+    is set, and a polynomial matrix with a nonzero entry that is not an int.
     """
     n = _check_square(matrix)
     if n > COFACTOR_SIZE_GUARD and not allow_large:
         raise SizeGuardError(f"n={n} exceeds the size guard {COFACTOR_SIZE_GUARD}")
-    if n == 0:
-        return 1
     symbolic = any(isinstance(entry, LaurentPoly) for row in matrix for entry in row)
     base = 1
     if symbolic:
@@ -134,25 +119,29 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
         base = 2 * n * max((abs(d) for row in matrix for entry in row
                             if isinstance(entry, LaurentPoly)
                             for vec in entry.terms for d in vec), default=0) + 1
+    columns = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
+                if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
+                for entry in (row[j] for row in matrix)] for j in range(n)]
+    return symbolic, base, columns
 
-    def mass(j: int) -> int:
-        return sum(abs(d) for row in matrix if isinstance(row[j], LaurentPoly)
-                   for vec in row[j].terms for d in vec)
 
-    order = sorted(range(n), key=mass, reverse=True)  # stable: ties keep column order
-    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-    sign = -1 if inversions % 2 else 1
-    packed = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
-               if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
-               for entry in (row[j] for row in matrix)] for j in order]
+def _expand_minors(columns: list, masks: Sequence[int]) -> list[list[tuple[int, object]]]:
+    """The packed terms of the minor on the rows of each mask, from one memoized expansion.
+
+    The minor on the p rows set in a mask takes the last p of ``columns``,
+    in their order, and is expanded along the first of them: the memo is
+    keyed by row subsets alone, so one expansion serves every mask.  Each
+    minor accumulates its entry-times-cofactor products into one dict of
+    keys, dropping zero coefficients once per minor.  The memo is freed
+    before the terms are returned.
+    """
+    n = len(columns)
 
     @functools.cache
     def minor(mask: int) -> list[tuple[int, object]]:
-        # terms of the determinant of the submatrix on the rows set in mask
-        # and the columns order[n - popcount(mask)..n-1]
         if not mask:
             return [(0, 1)]
-        column = packed[n - mask.bit_count()]
+        column = columns[n - mask.bit_count()]
         out = {}
         get = out.get
         negative = False
@@ -172,11 +161,75 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
             rest ^= low
         return [(w, c) for w, c in out.items() if c]
 
-    terms = minor((1 << n) - 1)
+    terms = [minor(mask) for mask in masks]
     del minor  # break the closure's reference cycle so the cache is freed now
+    return terms
+
+
+def _unpacked(terms: list[tuple[int, object]], sign: int, symbolic: bool, base: int):
+    """sign times the determinant whose packed terms these are."""
     if symbolic:
         return LaurentPoly._raw({_unpack(key, base): sign * c for key, c in terms})
     return sign * terms[0][1] if terms else 0
+
+
+def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
+    """Exact determinant by Laplace expansion along columns, memoized over row subsets.
+
+    The cost of a memoized expansion is the number of term pairs its minors
+    multiply, so it is set by how many terms those minors hold.  The columns
+    are therefore expanded heaviest first, the mass of a column being the
+    total |exponent| over its entries' terms, and the memoized minors are
+    those of the lightest columns.  On a spiral these are the central
+    columns, whose minors have the fewest terms: theorem 3 at n = 8
+    multiplies 62,528 term pairs instead of the 964,460 of a row-by-row
+    expansion.  Ties keep the column order, so a numeric matrix is expanded
+    left to right.  The result is multiplied by the sign of the column
+    permutation.
+
+    Entries are LaurentPoly, int, Fraction or float, each packed once into
+    integer keys (see ``_packed_columns``), and the minors are expanded by
+    ``_expand_minors``.  A matrix with any LaurentPoly entry returns a
+    canonical LaurentPoly (its other nonzero entries must be ints);
+    otherwise the number comes back, with a zero determinant as the int 0.
+    O(n * 2^n) subproblems; refuses n > 8 unless ``allow_large`` is set.
+    """
+    symbolic, base, columns = _packed_columns(matrix, allow_large)
+    n = len(columns)
+
+    def mass(j: int) -> int:
+        return sum(abs(d) for row in matrix if isinstance(row[j], LaurentPoly)
+                   for vec in row[j].terms for d in vec)
+
+    order = sorted(range(n), key=mass, reverse=True)  # stable: ties keep column order
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    terms, = _expand_minors([columns[j] for j in order], [(1 << n) - 1])
+    return _unpacked(terms, -1 if inversions % 2 else 1, symbolic, base)
+
+
+def cofactor_leading_minors(matrix: Sequence[Sequence], signs: Sequence[int]) -> Iterator:
+    """``signs[k - 1]`` times the determinant of each leading k x k block, largest first.
+
+    One expansion serves every block.  With the columns expanded last to
+    first, the minor on rows 0..k-1 takes columns k-1, ..., 0: it is the
+    leading k x k block with its columns reversed, of sign (-1)^(k(k-1)/2).
+    All blocks share one memo (a zero diagonal entry only means a block's
+    minor is not reached from the next larger one), and the memo is freed
+    before any determinant is unpacked.  The determinants are then
+    unpacked one at a time, k = n down to 1, each packed term list released
+    as it is, with the sign folded into the unpacking: a caller that drops
+    each block's determinant before taking the next never holds two.
+
+    Entries and their errors are those of ``det_cofactor``, and n > 8 is
+    always refused; both are checked before this returns.  A matrix with
+    any LaurentPoly entry gives a LaurentPoly for every block, one of ints
+    included.
+    """
+    symbolic, base, columns = _packed_columns(matrix, False)
+    n = len(columns)
+    minors = _expand_minors(columns[::-1], [(1 << k) - 1 for k in range(1, n + 1)])
+    return (_unpacked(minors.pop(), (-1) ** (k * (k - 1) // 2) * signs[k - 1], symbolic, base)
+            for k in range(n, 0, -1))
 
 
 def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int]]:

@@ -17,6 +17,7 @@ from spiraldet.determinant_engine import (
     VerificationReport,
     WedgeNotZeroError,
     Witness,
+    cofactor_leading_minors,
     det_bareiss_rational,
     det_cofactor,
     leading_minors,
@@ -417,6 +418,87 @@ class TestColumnOrderCofactor:
         row_order_cofactor(m, before)
         row_order_cofactor([[row[j] for row in m] for j in order], after)
         assert (before[0], after[0]) == (137348, 17478)
+
+
+class TestCofactorLeadingMinors:
+    """One expansion gives every leading block's determinant; det_cofactor is the reference."""
+
+    @staticmethod
+    def assert_matches(matrix, signs):
+        minors = list(cofactor_leading_minors(matrix, signs))
+        expected = [signs[k - 1] * det_cofactor([row[:k] for row in matrix[:k]])
+                    for k in range(len(matrix), 0, -1)]
+        assert minors == expected
+        symbolic = any(isinstance(e, LaurentPoly) for row in matrix for e in row)
+        for value, reference in zip(minors, expected):
+            # a block of ints in a polynomial matrix still gives a LaurentPoly
+            assert type(value) is (LaurentPoly if symbolic else type(reference))
+            if symbolic:
+                assert all(value.terms.values())  # canonical: no zero coefficient
+        return minors
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_theorem_matrices_in_shell_order(self, k):
+        rows, cols, signs = shell_order(8)
+        grid = theorem_matrix(k, 8)
+        minors = self.assert_matches([[grid[i][j] for j in cols] for i in rows], signs)
+        assert minors == [theorem(k, n).expand() for n in range(8, 0, -1)]
+
+    def test_random_int_matrices_with_singular_leading_blocks(self):
+        rng = random.Random(2718)
+        for n in range(1, 9):
+            for _ in range(4):
+                m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                     for _ in range(n)]
+                if n > 2:
+                    m[1][:2] = [3 * v for v in m[0][:2]]  # the 2 x 2 block is singular
+                signs = [rng.choice((1, -1)) for _ in range(n)]
+                self.assert_matches(m, signs)
+                self.assert_matches([[Fraction(v, rng.randint(1, 4)) for v in row] for row in m],
+                                    [1] * n)
+
+    def test_random_polynomial_matrices_with_zero_entries(self):
+        rng = random.Random(1618)
+        for n in range(1, 8):
+            for _ in range(3):
+                m = [[rng.choice((0, rng.randint(-5, 5), random_entry_poly(rng, 7, 2)))
+                      for _ in range(n)] for _ in range(n)]
+                m[rng.randrange(n)][rng.randrange(n)] = random_entry_poly(rng, 7)
+                if n > 3:
+                    m[2][:3] = list(m[0][:3])  # the 3 x 3 block cancels to 0
+                self.assert_matches(m, [rng.choice((1, -1)) for _ in range(n)])
+
+    def test_empty_matrix(self):
+        assert list(cofactor_leading_minors([], [])) == []
+        assert type(det_cofactor([])) is int and det_cofactor([]) == 1
+
+    def test_size_guard_and_errors_are_det_cofactor_s(self):
+        eye9 = [[int(i == j) for j in range(9)] for i in range(9)]
+        with pytest.raises(SizeGuardError):
+            cofactor_leading_minors(eye9, [1] * 9)  # refused at the call, not on iteration
+        a = LaurentPoly.variable("a")
+        bad = [[a, Fraction(1, 2)], [1, a]]
+        with pytest.raises(TypeError) as expected:
+            det_cofactor(bad)
+        with pytest.raises(TypeError) as raised:
+            cofactor_leading_minors(bad, [1, 1])
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError, match="square"):
+            cofactor_leading_minors([[1, 2], [3]], [1, 1])
+
+    def test_memo_is_freed_without_the_cycle_collector(self):
+        matrix = theorem_matrix(3, 6)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            minors = cofactor_leading_minors(matrix, [1] * 6)
+            assert gc.collect() == 0  # freed before the first determinant is unpacked
+            assert len(list(minors)) == 6
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDetBareiss:
