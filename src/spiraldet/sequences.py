@@ -1,32 +1,27 @@
 """Integer-sequence specializations of the spiral determinant formulas.
 
-Three fixed parameter bindings are supported:
+Each sequence binds a theorem and a point (``SequenceId.binding``):
 
-* inward  -- centre a = n^2 and b = c = x = y = -1, which turns the additive
-  spiral into the classical matrix with 1..n^2 winding from the outside in;
-* outward -- all parameters 1, the matrix with 1..n^2 winding from the centre
-  out;
-* qspiral -- the q-power family with every exponent parameter 1, whose terms
-  are Laurent polynomials in a single q.
+* inward  -- theorem 1 at a = n^2, b = c = x = y = -1: 1..n^2 winding inward;
+* outward -- theorem 1 with all parameters 1: 1..n^2 winding from the centre out;
+* qspiral -- theorem 2 at q = 2^K, every exponent parameter 1: polynomials in q.
 
-Terms always come from the closed-form formulas; the verifier compares them
-against a brute-force determinant of the specialized matrix, so no sequence
-value is ever trusted from an outside table.
+A term is the closed form at the point, checked against the Bareiss
+determinant of the matrix walked there, never against an outside table.  A
+qspiral determinant is a polynomial in q with nonnegative exponents, each
+coefficient a sum of at most n! terms +-1, so with 2^(K-1) > n! its balanced
+base-2^K digits are the coefficients: equal values mean equal polynomials.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import factorial
 
 from .closed_forms import theorem
-from .determinant_engine import (
-    VerificationReport,
-    Witness,
-    det_bareiss_rational,
-    det_cofactor,
-)
-from .exponent_algebra import LaurentPoly, _format_terms
-from .spiral_builder import check_int, check_size, numeric_theorem_matrix, theorem_matrix
+from .determinant_engine import VerificationReport, Witness, det_bareiss_rational
+from .exponent_algebra import _format_terms
+from .spiral_builder import check_int, check_size, numeric_theorem_matrix
 
 
 class SequenceId(Enum):
@@ -34,26 +29,29 @@ class SequenceId(Enum):
     OUTWARD = "outward"
     QSPIRAL = "qspiral"
 
-    def additive_point(self, n: int) -> tuple[int, int, int, int, int]:
-        """The fixed (a, b, c, x, y) of the additive spiral at size n."""
+    def binding(self, n: int) -> tuple[int, tuple[int, int, int, int, int]]:
+        """The theorem whose matrix gives the n-th term, and its point (a, b, c, x, y)."""
         if self is SequenceId.INWARD:
-            return (n * n, -1, -1, -1, -1)
+            return 1, (n * n, -1, -1, -1, -1)
         if self is SequenceId.OUTWARD:
-            return (1, 1, 1, 1, 1)
-        raise ValueError(f"{self} has no additive parameter binding")
+            return 1, (1,) * 5
+        return 2, (1 << factorial(n).bit_length() + 1,) * 5
 
 
-def q_series(p: LaurentPoly) -> dict[int, int]:
-    """Collapse a polynomial onto powers of a single q."""
-    out: dict[int, int] = {}
-    for vec, coeff in p.terms.items():
-        deg = sum(vec)
-        total = out.get(deg, 0) + coeff
-        if total:
-            out[deg] = total
-        else:
-            out.pop(deg, None)
-    return out
+def balanced_digits(value: int, bits: int) -> dict[int, int]:
+    """The nonzero digits of value in base 2^bits, each in [-2^(bits-1), 2^(bits-1)), by position.
+
+    Reads back a q-series with all |coefficients| < 2^(bits-1) from its value at 2^bits; bits >= 2.
+    """
+    check_size(bits, 2, "bits")
+    series, position, half = {}, 0, 1 << bits - 1
+    while value:
+        digit = (value + half) % (half << 1) - half
+        if digit:
+            series[position] = digit
+        value = (value - digit) >> bits
+        position += 1
+    return series
 
 
 def q_series_string(series: dict[int, int]) -> str:
@@ -62,22 +60,24 @@ def q_series_string(series: dict[int, int]) -> str:
                          "*", " ", "{}^{}")
 
 
+def _read(seq: SequenceId, point: tuple, value):
+    """The term a determinant value stands for: an int, or a q-power dict for qspiral."""
+    assert value.denominator == 1, "specialized determinant must be an integer"
+    if seq is SequenceId.QSPIRAL:
+        return balanced_digits(int(value), point[0].bit_length() - 1)
+    return int(value)
+
+
 def term(seq: SequenceId, n: int):
     """Formula value of the n-th term: an int, or a q-power dict for qspiral."""
     check_size(n, 1)
-    if seq is SequenceId.QSPIRAL:
-        return q_series(theorem(2, n).expand())
-    value = theorem(1, n).evaluate(seq.additive_point(n))
-    assert value.denominator == 1, "specialized determinant must be an integer"
-    return int(value)
+    k, point = seq.binding(n)
+    return _read(seq, point, theorem(k, n).evaluate(point))
 
 
 def _oracle(seq: SequenceId, n: int):
-    if seq is SequenceId.QSPIRAL:
-        return q_series(det_cofactor(theorem_matrix(2, n)))
-    value = det_bareiss_rational(numeric_theorem_matrix(1, n, seq.additive_point(n)))
-    assert value.denominator == 1
-    return int(value)
+    k, point = seq.binding(n)
+    return _read(seq, point, det_bareiss_rational(numeric_theorem_matrix(k, n, point)))
 
 
 def _rows(seq: SequenceId, count: int):

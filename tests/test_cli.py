@@ -313,6 +313,35 @@ class TestSeq:
             main(["seq", "--seq", "inward", "--n-max", "0", "--format", "csv"])
         assert excinfo.value.code == 2
 
+    def test_qspiral_past_the_cofactor_guard(self, capsys):
+        code, out = run_cli(["seq", "--seq", "qspiral", "--n-max", "12", "--format", "csv"],
+                            capsys)
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == 12
+        assert all(row.startswith(f"{n},") and row.endswith(",true")
+                   for n, row in enumerate(rows, start=1))
+
+    def test_qspiral_is_one_bareiss_elimination_per_size(self, capsys, monkeypatch):
+        cofactors, expansions, eliminations = [], [], []
+        real_bareiss, real_expand = determinant_engine.det_bareiss_rational, Factored.expand
+
+        def bareiss(matrix):
+            eliminations.append(len(matrix))
+            return real_bareiss(matrix)
+
+        def expand(self):
+            expansions.append(self)
+            return real_expand(self)
+
+        for module in (determinant_engine, sequences):
+            monkeypatch.setattr(module, "det_bareiss_rational", bareiss)
+        monkeypatch.setattr(determinant_engine, "det_cofactor", cofactors.append)
+        monkeypatch.setattr(determinant_engine, "_expand_minors", cofactors.append)
+        monkeypatch.setattr(Factored, "expand", expand)
+        code, blob = run_json(["seq", "--seq", "qspiral", "--n-max", "8"], capsys)
+        assert code == 0 and blob["report"]["failures"] == 0
+        assert eliminations == list(range(1, 9)) and cofactors == expansions == []
+
 
 class TestFunceq:
     def test_all_relations_pass(self, capsys):

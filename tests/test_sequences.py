@@ -5,21 +5,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from spiraldet import sequences
-from spiraldet.determinant_engine import det_bareiss_rational
-from spiraldet.exponent_algebra import LaurentPoly, exponents
+from spiraldet.closed_forms import theorem
+from spiraldet.determinant_engine import det_bareiss_rational, det_cofactor
+from spiraldet.exponent_algebra import exponents
 from spiraldet.sequences import (
     SequenceId,
-    q_series,
+    balanced_digits,
     q_series_string,
     sequence_csv,
     term,
     verify_sequence,
 )
-from spiraldet.spiral_builder import numeric_theorem_matrix
+from spiraldet.spiral_builder import numeric_theorem_matrix, theorem_matrix
 
 INWARD = SequenceId.INWARD
 OUTWARD = SequenceId.OUTWARD
@@ -55,8 +57,17 @@ class TestTerm:
                 assert isinstance(term(spec, n), int)
 
     def test_qspiral_has_no_additive_binding(self):
-        with pytest.raises(ValueError, match="no additive parameter binding"):
-            QSPIRAL.additive_point(3)
+        # inward and outward bind theorem 1 (the additive spiral); qspiral
+        # binds theorem 2 at five equal coordinates q = 2^K, where K leaves
+        # room for every coefficient: 2^(K-1) > n!
+        assert INWARD.binding(3) == (1, (9, -1, -1, -1, -1))
+        assert OUTWARD.binding(3) == (1, (1, 1, 1, 1, 1))
+        for n in range(1, 25):
+            k, point = QSPIRAL.binding(n)
+            q = point[0]
+            assert k == 2 and point == (q,) * 5
+            bits = q.bit_length() - 1
+            assert q == 1 << bits and 1 << (bits - 1) > factorial(n)
 
     def test_qspiral_term_is_q_polynomial(self):
         # det of [[q^4, q^3], [q, q^2]] is q^6 - q^4
@@ -67,17 +78,16 @@ class TestTerm:
     def test_q_series_refuses_a_half_integer_degree(self):
         # a half-integer degree is refused where its exponent is written
         with pytest.raises(TypeError, match="exponents must be ints"):
-            q_series(LaurentPoly.monomial(exponents(b=Fraction(1, 2))) + 3)
+            exponents(b=Fraction(1, 2))
 
     def test_q_series_refuses_a_half_integer_degree_under_optimize(self):
         # python -O strips assert statements, so the check must not be one
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         script = ("from fractions import Fraction\n"
-                  "from spiraldet.exponent_algebra import LaurentPoly, exponents\n"
-                  "from spiraldet.sequences import q_series\n"
+                  "from spiraldet.exponent_algebra import exponents\n"
                   "try:\n"
-                  "    q_series(LaurentPoly.monomial(exponents(b=Fraction(1, 2))) + 3)\n"
+                  "    exponents(b=Fraction(1, 2))\n"
                   "except TypeError:\n"
                   "    print('refused')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
@@ -96,9 +106,57 @@ class TestVerify:
     def test_qspiral_5(self):
         assert verify_sequence(QSPIRAL, 5).failures == 0
 
+    def test_qspiral_past_the_cofactor_guard(self):
+        report = verify_sequence(QSPIRAL, 12)
+        assert report.trials == 12 and report.failures == 0
+
     def test_bad_count(self):
         with pytest.raises(ValueError):
             verify_sequence(INWARD, 0)
+
+
+def total_degree_series(p):
+    """p at a = b = c = x = y = q, as a dict {degree: coefficient} without zeros."""
+    series = {}
+    for vec, coeff in p.terms.items():
+        series[sum(vec)] = series.get(sum(vec), 0) + coeff
+    return {deg: coeff for deg, coeff in series.items() if coeff}
+
+
+class TestKroneckerRead:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_qspiral_equals_the_cofactor_expansion(self, n):
+        expected = total_degree_series(det_cofactor(theorem_matrix(2, n), allow_large=True))
+        assert term(QSPIRAL, n) == sequences._oracle(QSPIRAL, n) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_qspiral_equals_the_expanded_product_form(self, n):
+        expected = total_degree_series(theorem(2, n).expand())
+        assert term(QSPIRAL, n) == sequences._oracle(QSPIRAL, n) == expected
+
+    @pytest.mark.parametrize("bits", (2, 3, 8, 23, 64))
+    def test_random_series_round_trip(self, bits):
+        # every |coefficient| < 2^(bits-1), up to the extremes, with gaps
+        # between the degrees and either sign at both ends
+        rng = random.Random(bits)
+        top = (1 << bits - 1) - 1
+        for i in range(300):
+            degrees = sorted(rng.sample(range(60), rng.randint(1, 8)))
+            series = {deg: rng.choice((1, -1)) * rng.choice((1, top, rng.randint(1, top)))
+                      for deg in degrees}
+            if i % 3 == 0:
+                series[degrees[0]] = -top
+                series[degrees[-1]] = -rng.randint(1, top)
+            value = sum(coeff * (1 << bits * deg) for deg, coeff in series.items())
+            assert balanced_digits(value, bits) == series
+        assert balanced_digits(0, bits) == {}
+
+    @pytest.mark.parametrize("bits, error", ((1, ValueError), (0, ValueError),
+                                             (2.0, TypeError), (True, TypeError)))
+    def test_base_below_4_is_refused(self, bits, error):
+        # with digits -1 and 0 a positive value never reaches 0
+        with pytest.raises(error):
+            balanced_digits(0, bits)
 
 
 class TestCsv:
