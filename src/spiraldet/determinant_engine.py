@@ -12,10 +12,11 @@ leading block of the largest, so one call serves every size that ``verify``
 checks.  The cofactor memo is keyed by row subsets, each minor taking the
 trailing columns of the expansion order, so with the columns expanded last to
 first the minor on the first k rows is the leading k x k block, columns
-reversed (``cofactor_leading_minors``).  Without row swaps, the elimination
-leaves every leading minor on its diagonal (``leading_minors``); at a zero
-pivot, each larger block falls back to its own ``det_bareiss_rational``, with
-row swaps.
+reversed (``cofactor_leading_minors``).  The elimination leaves every leading
+minor on its diagonal (``leading_minors``), up to the sign of its row swaps:
+a zero pivot swaps in the nearest row below with a nonzero entry in its
+column, and the blocks that swap skips over are singular.  The determinant
+(``det_bareiss_rational``) is the last of these minors.
 
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: at every size, replacing C_j by
@@ -259,17 +260,40 @@ def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[
     return m, nums, dens
 
 
-def _bareiss_step(m: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate column k below the pivot m[k][k], in place.
+def _bareiss_minors(m: list[list[int]]) -> Iterator[int]:
+    """The leading 1 x 1, ..., n x n minors of the integer matrix, from one elimination in place.
 
-    With ``prev`` the previous pivot (1 at the first step), every division is
-    exact.  Column k below the pivot is left as it was and never read again.
+    Bareiss's fraction-free elimination leaves the k-th leading minor as its
+    k-th pivot, and with ``prev`` the previous pivot every division is exact
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968).  At a zero pivot in step
+    k, the nearest row i > k with a nonzero entry in column k is swapped in.
+    Every block of size k+1..i is singular: by Sylvester's identity its
+    determinant is a multiple of that of its rows' eliminated entries, whose
+    column k is zero.  Every larger block holds both swapped rows, so it
+    keeps its determinant up to the sign of the swaps made so far.  With no
+    such row, every block from size k+1 on is singular and the elimination
+    stops.
     """
-    pivot = m[k][k]
-    tail_k = m[k][k + 1:]
-    for row_i in m[k + 1:]:
-        head = row_i[k]
-        row_i[k + 1:] = [(pivot * a - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)]
+    n = len(m)
+    sign = prev = 1
+    singular_to = 0  # the block of each step k < singular_to is singular
+    for k in range(n):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                yield from [0] * (n - k)
+                return
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+            singular_to = max(singular_to, i)
+        pivot = m[k][k]
+        yield 0 if k < singular_to else sign * pivot
+        tail_k = m[k][k + 1:]
+        for row_i in m[k + 1:]:
+            head = row_i[k]
+            row_i[k + 1:] = [(pivot * a - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)]
+        prev = pivot
 
 
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
@@ -277,61 +301,36 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
 
     Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
     is the product of the row and column contents (see ``_remove_contents``)
-    times the determinant of the content-free integer matrix.  That one
-    comes from Bareiss's fraction-free elimination with row-swap pivoting on
-    plain ints, whose every division is exact.  A q-power matrix at a sample
-    point carries a large common monomial in each row and column, so
-    removing the content first keeps the eliminated entries small.  A zero
-    row or column gives 0 at once.
+    times the determinant of the content-free integer matrix, the last
+    minor of its one Bareiss elimination on plain ints (``_bareiss_minors``).
+    A q-power matrix at a sample point carries a large common monomial in
+    each row and column, so removing the content first keeps the eliminated
+    entries small.  A zero row or column has content 0, so it gives 0.
     """
-    n = _check_square(matrix)
-    if n == 0:
-        return Fraction(1)
+    _check_square(matrix)
     m, nums, dens = _remove_contents(matrix)
-    if 0 in nums:
-        return Fraction(0)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1] * prod(nums), prod(dens))
+    det = 1
+    for det in _bareiss_minors(m):
+        pass
+    return Fraction(det * prod(nums), prod(dens))
 
 
 def leading_minors(matrix: Sequence[Sequence]) -> list[Fraction]:
     """The determinants of the leading 1 x 1, 2 x 2, ..., n x n blocks, in one elimination.
 
-    Bareiss's elimination without row swaps leaves the k-th leading
-    principal minor of the matrix as its k-th pivot (Bareiss, "Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math.
-    Comp. 22, 1968).  It runs once on the content-free integer matrix, and a
-    running product of the row and column contents scales each pivot back.
-    A zero pivot ends the elimination: its minor is 0, and every larger
-    block falls back to its own ``det_bareiss_rational``, which may swap rows.
+    The content-free integer matrix is eliminated once (``_bareiss_minors``,
+    which swaps in the nearest nonzero row at a zero pivot), and a running
+    product of the row and column contents scales each of its leading
+    minors back.  The last minor is ``det_bareiss_rational(matrix)``.
     """
-    n = _check_square(matrix)
+    _check_square(matrix)
     m, nums, dens = _remove_contents(matrix)
     minors = []
-    num = den = prev = 1
-    for k in range(n):
+    num = den = 1
+    for k, minor in enumerate(_bareiss_minors(m)):
         num *= nums[k]
         den *= dens[k]
-        pivot = m[k][k]
-        minors.append(Fraction(num * pivot, den))
-        if pivot == 0:
-            break
-        _bareiss_step(m, k, prev)
-        prev = pivot
-    minors += [det_bareiss_rational([row[:k] for row in matrix[:k]])
-               for k in range(len(minors) + 1, n + 1)]
+        minors.append(Fraction(num * minor, den))
     return minors
 
 

@@ -665,14 +665,47 @@ class TestLeadingMinors:
         assert leading_minors([[0.5, 0.25], [2.0, 0.1]]) == [
             Fraction(0.5), Fraction(0.5) * Fraction(0.1) - Fraction(0.25) * Fraction(2.0)]
 
-    def test_zero_pivot_falls_back_to_each_block(self, monkeypatch):
+    def test_zero_pivot_makes_no_block_call(self, monkeypatch):
         sizes = count_bareiss_sizes(monkeypatch)
         assert leading_minors([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == [0, -1, -5]
-        assert sizes == [2, 3]
-        sizes.clear()
         # a zero row: the minors from its size on are 0
         assert leading_minors([[2, 1, 1], [0, 0, 0], [1, 1, 3]]) == [2, 0, 0]
-        assert sizes == [3]
+        assert sizes == []
+
+    # Nearest-row pivoting against per-block cofactor expansion, which shares
+    # no pivot rule with the elimination.
+    @staticmethod
+    def assert_per_block_minors(m):
+        minors = leading_minors(m)
+        assert minors == [det_cofactor(b) for b in leading_blocks(m)], m
+        assert det_bareiss_rational(m) == minors[-1]
+        return minors
+
+    def test_every_01_matrix_of_size_3(self):
+        for bits in range(1 << 9):
+            self.assert_per_block_minors([[bits >> (3 * i + j) & 1 for j in range(3)]
+                                          for i in range(3)])
+
+    def test_random_sparse_sign_matrices(self):
+        rng = random.Random(2024)
+        inner_zero = 0
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            minors = self.assert_per_block_minors(
+                [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(n)])
+            inner_zero += 0 in minors[:-1]
+        assert inner_zero > 1000  # most of them meet a zero pivot before the last
+
+    def test_second_swap_reaches_past_the_first(self):
+        # step 0 swaps rows 0 and 2, and step 1 then swaps rows 1 and 3
+        m = [[0, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
+        assert self.assert_per_block_minors(m) == [0, 0, 0, 1]
+
+    def test_zero_column_and_zero_row(self):
+        assert self.assert_per_block_minors([[1, 0, 2], [3, 0, 4], [5, 0, 6]]) == [1, 0, 0]
+        assert self.assert_per_block_minors([[0, 1, 2], [0, 3, 4], [0, 5, 7]]) == [0, 0, 0]
+        assert self.assert_per_block_minors([[1, 2, 3], [4, 5, 6], [0, 0, 0]]) == [1, -3, 0]
+        assert self.assert_per_block_minors([[0, 0, 0], [0, 1, 2], [3, 4, 5]]) == [0, 0, 0]
 
     def test_no_bareiss_call_without_a_zero_pivot(self, monkeypatch):
         sizes = count_bareiss_sizes(monkeypatch)
@@ -694,13 +727,13 @@ class TestLeadingMinors:
     # trial 3 has a zero 15th leading minor, and theorem 3 at seed 11, trial 0
     # has x = -1, so [x] = 0 and every minor from the 2nd on is 0.
     @pytest.mark.parametrize("k,n,seed,trial,zero_at", ((1, 16, 45, 3, 15), (3, 12, 11, 0, 2)))
-    def test_named_zero_pivots_take_the_fallback(self, k, n, seed, trial, zero_at, monkeypatch):
+    def test_named_zero_pivots_no_block_call(self, k, n, seed, trial, zero_at, monkeypatch):
         point = sample_point(seed, trial)
         matrix, signs = shell_ordered(k, n, point)
         sizes = count_bareiss_sizes(monkeypatch)
         minors = leading_minors(matrix)
         assert 0 not in minors[:zero_at - 1] and minors[zero_at - 1] == 0
-        assert sizes == list(range(zero_at + 1, n + 1))
+        assert sizes == []
         for size in range(1, n + 1):
             assert signs[size - 1] * minors[size - 1] == theorem(k, size).evaluate(point) == \
                 det_bareiss_rational(numeric_theorem_matrix(k, size, point)), size
