@@ -31,9 +31,9 @@ from .determinant_engine import (
     VerificationReport,
     WedgeFactorization,
     WedgeNotZeroError,
-    cofactor_leading_minors,
     det_bareiss_rational,
     det_cofactor,
+    leading_minor_residues,
     leading_minors,
     numeric_matrix,
     verify_identity,

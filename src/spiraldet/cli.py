@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import closed_forms, determinant_engine, funceq, sequences, spiral_builder
-from .exponent_algebra import LaurentPoly, to_records, to_string
+from .exponent_algebra import to_records, to_string
 
 _FAMILIES = ("additive", "bracket", "generalized", "qpower")
 
@@ -96,32 +96,26 @@ def _cmd_det(args, seed: int):
     return fields, 0, {"determinant": to_records(det), "string": to_string(det)}, 0
 
 
-def _symbolic_check(n: int, det: LaurentPoly, expected: LaurentPoly) -> dict:
-    # a function of its own, so that the determinant and its expanded formula
-    # are both freed before the next size's determinant is unpacked
-    check = {"n": n, "mode": "symbolic", "match": det == expected}
-    if not check["match"]:
-        # the lowest exponent vector of det - formula and its coefficient
-        check["witness"] = to_records(det - expected)[0]
-    return check
-
-
 def _symbolic_checks(theorem: int, top: int) -> list[dict]:
     """The symbolic check of every size 1..top, from one cofactor expansion.
 
     In ``shell_order`` every size-k spiral is the leading k x k block of the
     size-top one, so the leading minors of that one matrix give every
-    size's determinant.  They come largest first, and each goes straight
-    into its check, with no name held to it, so it is compared and dropped
-    before the next is unpacked: at most one determinant and one expanded
-    formula are alive.
+    size's determinant.  Each comes back, largest first, as its residue
+    det - formula, empty on a match; a mismatch names the lowest exponent
+    vector of the residue and its coefficient.
     """
     rows, cols, signs = spiral_builder.shell_order(top)
     grid = spiral_builder.theorem_matrix(theorem, top)
-    minors = determinant_engine.cofactor_leading_minors(
-        [[grid[i][j] for j in cols] for i in rows], signs)
-    checks = [_symbolic_check(n, next(minors), closed_forms.theorem(theorem, n).expand())
-              for n in range(top, 0, -1)]
+    residues = determinant_engine.leading_minor_residues(
+        [[grid[i][j] for j in cols] for i in rows], signs,
+        [closed_forms.theorem(theorem, n) for n in range(1, top + 1)])
+    checks = []
+    for n, residue in zip(range(top, 0, -1), residues):
+        check = {"n": n, "mode": "symbolic", "match": not residue}
+        if residue:
+            check["witness"] = to_records(residue)[0]
+        checks.append(check)
     return checks[::-1]
 
 

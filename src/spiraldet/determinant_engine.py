@@ -12,11 +12,14 @@ leading block of the largest, so one call serves every size that ``verify``
 checks.  The cofactor memo is keyed by row subsets, each minor taking the
 trailing columns of the expansion order, so with the columns expanded last to
 first the minor on the first k rows is the leading k x k block, columns
-reversed (``cofactor_leading_minors``).  The elimination leaves every leading
-minor on its diagonal (``leading_minors``), up to the sign of its row swaps:
-a zero pivot swaps in the nearest row below with a nonzero entry in its
-column, and the blocks that swap skips over are singular.  The determinant
-(``det_bareiss_rational``) is the last of these minors.
+reversed.  ``leading_minor_residues`` compares each such minor with its
+closed form on the packed keys: the formula's factors are packed with the
+same base, which covers both sides, and multiplied there, so a match unpacks
+nothing and a mismatch unpacks only det - formula.  The elimination leaves
+every leading minor on its diagonal (``leading_minors``), up to the sign of
+its row swaps: a zero pivot swaps in the nearest row below with a nonzero
+entry in its column, and the blocks that swap skips over are singular.  The
+determinant (``det_bareiss_rational``) is the last of these minors.
 
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: at every size, replacing C_j by
@@ -43,6 +46,7 @@ from .exponent_algebra import (
     angle,
     evaluate,
     exponents,
+    pairwise_product,
 )
 from .spiral_builder import centre_cell, check_int, check_size
 
@@ -96,30 +100,36 @@ def _unpack(key: int, base: int) -> ExponentVector:
     return tuple(vec)
 
 
-def _packed_columns(matrix: Sequence[Sequence], allow_large: bool):
+def _reach(poly: LaurentPoly) -> int:
+    """max |d| over the exponents of the polynomial's terms."""
+    return max((abs(d) for vec in poly.terms for d in vec), default=0)
+
+
+def _packed_columns(matrix: Sequence[Sequence], allow_large: bool, reach: int = 0):
     """(symbolic, base, columns) of a matrix that ``det_cofactor`` accepts.
 
     ``columns[j][i]`` is entry (i, j) packed into (key, coefficient) pairs:
     the key of a monomial with exponents d is sum d[i] * B**i with
-    B = ``base`` = 2*H + 1 and H = n * max|d| over all entries, and a number
-    is the constant key 0.  A term of a k-row minor has exponents of size at
-    most k * max|d| <= H, so no two monomials an expansion meets share a
-    key, and keys add as exponents do.  Refuses n > 8 unless ``allow_large``
-    is set, and a polynomial matrix with a nonzero entry that is not an int.
+    B = ``base`` = 2*H + 1 and H = max(n * max|d| over all entries, reach),
+    and a number is the constant key 0.  A term of a k-row minor has
+    exponents of size at most k * max|d| <= H, so no two monomials an
+    expansion meets share a key, and keys add as exponents do; ``reach``
+    widens H to cover what a caller compares the minors with.  Refuses
+    n > 8 unless ``allow_large`` is set, and a polynomial matrix with a
+    nonzero entry that is not an int.
     """
     n = _check_square(matrix)
     if n > COFACTOR_SIZE_GUARD and not allow_large:
         raise SizeGuardError(f"n={n} exceeds the size guard {COFACTOR_SIZE_GUARD}")
     symbolic = any(isinstance(entry, LaurentPoly) for row in matrix for entry in row)
-    base = 1
     if symbolic:
         for row in matrix:
             for entry in row:
                 if entry and not isinstance(entry, (LaurentPoly, int)):
                     raise TypeError(f"entry {entry!r} of a polynomial matrix is not an int")
-        base = 2 * n * max((abs(d) for row in matrix for entry in row
-                            if isinstance(entry, LaurentPoly)
-                            for vec in entry.terms for d in vec), default=0) + 1
+        reach = max(reach, n * max((_reach(entry) for row in matrix for entry in row
+                                    if isinstance(entry, LaurentPoly)), default=0))
+    base = 2 * reach + 1
     columns = [[[(_pack(vec, base), c) for vec, c in entry.terms.items()]
                 if isinstance(entry, LaurentPoly) else [(0, entry)] if entry else []
                 for entry in (row[j] for row in matrix)] for j in range(n)]
@@ -167,13 +177,6 @@ def _expand_minors(columns: list, masks: Sequence[int]) -> list[list[tuple[int, 
     return terms
 
 
-def _unpacked(terms: list[tuple[int, object]], sign: int, symbolic: bool, base: int):
-    """sign times the determinant whose packed terms these are."""
-    if symbolic:
-        return LaurentPoly._raw({_unpack(key, base): sign * c for key, c in terms})
-    return sign * terms[0][1] if terms else 0
-
-
 def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     """Exact determinant by Laplace expansion along columns, memoized over row subsets.
 
@@ -205,32 +208,70 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     order = sorted(range(n), key=mass, reverse=True)  # stable: ties keep column order
     inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
     terms, = _expand_minors([columns[j] for j in order], [(1 << n) - 1])
-    return _unpacked(terms, -1 if inversions % 2 else 1, symbolic, base)
+    sign = -1 if inversions % 2 else 1
+    if symbolic:
+        return LaurentPoly._raw({_unpack(key, base): sign * c for key, c in terms})
+    return sign * terms[0][1] if terms else 0
 
 
-def cofactor_leading_minors(matrix: Sequence[Sequence], signs: Sequence[int]) -> Iterator:
-    """``signs[k - 1]`` times the determinant of each leading k x k block, largest first.
+def leading_minor_residues(matrix: Sequence[Sequence], signs: Sequence[int],
+                           formulas: Sequence[Factored]) -> Iterator[LaurentPoly]:
+    """``signs[k-1]`` * det(leading k x k block) - ``formulas[k-1]`` for each k, largest first.
 
     One expansion serves every block.  With the columns expanded last to
     first, the minor on rows 0..k-1 takes columns k-1, ..., 0: it is the
     leading k x k block with its columns reversed, of sign (-1)^(k(k-1)/2).
     All blocks share one memo (a zero diagonal entry only means a block's
     minor is not reached from the next larger one), and the memo is freed
-    before any determinant is unpacked.  The determinants are then
-    unpacked one at a time, k = n down to 1, each packed term list released
-    as it is, with the sign folded into the unpacking: a caller that drops
-    each block's determinant before taking the next never holds two.
+    before this returns.  Each residue is then formed on the packed keys
+    (``_packed_residue``), k = n down to 1, each minor's packed terms
+    released as they are: a caller that drops each residue before taking
+    the next never holds two.  A residue is an empty LaurentPoly where the
+    formula matches.
 
-    Entries and their errors are those of ``det_cofactor``, and n > 8 is
-    always refused; both are checked before this returns.  A matrix with
-    any LaurentPoly entry gives a LaurentPoly for every block, one of ints
-    included.
+    The base packs both sides: H also covers, for each formula, the sum
+    over its factors of their max |d|, which bounds every exponent of the
+    formula's products.  Entries and their errors are those of
+    ``det_cofactor``, n > 8 is always refused, and there must be one sign
+    and one formula per size; all are checked before this returns.
     """
-    symbolic, base, columns = _packed_columns(matrix, False)
+    reach = max((sum(map(_reach, formula.factors)) for formula in formulas), default=0)
+    _, base, columns = _packed_columns(matrix, False, reach)
     n = len(columns)
+    if len(signs) != n or len(formulas) != n:
+        raise ValueError(f"need {n} signs and {n} formulas, got {len(signs)} and {len(formulas)}")
     minors = _expand_minors(columns[::-1], [(1 << k) - 1 for k in range(1, n + 1)])
-    return (_unpacked(minors.pop(), (-1) ** (k * (k - 1) // 2) * signs[k - 1], symbolic, base)
-            for k in range(n, 0, -1))
+    return (_packed_residue(minors.pop(), (-1) ** (k * (k - 1) // 2) * signs[k - 1],
+                            formulas[k - 1], base) for k in range(n, 0, -1))
+
+
+def _packed_product(p: dict, q: dict) -> dict:
+    """The product of two polynomials packed with one base, zero terms kept."""
+    out = {}
+    get = out.get
+    for u, cu in p.items():
+        for v, cv in q.items():
+            w = u + v
+            out[w] = get(w, 0) + cu * cv
+    return out
+
+
+def _packed_residue(terms: list[tuple[int, object]], sign: int, formula: Factored,
+                    base: int) -> LaurentPoly:
+    """sign times the determinant whose packed terms these are, minus the formula.
+
+    The formula's factors are packed with the same base and multiplied
+    pairwise on their keys, starting from -formula.sign; the determinant's
+    terms are added into that product in place, and only its nonzero
+    terms are unpacked.
+    """
+    factors = [{_pack(vec, base): c for vec, c in factor.terms.items()}
+               for factor in formula.factors]
+    out = pairwise_product([{0: -formula.sign}, *factors], _packed_product)
+    get = out.get
+    for w, c in terms:
+        out[w] = get(w, 0) + sign * c
+    return LaurentPoly._raw({_unpack(w, base): c for w, c in out.items() if c})
 
 
 def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int]]:

@@ -28,8 +28,8 @@ output, and nothing reads either form back.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
-from typing import Iterable, Mapping, Sequence
+from operator import add as _add, mul as _mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 VARIABLES = ("a", "b", "c", "x", "y")
 NVARS = len(VARIABLES)
@@ -268,6 +268,19 @@ def evaluate(p: LaurentPoly, point: Sequence) -> Fraction:
     return Fraction(*_value(p, _coordinates(point)))
 
 
+def pairwise_product(items: list, mul: Callable):
+    """items[0] * items[1] * ... under ``mul``, for a nonempty list.
+
+    Neighbours are multiplied pairwise, round by round, an odd one out
+    carrying to the next round.  A left-to-right fold would hold a partial
+    product of nearly the final size beside the result.
+    """
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = [mul(p, q) for p, q in zip(items[::2], items[1::2])] + odd
+    return items[0]
+
+
 class Factored:
     """A product sign * factors[0] * factors[1] * ..., kept unexpanded.
 
@@ -290,17 +303,8 @@ class Factored:
         self.factors = factors
 
     def expand(self) -> LaurentPoly:
-        """The product as one canonical polynomial.
-
-        Neighbouring factors are multiplied pairwise, round by round, an odd
-        one out carrying to the next round.  A left-to-right fold would hold
-        a partial product of nearly the final size beside the result.
-        """
-        polys = [LaurentPoly.constant(self.sign), *self.factors]
-        while len(polys) > 1:
-            odd = polys[-1:] if len(polys) % 2 else []
-            polys = [p * q for p, q in zip(polys[::2], polys[1::2])] + odd
-        return polys[0]
+        """The product as one canonical polynomial, multiplied by ``pairwise_product``."""
+        return pairwise_product([LaurentPoly.constant(self.sign), *self.factors], _mul)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at the point; equals ``evaluate(self.expand(), point)``.

@@ -12,8 +12,8 @@ import tracemalloc
 import pytest
 
 from spiraldet import closed_forms, determinant_engine, sequences, spiral_builder
-from spiraldet.cli import _cmd_verify, _symbolic_check, build_parser, main
-from spiraldet.exponent_algebra import Factored, LaurentPoly, exponents
+from spiraldet.cli import _cmd_verify, build_parser, main
+from spiraldet.exponent_algebra import Factored, LaurentPoly, exponents, to_records
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -98,17 +98,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("theorem", (1, 3))
     def test_symbolic_mismatch_names_a_witness(self, theorem, capsys, monkeypatch):
-        real = determinant_engine.cofactor_leading_minors
+        real = determinant_engine.leading_minor_residues
         # two terms no spiral determinant of size 2 carries; x^-1 is the lower
         extra = 3 * LaurentPoly.monomial(exponents(x=-1)) - 2 * LaurentPoly.monomial(
             exponents(a=5))
 
-        def minors(matrix, signs):
-            # the determinants come largest first
-            for k, det in zip(range(len(matrix), 0, -1), real(matrix, signs)):
-                yield det + extra if k == 2 else det
+        def residues(matrix, signs, formulas):
+            # the residues come largest first
+            for k, residue in zip(range(len(matrix), 0, -1), real(matrix, signs, formulas)):
+                yield residue + extra if k == 2 else residue
 
-        monkeypatch.setattr(determinant_engine, "cofactor_leading_minors", minors)
+        monkeypatch.setattr(determinant_engine, "leading_minor_residues", residues)
         code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "3"], capsys)
         assert code == 1 and blob["report"]["failures"] == 1
         checks = blob["report"]["checks"]
@@ -241,15 +241,61 @@ class TestVerify:
                 tracemalloc.stop()
 
         def per_size():
-            return [_symbolic_check(n, determinant_engine.det_cofactor(
-                spiral_builder.theorem_matrix(3, n)), closed_forms.theorem(3, n).expand())
-                for n in range(1, 9)]
+            # each determinant and expanded formula is freed before the next
+            return [{"n": n, "mode": "symbolic",
+                     "match": determinant_engine.det_cofactor(spiral_builder.theorem_matrix(3, n))
+                     == closed_forms.theorem(3, n).expand()} for n in range(1, 9)]
 
         args = build_parser().parse_args(["verify", "--theorem", "3", "--n-max", "8"])
         (_, _, report, failures), peak = traced_peak(lambda: _cmd_verify(args, 0))
         checks, reference = traced_peak(per_size)
         assert failures == 0 and report["checks"] == checks
         assert peak <= 1.03 * reference
+
+    @pytest.mark.parametrize("shift_sign", (1, -1))
+    def test_formula_past_the_matrix_exponent_bound_mismatches_at_its_size(
+            self, shift_sign, capsys, monkeypatch):
+        # a^(B0), with B0 = 2 * 8 * max|d| + 1 the packing base of the matrix
+        # alone, would pack as b (a^-B0 as 1/b) unless the base covers the formula
+        real = closed_forms.theorem
+        grid = spiral_builder.theorem_matrix(3, 8)
+        reach = max(abs(d) for row in grid for entry in row for vec in entry.terms for d in vec)
+        shift = LaurentPoly.monomial(exponents(a=shift_sign * (2 * 8 * reach + 1)))
+
+        def theorem(k, n):
+            formula = real(k, n)
+            return Factored(formula.sign, (*formula.factors, shift)) if n == 5 else formula
+
+        monkeypatch.setattr(closed_forms, "theorem", theorem)
+        code, blob = run_json(["verify", "--theorem", "3", "--n-max", "8"], capsys)
+        det = determinant_engine.det_cofactor(spiral_builder.theorem_matrix(3, 5))
+        assert code == 1 and blob["report"]["failures"] == 1
+        checks = blob["report"]["checks"]
+        assert checks[4] == {"n": 5, "mode": "symbolic", "match": False,
+                             "witness": to_records(det - det * shift)[0]}
+        assert all(c["match"] for c in checks[:4] + checks[5:])
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_matching_symbolic_checks_unpack_and_expand_nothing(self, theorem, capsys,
+                                                                monkeypatch):
+        # both sides stay on packed keys; LaurentPoly.__mul__ is not counted,
+        # since building theorem 1's quadratic factor calls it
+        calls = {"_unpack": 0, "expand": 0}
+        real_unpack, real_expand = determinant_engine._unpack, Factored.expand
+
+        def unpack(key, base):
+            calls["_unpack"] += 1
+            return real_unpack(key, base)
+
+        def expand(self):
+            calls["expand"] += 1
+            return real_expand(self)
+
+        monkeypatch.setattr(determinant_engine, "_unpack", unpack)
+        monkeypatch.setattr(Factored, "expand", expand)
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "8"], capsys)
+        assert code == 0 and blob["report"]["failures"] == 0
+        assert calls == {"_unpack": 0, "expand": 0}
 
     def test_empty_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -17,9 +17,9 @@ from spiraldet.determinant_engine import (
     VerificationReport,
     WedgeNotZeroError,
     Witness,
-    cofactor_leading_minors,
     det_bareiss_rational,
     det_cofactor,
+    leading_minor_residues,
     leading_minors,
     numeric_matrix,
     sample_point,
@@ -420,29 +420,69 @@ class TestColumnOrderCofactor:
         assert (before[0], after[0]) == (137348, 17478)
 
 
+def as_poly(value):
+    """A number as a constant LaurentPoly, a Fraction keeping its coefficient."""
+    if isinstance(value, LaurentPoly):
+        return value
+    return LaurentPoly._raw({(0,) * 5: value} if value else {})
+
+
 class TestCofactorLeadingMinors:
-    """One expansion gives every leading block's determinant; det_cofactor is the reference."""
+    """One expansion gives every leading minor's residue against its formula.
+
+    ``leading_minor_residues`` is checked against det_cofactor on each block.
+    """
 
     @staticmethod
     def assert_matches(matrix, signs):
-        minors = list(cofactor_leading_minors(matrix, signs))
-        expected = [signs[k - 1] * det_cofactor([row[:k] for row in matrix[:k]])
-                    for k in range(len(matrix), 0, -1)]
-        assert minors == expected
-        symbolic = any(isinstance(e, LaurentPoly) for row in matrix for e in row)
-        for value, reference in zip(minors, expected):
-            # a block of ints in a polynomial matrix still gives a LaurentPoly
-            assert type(value) is (LaurentPoly if symbolic else type(reference))
-            if symbolic:
-                assert all(value.terms.values())  # canonical: no zero coefficient
-        return minors
+        n = len(matrix)
+        dets = [signs[k - 1] * det_cofactor([row[:k] for row in matrix[:k]])
+                for k in range(1, n + 1)]
+        formulas = [Factored(1, (as_poly(det),)) for det in dets]
+        residues = list(leading_minor_residues(matrix, signs, formulas))
+        assert len(residues) == n
+        for residue in residues:
+            assert type(residue) is LaurentPoly and not residue.terms
+        # formula = det - p leaves the residue p, exactly and canonical
+        rng = random.Random(n)  # apart from the caller's, which draws the matrices
+        perturbations = [random_entry_poly(rng, 7) for _ in range(n)]
+        perturbed = [Factored(1, (formula.factors[0] - p,))
+                     for formula, p in zip(formulas, perturbations)]
+        residues = list(leading_minor_residues(matrix, signs, perturbed))
+        assert residues == perturbations[::-1]  # largest first
+        for residue in residues:
+            assert type(residue) is LaurentPoly and all(residue.terms.values())
+        return dets
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_theorem_matrices_in_shell_order(self, k):
         rows, cols, signs = shell_order(8)
         grid = theorem_matrix(k, 8)
-        minors = self.assert_matches([[grid[i][j] for j in cols] for i in rows], signs)
-        assert minors == [theorem(k, n).expand() for n in range(8, 0, -1)]
+        matrix = [[grid[i][j] for j in cols] for i in rows]
+        dets = self.assert_matches(matrix, signs)
+        assert dets == [theorem(k, n).expand() for n in range(1, 9)]
+        formulas = [theorem(k, n) for n in range(1, 9)]
+        assert not any(leading_minor_residues(matrix, signs, formulas))
+        # the opposite sign leaves det - (-det), through every factor's expansion
+        negated = [Factored(-f.sign, f.factors) for f in formulas]
+        assert list(leading_minor_residues(matrix, signs, negated)) == \
+            [2 * det for det in dets[::-1]]
+
+    @pytest.mark.parametrize("shift_sign", (1, -1))
+    def test_formula_exponents_past_the_matrix_bound_are_packed_apart(self, shift_sign):
+        # a^(B0), with B0 = 2 * n * max|d| + 1 the base of the matrix alone,
+        # would pack as b (or a^-B0 as 1/b) if the base did not cover the formula
+        rows, cols, signs = shell_order(6)
+        grid = theorem_matrix(3, 6)
+        matrix = [[grid[i][j] for j in cols] for i in rows]
+        reach = max(abs(d) for row in grid for entry in row for vec in entry.terms
+                    for d in vec)
+        shift = LaurentPoly.monomial(exponents(a=shift_sign * (2 * 6 * reach + 1)))
+        formulas = [Factored(f.sign, (*f.factors, shift))
+                    for f in (theorem(3, n) for n in range(1, 7))]
+        residues = list(leading_minor_residues(matrix, signs, formulas))
+        dets = [theorem(3, n).expand() for n in range(6, 0, -1)]
+        assert residues == [det - det * shift for det in dets]
 
     def test_random_int_matrices_with_singular_leading_blocks(self):
         rng = random.Random(2718)
@@ -469,22 +509,25 @@ class TestCofactorLeadingMinors:
                 self.assert_matches(m, [rng.choice((1, -1)) for _ in range(n)])
 
     def test_empty_matrix(self):
-        assert list(cofactor_leading_minors([], [])) == []
+        assert list(leading_minor_residues([], [], [])) == []
         assert type(det_cofactor([])) is int and det_cofactor([]) == 1
 
     def test_size_guard_and_errors_are_det_cofactor_s(self):
+        one = Factored(1, ())
         eye9 = [[int(i == j) for j in range(9)] for i in range(9)]
         with pytest.raises(SizeGuardError):
-            cofactor_leading_minors(eye9, [1] * 9)  # refused at the call, not on iteration
+            leading_minor_residues(eye9, [1] * 9, [one] * 9)  # refused at the call
         a = LaurentPoly.variable("a")
         bad = [[a, Fraction(1, 2)], [1, a]]
         with pytest.raises(TypeError) as expected:
             det_cofactor(bad)
         with pytest.raises(TypeError) as raised:
-            cofactor_leading_minors(bad, [1, 1])
+            leading_minor_residues(bad, [1, 1], [one] * 2)
         assert str(raised.value) == str(expected.value)
         with pytest.raises(ValueError, match="square"):
-            cofactor_leading_minors([[1, 2], [3]], [1, 1])
+            leading_minor_residues([[1, 2], [3]], [1, 1], [one] * 2)
+        with pytest.raises(ValueError, match="2 signs and 2 formulas"):
+            leading_minor_residues([[1, 2], [3, 4]], [1, 1], [one])
 
     def test_memo_is_freed_without_the_cycle_collector(self):
         matrix = theorem_matrix(3, 6)
@@ -492,9 +535,9 @@ class TestCofactorLeadingMinors:
         gc.disable()
         try:
             gc.collect()
-            minors = cofactor_leading_minors(matrix, [1] * 6)
-            assert gc.collect() == 0  # freed before the first determinant is unpacked
-            assert len(list(minors)) == 6
+            residues = leading_minor_residues(matrix, [1] * 6, [Factored(1, ())] * 6)
+            assert gc.collect() == 0  # freed before the first residue is formed
+            assert len(list(residues)) == 6
             assert gc.collect() == 0
         finally:
             if enabled:
