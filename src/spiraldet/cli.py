@@ -119,23 +119,31 @@ def _symbolic_checks(theorem: int, top: int) -> list[dict]:
     return checks[::-1]
 
 
-def _randomized_failures(theorem: int, sizes: range, trials: int, seed: int) -> list[int]:
-    """Failed trials at each size, from one walk and one elimination per trial.
+def _randomized_checks(theorem: int, sizes: range, trials: int, seed: int) -> list[dict]:
+    """The randomized check of every size, from one walk and one elimination per trial.
 
     In ``shell_order`` every size-k spiral is the leading k x k block of the
     largest one, and the trial's point is the same at every size, so the
     leading minors of the largest matrix give every size's determinant.
+    A failed check names its first failing point and both values.
     """
     formulas = [closed_forms.theorem(theorem, n) for n in sizes]
     rows, cols, signs = spiral_builder.shell_order(sizes[-1])
-    failures = [0] * len(sizes)
-    for t in range(trials):
-        point = determinant_engine.sample_point(seed, t)
+
+    def sides(point):
         grid = spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)
         minors = determinant_engine.leading_minors([[grid[i][j] for j in cols] for i in rows])
-        for i, (n, formula) in enumerate(zip(sizes, formulas)):
-            failures[i] += signs[n - 1] * minors[n - 1] != formula.evaluate(point)
-    return failures
+        for n, formula in zip(sizes, formulas):
+            yield signs[n - 1] * minors[n - 1], formula.evaluate(point)
+
+    checks = []
+    for n, report in zip(sizes, determinant_engine.randomized_reports(sides, trials, seed)):
+        check = {"n": n, "mode": "randomized", "match": not report.failures,
+                 "trials": trials, "failures": report.failures}
+        if report.witnesses:
+            check["witness"] = report.witnesses[0].to_json_dict()
+        checks.append(check)
+    return checks
 
 
 def _cmd_verify(args, seed: int):
@@ -143,9 +151,7 @@ def _cmd_verify(args, seed: int):
     checks = _symbolic_checks(args.theorem, min(args.n_max, guard))
     sizes = range(guard + 1, args.n_max + 1)
     if sizes:
-        failed = _randomized_failures(args.theorem, sizes, args.trials, seed)
-        checks += [{"n": n, "mode": "randomized", "match": f == 0,
-                    "trials": args.trials, "failures": f} for n, f in zip(sizes, failed)]
+        checks += _randomized_checks(args.theorem, sizes, args.trials, seed)
     fields = {"theorem": args.theorem, "n_max": args.n_max}
     failures = sum(not check["match"] for check in checks)
     if args.format == "text":

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .determinant_engine import VerificationReport, Witness, sample_point
+from .determinant_engine import VerificationReport, Witness, randomized_reports
 from .exponent_algebra import (
     Factored,
     LaurentPoly,
@@ -53,7 +53,7 @@ from .exponent_algebra import (
     evaluate,
     exponents,
 )
-from .spiral_builder import build_qpower, centre_cell, check_int, check_size, check_theorem
+from .spiral_builder import build_qpower, centre_cell, check_size, check_theorem
 
 _A = LaurentPoly.variable("a")
 _B = LaurentPoly.variable("b")
@@ -238,26 +238,25 @@ def reduction(size: int) -> ReductionData:
 
 def verify_reduction(size: int, trials: int, seed: int) -> VerificationReport:
     """Check the step of :func:`reduction` from size to size - 1 at random
-    integer points with exact rationals; a size below 2 is refused.
+    integer points with exact rationals; a size below 2 is refused first.
 
-    Theorem 1 is a polynomial identity, so it holds wherever a derived
-    parameter of the smaller matrix is zero, and every sample point is checked.
+    The one pair that :func:`randomized_reports` compares at each point is
+    the scalar factor times the smaller determinant, at the derived
+    parameters, against the bigger determinant.  Theorem 1 is a polynomial
+    identity, so it holds wherever a derived parameter of the smaller matrix
+    is zero, and every sample point is checked.
     """
     data = reduction(size)
-    check_size(trials, 1, "trials")
-    check_int(seed, "seed")
     small, big = theorem(1, size - 1), theorem(1, size)
-    witnesses = []
-    for t in range(trials):
-        point = sample_point(seed, t)
+
+    def sides(point):
         centre = evaluate(data.centre_numerator, point) / evaluate(data.pivot, point)
         derived = (centre, evaluate(data.up_increment, point),
                    evaluate(data.down_increment, point), point[3], point[4])
-        lhs = evaluate(data.scalar_factor, point) * small.evaluate(derived)
-        rhs = big.evaluate(point)
-        if lhs != rhs:
-            witnesses.append(Witness(point, lhs, rhs))
-    return VerificationReport(seed, trials, tuple(witnesses))
+        yield evaluate(data.scalar_factor, point) * small.evaluate(derived), big.evaluate(point)
+
+    report, = randomized_reports(sides, trials, seed)
+    return report
 
 
 def qreduction_check(size: int) -> VerificationReport:

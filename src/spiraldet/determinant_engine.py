@@ -1,4 +1,4 @@
-"""Exact determinants, wedge elimination, and randomized identity checking.
+"""Exact determinants, wedge elimination, and one randomized identity-checking loop.
 
 Two determinant engines cross-check each other: a memoized cofactor expansion
 along columns, heaviest first, over packed monomial keys (used symbolically on
@@ -21,6 +21,12 @@ its row swaps: a zero pivot swaps in the nearest row below with a nonzero
 entry in its column, and the blocks that swap skips over are singular.  The
 determinant (``det_bareiss_rational``) is the last of these minors.
 
+Every randomized check runs one sampling loop (``randomized_reports``): it
+checks the trial count and seed once, draws each trial's point, and keeps
+one report per compared pair, with the point and both values of each failed
+trial.  ``verify_identity`` is its one-pair case; ``closed_forms``'
+reduction check and the CLI's ``verify`` past the size guard use it too.
+
 The wedge elimination implements the column-operation proof of the bracket
 family's determinant factorization: at every size, replacing C_j by
 C_j - <x>*C_{j-1} + C_{j-2} zeroes two triangular wedges, after which the
@@ -36,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exponent_algebra import (
     NVARS,
@@ -393,6 +399,9 @@ class Witness:
     lhs: object
     rhs: object
 
+    def to_json_dict(self) -> dict:
+        return {"point": [str(v) for v in self.point], "lhs": str(self.lhs), "rhs": str(self.rhs)}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -409,10 +418,7 @@ class VerificationReport:
             "seed": self.seed,
             "trials": self.trials,
             "failures": self.failures,
-            "witnesses": [
-                {"point": [str(v) for v in w.point], "lhs": str(w.lhs), "rhs": str(w.rhs)}
-                for w in self.witnesses
-            ],
+            "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
 
 
@@ -426,25 +432,40 @@ def sample_point(seed: int, index: int) -> tuple[int, ...]:
     return tuple(point)
 
 
+def randomized_reports(sides: Callable[[tuple], Iterable[tuple]], trials: int,
+                       seed: int) -> list[VerificationReport]:
+    """One report per (lhs, rhs) pair that ``sides(point)`` yields, over ``trials`` points.
+
+    ``trials`` (an int >= 1) and ``seed`` (an int) are checked before any
+    trial.  Trial t draws ``sample_point(seed, t)``, which depends on the
+    seed and t alone.  ``sides`` yields its pairs in one order and as many
+    at every point, or ``ValueError`` is raised; each trial at which a pair
+    differs adds its ``Witness`` to that pair's report.
+    """
+    check_size(trials, 1, "trials")
+    check_int(seed, "seed")
+    outcomes = []
+    for t in range(trials):
+        point = sample_point(seed, t)
+        outcomes.append([None if lhs == rhs else Witness(point, lhs, rhs)
+                         for lhs, rhs in sides(point)])
+    return [VerificationReport(seed, trials, tuple(w for w in column if w))
+            for column in zip(*outcomes, strict=True)]
+
+
 def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
                     rhs: LaurentPoly | Factored, trials: int, seed: int) -> VerificationReport:
     """Compare det(lhs_gen(point)) against rhs evaluated at the same random points.
 
-    A Factored rhs is evaluated factor by factor and never expanded.  All
-    arithmetic is exact, so every recorded mismatch is a genuine
-    counterexample.  Each trial's point depends only on (seed, trial index),
-    making the report independent of evaluation order.
+    The one pair of :func:`randomized_reports` is ``det_bareiss_rational``
+    of the matrix against rhs's value.  A Factored rhs is evaluated factor
+    by factor and never expanded.  All arithmetic is exact, so every
+    recorded mismatch is a genuine counterexample.
     """
-    check_size(trials, 1, "trials")
-    check_int(seed, "seed")
-    witnesses = []
-    for t in range(trials):
-        point = sample_point(seed, t)
-        lhs = det_bareiss_rational(lhs_gen(point))
-        rhs_value = rhs.evaluate(point) if isinstance(rhs, Factored) else evaluate(rhs, point)
-        if lhs != rhs_value:
-            witnesses.append(Witness(point, lhs, rhs_value))
-    return VerificationReport(seed, trials, tuple(witnesses))
+    value = rhs.evaluate if isinstance(rhs, Factored) else functools.partial(evaluate, rhs)
+    report, = randomized_reports(
+        lambda point: [(det_bareiss_rational(lhs_gen(point)), value(point))], trials, seed)
+    return report
 
 
 # -- wedge elimination -------------------------------------------------------

@@ -182,6 +182,44 @@ class TestVerify:
             [(False, trials)] * (n_max - 8)
 
     @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_failed_randomized_check_names_its_first_point(self, theorem, capsys,
+                                                            monkeypatch):
+        monkeypatch.delenv("SPIRALDET_SEED", raising=False)
+        real_theorem = closed_forms.theorem
+
+        class OffByOne:
+            # differs from the determinant at every point
+            def __init__(self, formula):
+                self.formula = formula
+
+            def evaluate(self, point):
+                return self.formula.evaluate(point) + 1
+
+        argv = ["verify", "--theorem", str(theorem), "--n-max", "10", "--trials", "2"]
+        code, blob = run_json(argv, capsys)
+        assert code == 0 and all("witness" not in c for c in blob["report"]["checks"])
+
+        monkeypatch.setattr(closed_forms, "theorem", lambda k, n: real_theorem(k, n) if n <= 8
+                            else OffByOne(real_theorem(k, n)))
+        code, blob = run_json(argv, capsys)
+        assert code == 1 and blob["report"]["failures"] == 2
+        checks = blob["report"]["checks"]
+        assert all("witness" not in c for c in checks[:8])
+        point = determinant_engine.sample_point(0, 0)
+        for check in checks[8:]:
+            det = determinant_engine.det_bareiss_rational(
+                spiral_builder.numeric_theorem_matrix(theorem, check["n"], point))
+            assert check == {"n": check["n"], "mode": "randomized", "match": False,
+                             "trials": 2, "failures": 2,
+                             "witness": {"point": [str(v) for v in point],
+                                         "lhs": str(det), "rhs": str(det + 1)}}
+
+        code, text = run_cli(argv + ["--format", "text"], capsys)
+        assert code == 1 and text == "".join(
+            [f"theorem {theorem} n={n} [symbolic]: ok\n" for n in range(1, 9)]
+            + [f"theorem {theorem} n={n} [randomized]: MISMATCH\n" for n in (9, 10)])
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
     def test_one_walk_and_no_per_size_elimination_per_trial(self, theorem, capsys, monkeypatch):
         # seed 0's first three points meet no zero pivot at size 12
         walks, eliminations = [], []

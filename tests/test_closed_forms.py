@@ -1,10 +1,12 @@
 """Tests for the closed-form determinants and the reduction procedures."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from spiraldet import closed_forms
+from spiraldet import closed_forms, determinant_engine
+from spiraldet.cli import main
 from spiraldet.closed_forms import (
     antidiagonal_entry_formulas,
     qreduction_check,
@@ -396,9 +398,33 @@ class TestReductions:
         # theorem 1 has no negative power, so the smaller matrix is checked there
         point = (1, 1, 1, -1, -1)
         assert evaluate(reduction(3).up_increment, point) == 0
-        monkeypatch.setattr(closed_forms, "sample_point", lambda seed, index: point)
+        monkeypatch.setattr(determinant_engine, "sample_point", lambda seed, index: point)
         report = verify_reduction(3, 3, seed=0)
         assert (report.trials, report.failures) == (3, 0)
+
+    def test_one_sampler_serves_every_randomized_check(self, monkeypatch, capsys):
+        # patching the engine's sampler alone moves verify_identity,
+        # verify_reduction and verify past the size guard
+        point = (1, 1, 1, -1, -1)
+        calls = []
+
+        def sampler(seed, index):
+            calls.append((seed, index))
+            return point
+
+        monkeypatch.setattr(determinant_engine, "sample_point", sampler)
+        p = thm1_odd(1)
+        report = determinant_engine.verify_identity(lambda pt: [[evaluate(p, pt)]], p + 1, 2, 5)
+        assert [w.point for w in report.witnesses] == [point, point]
+        assert calls == [(5, 0), (5, 1)]
+        calls.clear()
+        assert verify_reduction(3, 2, seed=5).failures == 0
+        assert calls == [(5, 0), (5, 1)]
+        calls.clear()
+        assert main(["verify", "--theorem", "1", "--n-max", "9", "--trials", "2",
+                     "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["failures"] == 0
+        assert calls == [(5, 0), (5, 1)]
 
 
 class TestQReduction:

@@ -22,6 +22,7 @@ from spiraldet.determinant_engine import (
     leading_minor_residues,
     leading_minors,
     numeric_matrix,
+    randomized_reports,
     sample_point,
     verify_identity,
     wedge_eliminate_even,
@@ -839,6 +840,69 @@ class TestVerifyIdentity:
         assert blob["failures"] == 2 and blob["seed"] == 3 and blob["trials"] == 2
         assert len(blob["witnesses"]) == 2
         assert set(blob["witnesses"][0]) == {"point", "lhs", "rhs"}
+
+
+class TestRandomizedReports:
+    def test_one_report_per_pair_with_a_witness_per_failed_trial(self):
+        p = thm1_odd(1)
+
+        def sides(point):
+            value = evaluate(p, point)
+            yield value, evaluate(p, point)
+            yield value, value + 1
+
+        true, false = randomized_reports(sides, 4, seed=17)
+        assert (true.seed, true.trials, true.witnesses) == (17, 4, ())
+        assert (false.seed, false.trials, false.failures) == (17, 4, 4)
+        for t, witness in enumerate(false.witnesses):
+            point = sample_point(17, t)
+            assert witness == Witness(point, evaluate(p, point), evaluate(p, point) + 1)
+
+    def test_witnesses_keep_only_the_failed_trials(self):
+        # a pair that fails only at odd trials keeps those points, in order
+        trial = iter(range(6))
+        reports = randomized_reports(lambda point: [(next(trial) % 2, 0)], 6, seed=2)
+        assert [w.point for w in reports[0].witnesses] == [sample_point(2, t) for t in (1, 3, 5)]
+
+    def test_no_pairs_give_no_reports(self):
+        assert randomized_reports(lambda point: [], 3, seed=0) == []
+
+    @pytest.mark.parametrize("trials,seed,error,name", (
+        (0, 0, ValueError, "trials must be >= 1"),
+        (-2, 0, ValueError, "trials must be >= 1"),
+        (2.0, 0, TypeError, "trials must be an int"),
+        (True, 0, TypeError, "trials must be an int"),
+        (1, "0", TypeError, "seed must be an int"),
+        (1, 1.0, TypeError, "seed must be an int")))
+    def test_arguments_refused_before_any_trial(self, trials, seed, error, name):
+        calls = []
+
+        def sides(point):
+            calls.append(point)
+            return [(0, 0)]
+
+        with pytest.raises(error, match=name):
+            randomized_reports(sides, trials, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("counts", ((1, 2), (2, 1), (0, 1)))
+    def test_changing_pair_count_raises(self, counts):
+        trial = iter(counts)
+        with pytest.raises(ValueError):
+            randomized_reports(lambda point: [(0, 0)] * next(trial), 2, seed=0)
+
+    def test_verify_identity_is_the_one_pair_case(self):
+        p = thm1_odd(1)
+        report = verify_identity(lambda pt: [[evaluate(p, pt)]], p + 1, 3, seed=8)
+        assert [report] == randomized_reports(
+            lambda pt: [(det_bareiss_rational([[evaluate(p, pt)]]), evaluate(p + 1, pt))], 3, 8)
+
+    def test_witness_json_is_the_report_record(self):
+        witness = Witness((1, -2, 3, 4, 5), Fraction(7, 3), 2)
+        assert witness.to_json_dict() == {"point": ["1", "-2", "3", "4", "5"],
+                                          "lhs": "7/3", "rhs": "2"}
+        report = VerificationReport(0, 1, (witness,))
+        assert report.to_json_dict()["witnesses"] == [witness.to_json_dict()]
 
 
 class TestHalfExponentRefusal:
