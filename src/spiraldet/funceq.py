@@ -26,7 +26,9 @@ x^2, x^3), shared by every relation that reads them.  This keeps each
 relation's evaluations independent: f and g are pure, so a shared value is
 the one the relation would compute alone, and every term is still evaluated
 at its own argument (g(x^2) at x^2, never derived from g(x), which
-would make 6.15 hold by construction).
+would make 6.15 hold by construction).  At each point f and g share their
+work too: for an imaginary alpha, one cos_sin gives the cosine and sine of
+t*log x, rounded exactly as separate cos and sin calls round them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
 
 from .spiral_builder import check_int, check_size
@@ -108,31 +111,36 @@ def _check_positive(x: float) -> float:
     return x
 
 
-def _fg(spec: FamilySpec, x, lib):
-    """(f(x), g(x)), computed with ``lib``, the module ``math`` or ``mpmath``.
+# The two functions _fg calls on its library, in doubles; the module mpmath has both
+_FLOAT = SimpleNamespace(log=math.log, cos_sin=lambda t: (math.cos(t), math.sin(t)))
 
-    The pair shares x^alpha and x^(-alpha), or log x and t = alpha*log x.
+
+def _fg(spec: FamilySpec, x, lib):
+    """(f(x), g(x)), computed with ``lib``: ``_FLOAT`` for doubles or the module ``mpmath``.
+
+    The pair shares x^alpha and x^(-alpha), or log x and t = alpha*log x
+    with cos t and sin t from one ``cos_sin``.  mpmath's computes both in
+    one ``mpf_cos_sin`` and rounds each exactly as its ``cos`` and ``sin``.
     """
     if spec.kind is FamilyKind.ZERO:
         return 0.0, 2.0
     if spec.kind is FamilyKind.LOG_AFFINE:
         return spec.c1 + spec.c2 * lib.log(x), 2.0
     if spec.imaginary:
-        t = spec.alpha * lib.log(x)
-        cos = lib.cos(t)
-        return spec.c1 * cos + spec.c2 * lib.sin(t), 2 * cos
+        cos, sin = lib.cos_sin(spec.alpha * lib.log(x))
+        return spec.c1 * cos + spec.c2 * sin, 2 * cos
     up, down = x ** spec.alpha, x ** -spec.alpha
     return spec.c1 * up + spec.c2 * down, up + down
 
 
 def eval_g(spec: FamilySpec, x: float) -> float:
     """x^alpha + x^(-alpha), 2*cos(t*log x) for imaginary alpha, else 2."""
-    return _fg(spec, _check_positive(x), math)[1]
+    return _fg(spec, _check_positive(x), _FLOAT)[1]
 
 
 def eval_f(spec: FamilySpec, x: float) -> float:
     """The f member of the family at x."""
-    return _fg(spec, _check_positive(x), math)[0]
+    return _fg(spec, _check_positive(x), _FLOAT)[0]
 
 
 def _sample_log_uniform(seed: int, index: int) -> tuple[float, float]:

@@ -11,6 +11,18 @@ determinant of the matrix walked there, never against an outside table.  A
 qspiral determinant is a polynomial in q with nonnegative exponents, each
 coefficient a sum of at most n! terms +-1, so with 2^(K-1) > n! its balanced
 base-2^K digits are the coefficients: equal values mean equal polynomials.
+
+Every brute-force term of one call comes from one elimination, two for
+inward (``_oracles``).  In ``shell_order`` every size-n spiral is the leading
+n x n block of the largest one, so one Bareiss elimination of that matrix
+gives every size's determinant (``leading_minors``).  outward's point is the
+same at every size.  qspiral's is too, at the largest size's K: that K also
+has 2^(K-1) > n! for every smaller n, so its digits read back every row.
+inward's point a = n^2 moves with n, but it is the one coordinate that enters
+every entry, with coefficient 1, so each leading block is M0 + a*J with J
+the all-ones matrix.  J has rank 1, so by the matrix determinant lemma
+det(M0 + a*J) = det(M0) + a * 1^T adj(M0) 1 is affine in a, and the two
+eliminations at a = 0 and a = 1 give row n as d0 + n^2 * (d1 - d0).
 """
 
 from __future__ import annotations
@@ -19,9 +31,9 @@ from enum import Enum
 from math import factorial
 
 from .closed_forms import theorem
-from .determinant_engine import VerificationReport, Witness, det_bareiss_rational
+from .determinant_engine import VerificationReport, Witness, leading_minors
 from .exponent_algebra import _format_terms
-from .spiral_builder import check_int, check_size, numeric_theorem_matrix
+from .spiral_builder import check_int, check_size, numeric_theorem_matrix, shell_order
 
 
 class SequenceId(Enum):
@@ -62,7 +74,8 @@ def q_series_string(series: dict[int, int]) -> str:
 
 def _read(seq: SequenceId, point: tuple, value):
     """The term a determinant value stands for: an int, or a q-power dict for qspiral."""
-    assert value.denominator == 1, "specialized determinant must be an integer"
+    if value.denominator != 1:
+        raise ValueError(f"{seq.value}: specialized determinant {value} is not an integer")
     if seq is SequenceId.QSPIRAL:
         return balanced_digits(int(value), point[0].bit_length() - 1)
     return int(value)
@@ -75,15 +88,27 @@ def term(seq: SequenceId, n: int):
     return _read(seq, point, theorem(k, n).evaluate(point))
 
 
-def _oracle(seq: SequenceId, n: int):
-    k, point = seq.binding(n)
-    return _read(seq, point, det_bareiss_rational(numeric_theorem_matrix(k, n, point)))
+def _oracles(seq: SequenceId, count: int) -> list:
+    """The brute-force terms for n = 1..count: one elimination, two for inward (see above)."""
+    k, point = seq.binding(count)
+    rows, cols, signs = shell_order(count)
+
+    def minors(at):
+        grid = numeric_theorem_matrix(k, count, at)
+        return leading_minors([[grid[i][j] for j in cols] for i in rows])
+
+    if seq is SequenceId.INWARD:
+        at0, at1 = minors((0,) + point[1:]), minors((1,) + point[1:])
+        values = [d0 + n * n * (d1 - d0) for n, d0, d1 in zip(range(1, count + 1), at0, at1)]
+    else:
+        values = minors(point)
+    return [_read(seq, point, sign * value) for sign, value in zip(signs, values)]
 
 
 def _rows(seq: SequenceId, count: int):
     """(n, formula term, brute-force oracle) for n = 1..count."""
     check_size(count, 1, "count")
-    return ((n, term(seq, n), _oracle(seq, n)) for n in range(1, count + 1))
+    return ((n, term(seq, n), oracle) for n, oracle in enumerate(_oracles(seq, count), start=1))
 
 
 def _text(seq: SequenceId):

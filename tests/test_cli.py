@@ -404,26 +404,38 @@ class TestSeq:
         assert all(row.startswith(f"{n},") and row.endswith(",true")
                    for n, row in enumerate(rows, start=1))
 
-    def test_qspiral_is_one_bareiss_elimination_per_size(self, capsys, monkeypatch):
-        cofactors, expansions, eliminations = [], [], []
-        real_bareiss, real_expand = determinant_engine.det_bareiss_rational, Factored.expand
+    def test_qspiral_to_16(self, capsys):
+        code, out = run_cli(["seq", "--seq", "qspiral", "--n-max", "16", "--format", "csv"],
+                            capsys)
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == 16
+        assert all(row.startswith(f"{n},") and row.endswith(",true")
+                   for n, row in enumerate(rows, start=1))
 
-        def bareiss(matrix):
+    @pytest.mark.parametrize("name, count", (("qspiral", 1), ("outward", 1), ("inward", 2)))
+    def test_one_bareiss_elimination_per_call(self, name, count, capsys, monkeypatch):
+        # every row is a leading minor of the largest matrix; inward's point
+        # moves with n, so it takes two eliminations, at a = 0 and a = 1
+        cofactors, expansions, eliminations, per_size = [], [], [], []
+        real_minors, real_expand = determinant_engine.leading_minors, Factored.expand
+
+        def minors(matrix):
             eliminations.append(len(matrix))
-            return real_bareiss(matrix)
+            return real_minors(matrix)
 
         def expand(self):
             expansions.append(self)
             return real_expand(self)
 
-        for module in (determinant_engine, sequences):
-            monkeypatch.setattr(module, "det_bareiss_rational", bareiss)
+        assert not hasattr(sequences, "det_bareiss_rational")
+        monkeypatch.setattr(sequences, "leading_minors", minors)
+        monkeypatch.setattr(determinant_engine, "det_bareiss_rational", per_size.append)
         monkeypatch.setattr(determinant_engine, "det_cofactor", cofactors.append)
         monkeypatch.setattr(determinant_engine, "_expand_minors", cofactors.append)
         monkeypatch.setattr(Factored, "expand", expand)
-        code, blob = run_json(["seq", "--seq", "qspiral", "--n-max", "8"], capsys)
+        code, blob = run_json(["seq", "--seq", name, "--n-max", "8"], capsys)
         assert code == 0 and blob["report"]["failures"] == 0
-        assert eliminations == list(range(1, 9)) and cofactors == expansions == []
+        assert eliminations == [8] * count and per_size == cofactors == expansions == []
 
 
 class TestFunceq:
@@ -560,8 +572,9 @@ class TestFailureExitCodes:
     def test_seq(self, fmt, shown, capsys, monkeypatch):
         argv = ["seq", "--seq", "inward", "--n-max", "4", "--format", fmt]
         assert run_cli(argv, capsys)[0] == 0
-        oracle = sequences._oracle
-        monkeypatch.setattr(sequences, "_oracle", lambda spec, n: oracle(spec, n) + 1)
+        oracles = sequences._oracles
+        monkeypatch.setattr(sequences, "_oracles",
+                            lambda spec, count: [value + 1 for value in oracles(spec, count)])
         code, out = run_cli(argv, capsys)
         assert code == 1 and shown in out
 

@@ -204,6 +204,26 @@ class TestCheckRelations:
             assert _outcome(eval_f, spec, x) == _outcome(_reference_f, spec, x, math), x
             assert _outcome(eval_g, spec, x) == _outcome(_reference_g, spec, x, math), x
 
+    @pytest.mark.parametrize("dps", (funceq._MP_DPS, 3 * funceq._MP_DPS))
+    def test_imaginary_fg_equals_separate_cos_and_sin(self, dps):
+        # one cos_sin rounds each value as mpmath.cos and mpmath.sin do, also
+        # at t = 0 (x = 1) and below 2^-(prec+10), where mpf_cos_sin branches
+        with mpmath.workdps(dps):
+            tiny = mpmath.mpf(2) ** -(mpmath.mp.prec + 20)
+            special = 0
+            for alpha in (0.75, -1.3, 2.7, 50.0, 1e-300, tiny):
+                spec = FamilySpec(POWER, alpha=mpmath.mpf(alpha), imaginary=True,
+                                  c1=mpmath.mpf(0.3), c2=mpmath.mpf(-1.7))
+                for x in map(mpmath.mpf, (1, 0.1, 0.5, 2, 9.99)):
+                    t = spec.alpha * mpmath.log(x)
+                    special += abs(t) < mpmath.mpf(2) ** -(mpmath.mp.prec + 10)
+                    cos, sin = mpmath.cos(t), mpmath.sin(t)
+                    expected = (spec.c1 * cos + spec.c2 * sin, 2 * cos)
+                    assert [v._mpf_ for v in funceq._fg(spec, x, mpmath)] == \
+                        [v._mpf_ for v in expected], (alpha, x)
+            # t = 0 at x = 1 for each of 6 alphas, and tiny at the last two alphas
+            assert special == 6 + 2 * 4
+
     def test_reports_follow_the_given_order(self):
         spec = FamilySpec(POWER, alpha=2.5)
         reports = check_relations(spec, ("6.17", "6.15", "6.17"), 20, seed=3)

@@ -28,6 +28,16 @@ OUTWARD = SequenceId.OUTWARD
 QSPIRAL = SequenceId.QSPIRAL
 
 
+def run_optimized(script):
+    """The standard output of ``python -O -c script``, with this checkout's package importable."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestTerm:
     def test_first_terms_are_one(self):
         assert term(INWARD, 1) == 1
@@ -82,18 +92,45 @@ class TestTerm:
 
     def test_q_series_refuses_a_half_integer_degree_under_optimize(self):
         # python -O strips assert statements, so the check must not be one
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        script = ("from fractions import Fraction\n"
-                  "from spiraldet.exponent_algebra import exponents\n"
-                  "try:\n"
-                  "    exponents(b=Fraction(1, 2))\n"
-                  "except TypeError:\n"
-                  "    print('refused')\n")
-        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "refused\n"
+        assert run_optimized("from fractions import Fraction\n"
+                             "from spiraldet.exponent_algebra import exponents\n"
+                             "try:\n"
+                             "    exponents(b=Fraction(1, 2))\n"
+                             "except TypeError:\n"
+                             "    print('refused')\n") == "refused\n"
+
+
+class TestOracles:
+    @pytest.mark.parametrize("seq, count", ((INWARD, 40), (OUTWARD, 40), (QSPIRAL, 14)))
+    def test_rows_equal_one_elimination_per_size(self, seq, count):
+        # the reference walks and eliminates each size at its own binding;
+        # the formula terms equal it too
+        expected = []
+        for n in range(1, count + 1):
+            k, point = seq.binding(n)
+            value = det_bareiss_rational(numeric_theorem_matrix(k, n, point))
+            assert value.denominator == 1
+            expected.append(balanced_digits(int(value), point[0].bit_length() - 1)
+                            if seq is QSPIRAL else int(value))
+        assert sequences._oracles(seq, count) == expected
+        assert [term(seq, n) for n in range(1, count + 1)] == expected
+
+    @pytest.mark.parametrize("seq", SequenceId)
+    def test_non_integer_minor_is_refused(self, seq, monkeypatch):
+        minors = sequences.leading_minors
+        monkeypatch.setattr(sequences, "leading_minors",
+                            lambda matrix: [*minors(matrix)[:-1], Fraction(1, 2)])
+        with pytest.raises(ValueError, match="not an integer"):
+            sequence_csv(seq, 3)
+
+    def test_non_integer_minor_is_refused_under_optimize(self):
+        # python -O strips assert statements, so the check must not be one
+        assert run_optimized("from fractions import Fraction\n"
+                             "from spiraldet.sequences import SequenceId, _read\n"
+                             "try:\n"
+                             "    _read(SequenceId.OUTWARD, (1,) * 5, Fraction(7, 2))\n"
+                             "except ValueError:\n"
+                             "    print('refused')\n") == "refused\n"
 
 
 class TestVerify:
@@ -127,12 +164,12 @@ class TestKroneckerRead:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_qspiral_equals_the_cofactor_expansion(self, n):
         expected = total_degree_series(det_cofactor(theorem_matrix(2, n), allow_large=True))
-        assert term(QSPIRAL, n) == sequences._oracle(QSPIRAL, n) == expected
+        assert term(QSPIRAL, n) == sequences._oracles(QSPIRAL, n)[n - 1] == expected
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_qspiral_equals_the_expanded_product_form(self, n):
         expected = total_degree_series(theorem(2, n).expand())
-        assert term(QSPIRAL, n) == sequences._oracle(QSPIRAL, n) == expected
+        assert term(QSPIRAL, n) == sequences._oracles(QSPIRAL, n)[n - 1] == expected
 
     @pytest.mark.parametrize("bits", (2, 3, 8, 23, 64))
     def test_random_series_round_trip(self, bits):
@@ -179,9 +216,9 @@ class TestCsv:
             sequence_csv(INWARD, count)
 
     def test_mismatch_shows_in_rows_and_report(self, monkeypatch):
-        oracle = sequences._oracle
-        monkeypatch.setattr(sequences, "_oracle",
-                            lambda spec, n: oracle(spec, n) + (n == 3))
+        oracles = sequences._oracles
+        monkeypatch.setattr(sequences, "_oracles", lambda spec, count: [
+            value + (n == 3) for n, value in enumerate(oracles(spec, count), start=1)])
         lines = sequence_csv(INWARD, 4).splitlines()
         assert [line.endswith(",false") for line in lines[1:]] == [False, False, True, False]
         report = verify_sequence(INWARD, 4)
@@ -191,12 +228,13 @@ class TestCsv:
     def test_qspiral_witness_prints_as_the_csv_does(self, monkeypatch):
         # the oracle's q-series dict has its keys in the determinant kernel's
         # term order, so the witness must not print the dict itself
-        oracle = sequences._oracle
-        def plus_one_at_3(spec, n):
-            series = oracle(spec, n)
-            return {**series, 0: series.get(0, 0) + 1} if n == 3 else series
+        oracles = sequences._oracles
+        def plus_one_at_3(spec, count):
+            rows = oracles(spec, count)
+            rows[2] = {**rows[2], 0: rows[2].get(0, 0) + 1}
+            return rows
 
-        monkeypatch.setattr(sequences, "_oracle", plus_one_at_3)
+        monkeypatch.setattr(sequences, "_oracles", plus_one_at_3)
         rows = [line.split(",") for line in sequence_csv(QSPIRAL, 4).splitlines()[1:]]
         assert [row[3] for row in rows] == ["true", "true", "false", "true"]
         report = verify_sequence(QSPIRAL, 4)
