@@ -23,7 +23,7 @@ from .spiral_builder import (
     matrix_to_latex,
     matrix_to_text,
     numeric_theorem_matrix,
-    shell_order,
+    shell_ordered,
     step_counts,
 )
 from .determinant_engine import (

@@ -99,16 +99,14 @@ def _cmd_det(args, seed: int):
 def _symbolic_checks(theorem: int, top: int) -> list[dict]:
     """The symbolic check of every size 1..top, from one cofactor expansion.
 
-    In ``shell_order`` every size-k spiral is the leading k x k block of the
-    size-top one, so the leading minors of that one matrix give every
-    size's determinant.  Each comes back, largest first, as its residue
-    det - formula, empty on a match; a mismatch names the lowest exponent
-    vector of the residue and its coefficient.
+    In ``shell_ordered`` every size-k spiral is the leading k x k block of
+    the size-top one, with its own determinant, so the leading minors of
+    that one matrix give every size's determinant.  Each comes back, largest
+    first, as its residue det - formula, empty on a match; a mismatch names
+    the lowest exponent vector of the residue and its coefficient.
     """
-    rows, cols, signs = spiral_builder.shell_order(top)
-    grid = spiral_builder.theorem_matrix(theorem, top)
     residues = determinant_engine.leading_minor_residues(
-        [[grid[i][j] for j in cols] for i in rows], signs,
+        spiral_builder.shell_ordered(spiral_builder.theorem_matrix(theorem, top)),
         [closed_forms.theorem(theorem, n) for n in range(1, top + 1)])
     checks = []
     for n, residue in zip(range(top, 0, -1), residues):
@@ -122,19 +120,19 @@ def _symbolic_checks(theorem: int, top: int) -> list[dict]:
 def _randomized_checks(theorem: int, sizes: range, trials: int, seed: int) -> list[dict]:
     """The randomized check of every size, from one walk and one elimination per trial.
 
-    In ``shell_order`` every size-k spiral is the leading k x k block of the
-    largest one, and the trial's point is the same at every size, so the
-    leading minors of the largest matrix give every size's determinant.
-    A failed check names its first failing point and both values.
+    In ``shell_ordered`` every size-k spiral is the leading k x k block of
+    the largest one, with its own determinant, and the trial's point is the
+    same at every size, so the leading minors of the largest matrix give
+    every size's determinant.  A failed check names its first failing point
+    and both values.
     """
     formulas = [closed_forms.theorem(theorem, n) for n in sizes]
-    rows, cols, signs = spiral_builder.shell_order(sizes[-1])
 
     def sides(point):
-        grid = spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)
-        minors = determinant_engine.leading_minors([[grid[i][j] for j in cols] for i in rows])
+        minors = determinant_engine.leading_minors(spiral_builder.shell_ordered(
+            spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)))
         for n, formula in zip(sizes, formulas):
-            yield signs[n - 1] * minors[n - 1], formula.evaluate(point)
+            yield minors[n - 1], formula.evaluate(point)
 
     checks = []
     for n, report in zip(sizes, determinant_engine.randomized_reports(sides, trials, seed)):

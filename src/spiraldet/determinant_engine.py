@@ -7,19 +7,20 @@ size, Bareiss's fraction-free elimination on plain ints after the rational
 matrix's row and column contents are divided out.
 
 Both engines give every leading principal minor at the cost of the full
-determinant.  In ``spiral_builder.shell_order`` every smaller spiral is a
-leading block of the largest, so one call serves every size that ``verify``
-checks.  The cofactor memo is keyed by row subsets, each minor taking the
-trailing columns of the expansion order, so with the columns expanded last to
-first the minor on the first k rows is the leading k x k block, columns
-reversed.  ``leading_minor_residues`` compares each such minor with its
-closed form on the packed keys: the formula's factors are packed with the
-same base, which covers both sides, and multiplied there, so a match unpacks
-nothing and a mismatch unpacks only det - formula.  The elimination leaves
-every leading minor on its diagonal (``leading_minors``), up to the sign of
-its row swaps: a zero pivot swaps in the nearest row below with a nonzero
-entry in its column, and the blocks that swap skips over are singular.  The
-determinant (``det_bareiss_rational``) is the last of these minors.
+determinant.  In ``spiral_builder.shell_ordered`` every smaller spiral is a
+leading block of the largest, with its own determinant, so one call serves
+every size that ``verify`` checks.  The cofactor memo is keyed by row
+subsets, each minor taking the trailing columns of the expansion order, so
+with the columns expanded last to first the minor on the first k rows is the
+leading k x k block, columns reversed.  ``leading_minor_residues`` compares
+each such minor with its closed form on the packed keys: the formula's
+factors are packed with the same base, which covers both sides, and
+multiplied there, so a match unpacks nothing and a mismatch unpacks only
+det - formula.  The elimination leaves every leading minor on its diagonal
+(``leading_minors``), up to the sign of its row swaps: a zero pivot swaps in
+the nearest row below with a nonzero entry in its column, and the blocks
+that swap skips over are singular.  The determinant
+(``det_bareiss_rational``) is the last of these minors.
 
 Every randomized check runs one sampling loop (``randomized_reports``): it
 checks the trial count and seed once, draws each trial's point, and keeps
@@ -54,7 +55,7 @@ from .exponent_algebra import (
     exponents,
     pairwise_product,
 )
-from .spiral_builder import centre_cell, check_int, check_size
+from .spiral_builder import _check_square, centre_cell, check_int, check_size
 
 COFACTOR_SIZE_GUARD = 8
 _SAMPLE_RANGE = (-50, 49)  # a sample coordinate v >= 0 then moves to v + 1
@@ -74,13 +75,6 @@ class WedgeNotZeroError(ValueError):
         self.col = col
         self.value = value
         super().__init__(f"wedge cell ({row}, {col}) is nonzero: {value!r}")
-
-
-def _check_square(z) -> int:
-    size = len(z)
-    if any(len(row) != size for row in z):
-        raise ValueError("matrix must be square")
-    return size
 
 
 # An exponent vector d packs into the one int sum d[i] * base**i, with an odd
@@ -220,9 +214,9 @@ def det_cofactor(matrix: Sequence[Sequence], *, allow_large: bool = False):
     return sign * terms[0][1] if terms else 0
 
 
-def leading_minor_residues(matrix: Sequence[Sequence], signs: Sequence[int],
+def leading_minor_residues(matrix: Sequence[Sequence],
                            formulas: Sequence[Factored]) -> Iterator[LaurentPoly]:
-    """``signs[k-1]`` * det(leading k x k block) - ``formulas[k-1]`` for each k, largest first.
+    """det(leading k x k block) - ``formulas[k-1]`` for each k, largest first.
 
     One expansion serves every block.  With the columns expanded last to
     first, the minor on rows 0..k-1 takes columns k-1, ..., 0: it is the
@@ -238,17 +232,17 @@ def leading_minor_residues(matrix: Sequence[Sequence], signs: Sequence[int],
     The base packs both sides: H also covers, for each formula, the sum
     over its factors of their max |d|, which bounds every exponent of the
     formula's products.  Entries and their errors are those of
-    ``det_cofactor``, n > 8 is always refused, and there must be one sign
-    and one formula per size; all are checked before this returns.
+    ``det_cofactor``, n > 8 is always refused, and there must be one
+    formula per size; all are checked before any expansion.
     """
     reach = max((sum(map(_reach, formula.factors)) for formula in formulas), default=0)
     _, base, columns = _packed_columns(matrix, False, reach)
     n = len(columns)
-    if len(signs) != n or len(formulas) != n:
-        raise ValueError(f"need {n} signs and {n} formulas, got {len(signs)} and {len(formulas)}")
+    if len(formulas) != n:
+        raise ValueError(f"need {n} formulas, got {len(formulas)}")
     minors = _expand_minors(columns[::-1], [(1 << k) - 1 for k in range(1, n + 1)])
-    return (_packed_residue(minors.pop(), (-1) ** (k * (k - 1) // 2) * signs[k - 1],
-                            formulas[k - 1], base) for k in range(n, 0, -1))
+    return (_packed_residue(minors.pop(), (-1) ** (k * (k - 1) // 2), formulas[k - 1], base)
+            for k in range(n, 0, -1))
 
 
 def _packed_product(p: dict, q: dict) -> dict:

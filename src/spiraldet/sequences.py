@@ -13,14 +13,15 @@ coefficient a sum of at most n! terms +-1, so with 2^(K-1) > n! its balanced
 base-2^K digits are the coefficients: equal values mean equal polynomials.
 
 Every brute-force term of one call comes from one elimination, two for
-inward (``_oracles``).  In ``shell_order`` every size-n spiral is the leading
-n x n block of the largest one, so one Bareiss elimination of that matrix
-gives every size's determinant (``leading_minors``).  outward's point is the
-same at every size.  qspiral's is too, at the largest size's K: that K also
-has 2^(K-1) > n! for every smaller n, so its digits read back every row.
-inward's point a = n^2 moves with n, but it is the one coordinate that enters
-every entry, with coefficient 1, so each leading block is M0 + a*J with J
-the all-ones matrix.  J has rank 1, so by the matrix determinant lemma
+inward (``_oracles``).  In ``shell_ordered`` every size-n spiral is the
+leading n x n block of the largest one, with its own determinant, so one
+Bareiss elimination of that matrix gives every size's determinant
+(``leading_minors``).  outward's point is the same at every size.  qspiral's
+is too, at the largest size's K: that K also has 2^(K-1) > n! for every
+smaller n, so its digits read back every row.  inward's point a = n^2 moves
+with n, but it is the one coordinate that enters every entry, with
+coefficient 1, so each leading block is M0 + a*J with J the all-ones matrix.
+J has rank 1, so by the matrix determinant lemma
 det(M0 + a*J) = det(M0) + a * 1^T adj(M0) 1 is affine in a, and the two
 eliminations at a = 0 and a = 1 give row n as d0 + n^2 * (d1 - d0).
 """
@@ -33,7 +34,7 @@ from math import factorial
 from .closed_forms import theorem
 from .determinant_engine import VerificationReport, Witness, leading_minors
 from .exponent_algebra import _format_terms
-from .spiral_builder import check_int, check_size, numeric_theorem_matrix, shell_order
+from .spiral_builder import check_int, check_size, numeric_theorem_matrix, shell_ordered
 
 
 class SequenceId(Enum):
@@ -91,18 +92,16 @@ def term(seq: SequenceId, n: int):
 def _oracles(seq: SequenceId, count: int) -> list:
     """The brute-force terms for n = 1..count: one elimination, two for inward (see above)."""
     k, point = seq.binding(count)
-    rows, cols, signs = shell_order(count)
 
     def minors(at):
-        grid = numeric_theorem_matrix(k, count, at)
-        return leading_minors([[grid[i][j] for j in cols] for i in rows])
+        return leading_minors(shell_ordered(numeric_theorem_matrix(k, count, at)))
 
     if seq is SequenceId.INWARD:
         at0, at1 = minors((0,) + point[1:]), minors((1,) + point[1:])
         values = [d0 + n * n * (d1 - d0) for n, d0, d1 in zip(range(1, count + 1), at0, at1)]
     else:
         values = minors(point)
-    return [_read(seq, point, sign * value) for sign, value in zip(signs, values)]
+    return [_read(seq, point, value) for value in values]
 
 
 def _rows(seq: SequenceId, count: int):

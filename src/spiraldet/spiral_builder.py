@@ -18,8 +18,8 @@ Four families share the path:
   caller-chosen monomial; horizontal steps multiply by x in both directions.
 
 The numeric builders walk the same path in the rationals, at a point, and
-``shell_order`` orders the rows and columns so that every smaller spiral is a
-leading block.
+``shell_ordered`` orders a grid's rows and columns so that every smaller
+spiral is a leading block with its own determinant.
 """
 
 from __future__ import annotations
@@ -81,30 +81,30 @@ def spiral_walk(n: int) -> Iterator[tuple[str | None, int, int]]:
         run += 1
 
 
-def shell_order(n: int) -> tuple[list[int], list[int], list[int]]:
-    """Rows and columns of the n x n grid in the order the spiral's shells add them, and signs.
+def shell_ordered(grid: Sequence[Sequence]) -> list[list]:
+    """The grid's rows and columns in the order the spiral's shells add them, even rows negated.
 
     The size-k spiral is the first k^2 cells of the walk: the block of rows
     from n//2 - k//2 and columns from (n-1)//2 - (k-1)//2.  Going from size
     k - 1 to k, an even k adds a top row and a right column, an odd k a
-    bottom row and a left column.  So with the rows and columns taken in the
-    returned order, every size-k spiral is the leading k x k block.
+    bottom row and a left column.  So in the returned order every size-k
+    spiral is the leading k x k block.
 
     That block's rows and columns are out of grid order: a new top row or
     left column precedes the k - 1 rows or columns placed before it, a new
-    bottom row or right column none.  So ``signs[k - 1]``, the sign of the
-    two permutations, flips at each even k, and the size-k spiral's
-    determinant is ``signs[k - 1]`` times the leading block's.
+    bottom row or right column none.  So the sign of the two permutations
+    flips at each even k, and the k-th row is negated there: the leading
+    k x k block's determinant is then exactly the size-k spiral's.  The
+    grid is left unchanged; a non-square one raises ValueError.
     """
-    check_size(n, 1)
+    n = _check_square(grid)
     row, col = centre_cell(n)
-    rows, cols, signs = [row], [col], [1]
-    for k in range(2, n + 1):
-        side = 1 if k % 2 else -1  # odd: below and to the left; even: above and to the right
-        rows.append(row + side * (k // 2))
-        cols.append(col - side * (k // 2))
-        signs.append(signs[-1] * side)
-    return rows, cols, signs
+    shifts = [k // 2 if k % 2 else -(k // 2) for k in range(1, n + 1)]  # odd k: below, left
+    ordered = []
+    for d in shifts:
+        cells = [grid[row + d][col - e] for e in shifts]
+        ordered.append([-v for v in cells] if d < 0 else cells)
+    return ordered
 
 
 def step_counts(n: int) -> dict[str, int]:
@@ -203,6 +203,13 @@ def check_size(value, minimum: int, name: str = "n") -> None:
     check_int(value, name)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _check_square(z) -> int:
+    size = len(z)
+    if any(len(row) != size for row in z):
+        raise ValueError("matrix must be square")
+    return size
 
 
 def check_theorem(theorem) -> None:

@@ -103,9 +103,9 @@ class TestVerify:
         extra = 3 * LaurentPoly.monomial(exponents(x=-1)) - 2 * LaurentPoly.monomial(
             exponents(a=5))
 
-        def residues(matrix, signs, formulas):
+        def residues(matrix, formulas):
             # the residues come largest first
-            for k, residue in zip(range(len(matrix), 0, -1), real(matrix, signs, formulas)):
+            for k, residue in zip(range(len(matrix), 0, -1), real(matrix, formulas)):
                 yield residue + extra if k == 2 else residue
 
         monkeypatch.setattr(determinant_engine, "leading_minor_residues", residues)

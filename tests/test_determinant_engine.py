@@ -51,7 +51,7 @@ from spiraldet.spiral_builder import (
     build_qpower,
     centre_cell,
     numeric_theorem_matrix,
-    shell_order,
+    shell_ordered,
     step_counts,
     theorem_matrix,
 )
@@ -436,11 +436,12 @@ class TestCofactorLeadingMinors:
 
     @staticmethod
     def assert_matches(matrix, signs):
+        # each row with sign -1 is negated, as shell_ordered negates its even rows
+        matrix = [[-v for v in row] if sign < 0 else row for sign, row in zip(signs, matrix)]
         n = len(matrix)
-        dets = [signs[k - 1] * det_cofactor([row[:k] for row in matrix[:k]])
-                for k in range(1, n + 1)]
+        dets = [det_cofactor(block) for block in leading_blocks(matrix)]
         formulas = [Factored(1, (as_poly(det),)) for det in dets]
-        residues = list(leading_minor_residues(matrix, signs, formulas))
+        residues = list(leading_minor_residues(matrix, formulas))
         assert len(residues) == n
         for residue in residues:
             assert type(residue) is LaurentPoly and not residue.terms
@@ -449,7 +450,7 @@ class TestCofactorLeadingMinors:
         perturbations = [random_entry_poly(rng, 7) for _ in range(n)]
         perturbed = [Factored(1, (formula.factors[0] - p,))
                      for formula, p in zip(formulas, perturbations)]
-        residues = list(leading_minor_residues(matrix, signs, perturbed))
+        residues = list(leading_minor_residues(matrix, perturbed))
         assert residues == perturbations[::-1]  # largest first
         for residue in residues:
             assert type(residue) is LaurentPoly and all(residue.terms.values())
@@ -457,31 +458,28 @@ class TestCofactorLeadingMinors:
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_theorem_matrices_in_shell_order(self, k):
-        rows, cols, signs = shell_order(8)
-        grid = theorem_matrix(k, 8)
-        matrix = [[grid[i][j] for j in cols] for i in rows]
-        dets = self.assert_matches(matrix, signs)
+        matrix = shell_ordered(theorem_matrix(k, 8))
+        dets = self.assert_matches(matrix, [1] * 8)
         assert dets == [theorem(k, n).expand() for n in range(1, 9)]
         formulas = [theorem(k, n) for n in range(1, 9)]
-        assert not any(leading_minor_residues(matrix, signs, formulas))
+        assert not any(leading_minor_residues(matrix, formulas))
         # the opposite sign leaves det - (-det), through every factor's expansion
         negated = [Factored(-f.sign, f.factors) for f in formulas]
-        assert list(leading_minor_residues(matrix, signs, negated)) == \
+        assert list(leading_minor_residues(matrix, negated)) == \
             [2 * det for det in dets[::-1]]
 
     @pytest.mark.parametrize("shift_sign", (1, -1))
     def test_formula_exponents_past_the_matrix_bound_are_packed_apart(self, shift_sign):
         # a^(B0), with B0 = 2 * n * max|d| + 1 the base of the matrix alone,
         # would pack as b (or a^-B0 as 1/b) if the base did not cover the formula
-        rows, cols, signs = shell_order(6)
         grid = theorem_matrix(3, 6)
-        matrix = [[grid[i][j] for j in cols] for i in rows]
+        matrix = shell_ordered(grid)
         reach = max(abs(d) for row in grid for entry in row for vec in entry.terms
                     for d in vec)
         shift = LaurentPoly.monomial(exponents(a=shift_sign * (2 * 6 * reach + 1)))
         formulas = [Factored(f.sign, (*f.factors, shift))
                     for f in (theorem(3, n) for n in range(1, 7))]
-        residues = list(leading_minor_residues(matrix, signs, formulas))
+        residues = list(leading_minor_residues(matrix, formulas))
         dets = [theorem(3, n).expand() for n in range(6, 0, -1)]
         assert residues == [det - det * shift for det in dets]
 
@@ -510,25 +508,30 @@ class TestCofactorLeadingMinors:
                 self.assert_matches(m, [rng.choice((1, -1)) for _ in range(n)])
 
     def test_empty_matrix(self):
-        assert list(leading_minor_residues([], [], [])) == []
+        assert list(leading_minor_residues([], [])) == []
         assert type(det_cofactor([])) is int and det_cofactor([]) == 1
 
-    def test_size_guard_and_errors_are_det_cofactor_s(self):
+    def test_size_guard_and_errors_are_det_cofactor_s(self, monkeypatch):
         one = Factored(1, ())
         eye9 = [[int(i == j) for j in range(9)] for i in range(9)]
         with pytest.raises(SizeGuardError):
-            leading_minor_residues(eye9, [1] * 9, [one] * 9)  # refused at the call
+            leading_minor_residues(eye9, [one] * 9)  # refused at the call
         a = LaurentPoly.variable("a")
         bad = [[a, Fraction(1, 2)], [1, a]]
         with pytest.raises(TypeError) as expected:
             det_cofactor(bad)
         with pytest.raises(TypeError) as raised:
-            leading_minor_residues(bad, [1, 1], [one] * 2)
+            leading_minor_residues(bad, [one] * 2)
         assert str(raised.value) == str(expected.value)
         with pytest.raises(ValueError, match="square"):
-            leading_minor_residues([[1, 2], [3]], [1, 1], [one] * 2)
-        with pytest.raises(ValueError, match="2 signs and 2 formulas"):
-            leading_minor_residues([[1, 2], [3, 4]], [1, 1], [one])
+            leading_minor_residues([[1, 2], [3]], [one] * 2)
+
+        def no_expansion(*args):
+            raise AssertionError("expanded before the formula count was checked")
+
+        monkeypatch.setattr(determinant_engine, "_expand_minors", no_expansion)
+        with pytest.raises(ValueError, match=r"^need 2 formulas, got 1$"):
+            leading_minor_residues([[1, 2], [3, 4]], [one])
 
     def test_memo_is_freed_without_the_cycle_collector(self):
         matrix = theorem_matrix(3, 6)
@@ -536,7 +539,7 @@ class TestCofactorLeadingMinors:
         gc.disable()
         try:
             gc.collect()
-            residues = leading_minor_residues(matrix, [1] * 6, [Factored(1, ())] * 6)
+            residues = leading_minor_residues(matrix, [Factored(1, ())] * 6)
             assert gc.collect() == 0  # freed before the first residue is formed
             assert len(list(residues)) == 6
             assert gc.collect() == 0
@@ -670,12 +673,6 @@ def leading_blocks(matrix):
     return [[row[:k] for row in matrix[:k]] for k in range(1, len(matrix) + 1)]
 
 
-def shell_ordered(theorem_number, n, point):
-    rows, cols, signs = shell_order(n)
-    grid = numeric_theorem_matrix(theorem_number, n, point)
-    return [[grid[i][j] for j in cols] for i in rows], signs
-
-
 def count_bareiss_sizes(monkeypatch):
     """Record the size of every det_bareiss_rational call."""
     sizes = []
@@ -753,18 +750,17 @@ class TestLeadingMinors:
 
     def test_no_bareiss_call_without_a_zero_pivot(self, monkeypatch):
         sizes = count_bareiss_sizes(monkeypatch)
-        matrix, _ = shell_ordered(2, 16, sample_point(0, 0))
+        matrix = shell_ordered(numeric_theorem_matrix(2, 16, sample_point(0, 0)))
         assert 0 not in leading_minors(matrix) and sizes == []
 
     @pytest.mark.parametrize("k,n", ((1, 30), (2, 20), (3, 14)))
     def test_signed_minors_are_every_size_determinant(self, k, n):
         for t in range(3):
             point = sample_point(0, t)
-            matrix, signs = shell_ordered(k, n, point)
-            minors = leading_minors(matrix)
+            minors = leading_minors(shell_ordered(numeric_theorem_matrix(k, n, point)))
             for size in range(1, n + 1):
                 own = det_bareiss_rational(numeric_theorem_matrix(k, size, point))
-                assert signs[size - 1] * minors[size - 1] == own == \
+                assert minors[size - 1] == own == \
                     theorem(k, size).evaluate(point), (t, size)
 
     # Named points whose elimination meets a zero pivot: theorem 1 at seed 45,
@@ -773,14 +769,42 @@ class TestLeadingMinors:
     @pytest.mark.parametrize("k,n,seed,trial,zero_at", ((1, 16, 45, 3, 15), (3, 12, 11, 0, 2)))
     def test_named_zero_pivots_no_block_call(self, k, n, seed, trial, zero_at, monkeypatch):
         point = sample_point(seed, trial)
-        matrix, signs = shell_ordered(k, n, point)
+        matrix = shell_ordered(numeric_theorem_matrix(k, n, point))
         sizes = count_bareiss_sizes(monkeypatch)
         minors = leading_minors(matrix)
         assert 0 not in minors[:zero_at - 1] and minors[zero_at - 1] == 0
         assert sizes == []
         for size in range(1, n + 1):
-            assert signs[size - 1] * minors[size - 1] == theorem(k, size).evaluate(point) == \
+            assert minors[size - 1] == theorem(k, size).evaluate(point) == \
                 det_bareiss_rational(numeric_theorem_matrix(k, size, point)), size
+
+
+class TestShellOrderedBlocks:
+    """Each leading block of the shell-ordered spiral against that size's own matrix.
+
+    Engine against engine, with no closed form: the block's determinant must
+    be the size-k spiral's exactly, sign included.
+    """
+
+    @pytest.mark.parametrize("top", (7, 8))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_symbolic_blocks(self, k, top):
+        grid = theorem_matrix(k, top)
+        blocks = leading_blocks(shell_ordered(grid))
+        assert grid == theorem_matrix(k, top)  # the rows are negated in a copy
+        for size, block in enumerate(blocks, start=1):
+            assert det_cofactor(block) == det_cofactor(theorem_matrix(k, size)), size
+
+    @pytest.mark.parametrize("top", (9, 10, 11, 12))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_numeric_blocks(self, k, top):
+        point = sample_point(5, top)
+        grid = numeric_theorem_matrix(k, top, point)
+        minors = leading_minors(shell_ordered(grid))
+        assert grid == numeric_theorem_matrix(k, top, point)
+        assert 0 not in minors
+        assert minors == [det_bareiss_rational(numeric_theorem_matrix(k, size, point))
+                          for size in range(1, top + 1)]
 
 
 class TestVerifyIdentity:

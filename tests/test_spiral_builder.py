@@ -22,7 +22,7 @@ from spiraldet.spiral_builder import (
     matrix_to_latex,
     matrix_to_text,
     numeric_theorem_matrix,
-    shell_order,
+    shell_ordered,
     spiral_walk,
     step_counts,
     theorem_matrix,
@@ -114,22 +114,37 @@ def inversion_sign(order):
 class TestShellOrder:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_every_spiral_is_a_leading_block(self, n):
-        rows, cols, signs = shell_order(n)
-        assert sorted(rows) == sorted(cols) == list(range(n)) and len(signs) == n
+        # each label r*n + c + 1 names its cell and keeps the sign it is given
+        ordered = shell_ordered([[r * n + c + 1 for c in range(n)] for r in range(n)])
+        rows = [(abs(row[0]) - 1) // n for row in ordered]
+        cols = [(abs(v) - 1) % n for v in ordered[0]]
+        assert sorted(rows) == sorted(cols) == list(range(n))
+        negated = [row[0] < 0 for row in ordered]
+        assert ordered == [[(-1 if neg else 1) * (r * n + c + 1) for c in cols]
+                           for r, neg in zip(rows, negated)]
         cells = [(r, c) for _, r, c in spiral_walk(n)]
         for k in range(1, n + 1):
             block = {(r, c) for r in rows[:k] for c in cols[:k]}
             assert len(set(cells[:k * k])) == k * k and set(cells[:k * k]) == block, k
-            assert signs[k - 1] == inversion_sign(rows[:k]) * inversion_sign(cols[:k]), k
+            # the negated rows undo the sign of the two permutations
+            assert (-1) ** sum(negated[:k]) == \
+                inversion_sign(rows[:k]) * inversion_sign(cols[:k]), k
 
     def test_small_orders(self):
-        assert shell_order(1) == ([0], [0], [1])
-        assert shell_order(4) == ([2, 1, 3, 0], [1, 2, 0, 3], [1, -1, -1, 1])
+        assert shell_ordered([[7]]) == [[7]]
+        # rows 2, 1, 3, 0 and columns 1, 2, 0, 3; the rows added at k = 2 and 4 negated
+        assert shell_ordered([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12],
+                              [13, 14, 15, 16]]) == [[10, 11, 9, 12], [-6, -7, -5, -8],
+                                                     [14, 15, 13, 16], [-2, -3, -1, -4]]
 
-    @pytest.mark.parametrize("bad", (0, -1, 2.0, True))
-    def test_refuses_a_bad_size(self, bad):
-        with pytest.raises((TypeError, ValueError)):
-            shell_order(bad)
+    def test_empty_grid_is_empty(self):
+        assert shell_ordered([]) == []
+
+    @pytest.mark.parametrize("bad", ([[1, 2]], [[1], [2]], [[1, 2], [3]]),
+                             ids=("wide", "tall", "ragged"))
+    def test_refuses_a_grid_that_is_not_square(self, bad):
+        with pytest.raises(ValueError, match="square"):
+            shell_ordered(bad)
 
 
 class TestSpiralExponents:
