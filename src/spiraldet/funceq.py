@@ -29,12 +29,26 @@ at its own argument (g(x^2) at x^2, never derived from g(x), which
 would make 6.15 hold by construction).  At each point f and g share their
 work too: for an imaginary alpha, one cos_sin gives the cosine and sine of
 t*log x, rounded exactly as separate cos and sin calls round them.
+
+The sample loop runs on raw mpmath.libmp values (``_mpf_`` tuples) rather
+than ``mpf`` objects: at 40 digits about half of an ``mpf`` operation's time
+is its operator dispatch and object creation, not the arithmetic.  _RESIDUALS
+and _fg are written once against an arithmetic namespace, _FLOAT (Python
+float operators, for eval_f and eval_g) or _mp_arithmetic (libmp at the
+working precision).  Each of the latter's functions is the exact libmp call
+the matching ``mpf`` operator makes (``x ** 3`` is mpf_pow_int, ``1 / x`` is
+mpf_rdiv_int, ``3 * g`` is mpf_mul_int), so every residual is the one the
+``mpf`` formula gives, bit for bit, and every term is still its relation's
+own.  The one value shared beyond a point's f and g is inside x^alpha and
+x^(-alpha): mpf_pow takes both from the same square root (half-integer alpha)
+or the same log x (general alpha), and _mp_arithmetic computes that once,
+rounded as mpf_pow rounds it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -43,13 +57,24 @@ from typing import Callable
 
 from .spiral_builder import check_int, check_size
 
-# lhs - rhs of each relation, with f and g the family's functions
+# lhs - rhs of each relation, with f and g the family's functions and m the
+# arithmetic namespace (_FLOAT or _mp_arithmetic); each formula is in the
+# comment above it
 _RESIDUALS = {
-    "6.1": lambda f, g, a, x: f(a) * g(x) - f(a * x) - f(a / x),
-    "6.14": lambda f, g, a, x: g(x) - g(1 / x),
-    "6.15": lambda f, g, a, x: g(x * x) - (g(x) ** 2 - 2),
-    "6.16": lambda f, g, a, x: g(x ** 3) - (g(x) ** 3 - 3 * g(x)),
-    "6.17": lambda f, g, a, x: g(a) * g(x) - g(a * x) - g(a / x),
+    # f(a) * g(x) - f(a * x) - f(a / x)
+    "6.1": lambda f, g, a, x, m: m.sub(m.sub(m.mul(f(a), g(x)), f(m.mul(a, x))),
+                                       f(m.div(a, x))),
+    # g(x) - g(1 / x)
+    "6.14": lambda f, g, a, x, m: m.sub(g(x), g(m.rdiv_int(1, x))),
+    # g(x * x) - (g(x) ** 2 - 2)
+    "6.15": lambda f, g, a, x, m: m.sub(g(m.mul(x, x)),
+                                        m.sub(m.pow_int(g(x), 2), m.from_int(2))),
+    # g(x ** 3) - (g(x) ** 3 - 3 * g(x))
+    "6.16": lambda f, g, a, x, m: m.sub(g(m.pow_int(x, 3)),
+                                        m.sub(m.pow_int(g(x), 3), m.mul_int(g(x), 3))),
+    # g(a) * g(x) - g(a * x) - g(a / x)
+    "6.17": lambda f, g, a, x, m: m.sub(m.sub(m.mul(g(a), g(x)), g(m.mul(a, x))),
+                                        g(m.div(a, x))),
 }
 RELATIONS = tuple(_RESIDUALS)
 _TWO_ARG = {"6.1", "6.17"}
@@ -111,26 +136,76 @@ def _check_positive(x: float) -> float:
     return x
 
 
-# The two functions _fg calls on its library, in doubles; the module mpmath has both
-_FLOAT = SimpleNamespace(log=math.log, cos_sin=lambda t: (math.cos(t), math.sin(t)))
+# The functions _fg calls, as Python's float operators; _mp_arithmetic has
+# them, and the ones _RESIDUALS calls, in libmp
+_FLOAT = SimpleNamespace(
+    add=operator.add, mul=operator.mul, mul_int=operator.mul, from_int=float,
+    log=math.log, cos_sin=lambda t: (math.cos(t), math.sin(t)),
+    powers=lambda x, alpha: (x ** alpha, x ** -alpha))
 
 
-def _fg(spec: FamilySpec, x, lib):
-    """(f(x), g(x)), computed with ``lib``: ``_FLOAT`` for doubles or the module ``mpmath``.
+def _mp_arithmetic(prec: int) -> SimpleNamespace:
+    """_fg's and _RESIDUALS' arithmetic on raw mpf tuples at ``prec`` bits.
+
+    Each function is the libmp call, rounding to nearest, that ``mpf``'s
+    operator or function makes at that precision (``mul_int(g, 3)`` is
+    ``3 * g``, ``rdiv_int(1, x)`` is ``1 / x``), so a formula gives the value
+    it gives on ``mpf`` objects.  ``powers(x, alpha)`` is mpf_pow's
+    (x^alpha, x^(-alpha)), sharing the value both powers take from x.
+    """
+    from mpmath import libmp  # only here, so importing spiraldet does not load it
+
+    rnd = libmp.round_nearest
+    add, sub, mul, div = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
+    mpf_pow, pow_int, neg = libmp.mpf_pow, libmp.mpf_pow_int, libmp.mpf_neg
+    sqrt, log, exp = libmp.mpf_sqrt, libmp.mpf_log, libmp.mpf_exp
+
+    def powers(x, alpha):
+        sign, man, power, _ = alpha
+        if power == -1 and man != 1:
+            # alpha = n/2 with |n| > 1: mpf_pow raises one sqrt(x) to n and -n
+            root = sqrt(x, prec + 10, rnd)
+            n = -man if sign else man
+            return pow_int(root, n, prec, rnd), pow_int(root, -n, prec, rnd)
+        if power < -1:
+            # general alpha (also inf and nan): exp(+-alpha * log x), one log
+            c = log(x, prec + 10, rnd)
+            return (exp(mul(alpha, c), prec, rnd),
+                    exp(mul(neg(alpha, prec, rnd), c), prec, rnd))
+        # an integer or +-1/2: the two powers share nothing
+        return mpf_pow(x, alpha, prec, rnd), mpf_pow(x, neg(alpha, prec, rnd), prec, rnd)
+
+    return SimpleNamespace(
+        add=lambda s, t: add(s, t, prec, rnd),
+        sub=lambda s, t: sub(s, t, prec, rnd),
+        mul=lambda s, t: mul(s, t, prec, rnd),
+        div=lambda s, t: div(s, t, prec, rnd),
+        mul_int=lambda s, n: libmp.mpf_mul_int(s, n, prec, rnd),
+        pow_int=lambda s, n: pow_int(s, n, prec, rnd),
+        rdiv_int=lambda n, s: libmp.mpf_rdiv_int(n, s, prec, rnd),
+        from_int=libmp.from_int,
+        log=lambda s: log(s, prec, rnd),
+        cos_sin=lambda t: libmp.mpf_cos_sin(t, prec, rnd),
+        powers=powers)
+
+
+def _fg(spec: FamilySpec, x, m):
+    """(f(x), g(x)) in the arithmetic namespace ``m``: ``_FLOAT`` or ``_mp_arithmetic``.
 
     The pair shares x^alpha and x^(-alpha), or log x and t = alpha*log x
-    with cos t and sin t from one ``cos_sin``.  mpmath's computes both in
-    one ``mpf_cos_sin`` and rounds each exactly as its ``cos`` and ``sin``.
+    with cos t and sin t from one ``cos_sin``.  libmp's mpf_cos_sin rounds
+    each exactly as mpmath's ``cos`` and ``sin`` do.  Under ``_mp_arithmetic``
+    x and the spec's numbers are raw mpf tuples.
     """
     if spec.kind is FamilyKind.ZERO:
-        return 0.0, 2.0
+        return m.from_int(0), m.from_int(2)
     if spec.kind is FamilyKind.LOG_AFFINE:
-        return spec.c1 + spec.c2 * lib.log(x), 2.0
+        return m.add(spec.c1, m.mul(spec.c2, m.log(x))), m.from_int(2)
     if spec.imaginary:
-        cos, sin = lib.cos_sin(spec.alpha * lib.log(x))
-        return spec.c1 * cos + spec.c2 * sin, 2 * cos
-    up, down = x ** spec.alpha, x ** -spec.alpha
-    return spec.c1 * up + spec.c2 * down, up + down
+        cos, sin = m.cos_sin(m.mul(spec.alpha, m.log(x)))
+        return m.add(m.mul(spec.c1, cos), m.mul(spec.c2, sin)), m.mul_int(cos, 2)
+    up, down = m.powers(x, spec.alpha)
+    return m.add(m.mul(spec.c1, up), m.mul(spec.c2, down)), m.add(up, down)
 
 
 def eval_g(spec: FamilySpec, x: float) -> float:
@@ -186,26 +261,38 @@ def check_relations(spec: FamilySpec, relations, samples: int,
         raise ValueError("relations must not be empty")
     check_size(samples, 1, "samples")
     check_int(seed, "seed")
-    import mpmath  # only here, so importing spiraldet does not load it
+    from mpmath import libmp  # only here, so importing spiraldet does not load it
 
+    prec, rnd = libmp.dps_to_prec(_working_digits(spec)), libmp.round_nearest
+    m = _mp_arithmetic(prec)
+    from_float, le, gt = libmp.from_float, libmp.mpf_le, libmp.mpf_gt
+    # a double converts exactly at any working precision
+    family = replace(spec, alpha=from_float(spec.alpha),
+                     c1=from_float(spec.c1), c2=from_float(spec.c2))
+    memo: dict = {}  # (f, g) at each point of the current sample, keyed on the tuple
+
+    def fg(v):
+        pair = memo.get(v)
+        if pair is None:
+            pair = memo[v] = _fg(family, v, m)
+        return pair
+
+    f, g = (lambda v: fg(v)[0]), (lambda v: fg(v)[1])
     worst = [-1.0] * len(relations)
+    worst_mp = [from_float(-1.0)] * len(relations)  # each worst, converted once
     argmax: list[tuple[float, ...]] = [()] * len(relations)
-    with mpmath.workdps(_working_digits(spec)):
-        # a double converts exactly at any working precision
-        family = replace(spec, alpha=mpmath.mpf(spec.alpha),
-                         c1=mpmath.mpf(spec.c1), c2=mpmath.mpf(spec.c2))
-        for i in range(samples):
-            a, x = _sample_log_uniform(seed, i)
-            fg = functools.cache(lambda v: _fg(family, v, mpmath))
-            f, g = (lambda v: fg(v)[0]), (lambda v: fg(v)[1])
-            a_mp, x_mp = mpmath.mpf(a), mpmath.mpf(x)
-            for j, relation in enumerate(relations):
-                r = abs(_RESIDUALS[relation](f, g, a_mp, x_mp))
-                # NaN compares false, so a NaN r enters here, and a non-finite
-                # worst is never replaced
-                if not r <= worst[j] and (r > worst[j] or math.isfinite(worst[j])):
-                    worst[j] = float(r)
-                    argmax[j] = (a, x) if relation in _TWO_ARG else (x,)
+    for i in range(samples):
+        a, x = _sample_log_uniform(seed, i)
+        memo.clear()
+        a_mp, x_mp = from_float(a), from_float(x)
+        for j, relation in enumerate(relations):
+            r = libmp.mpf_abs(_RESIDUALS[relation](f, g, a_mp, x_mp, m), prec, rnd)
+            # NaN compares false, so a NaN r enters here, and a non-finite
+            # worst is never replaced
+            if not le(r, worst_mp[j]) and (gt(r, worst_mp[j]) or math.isfinite(worst[j])):
+                worst[j] = libmp.to_float(r, rnd=rnd)
+                worst_mp[j] = from_float(worst[j])
+                argmax[j] = (a, x) if relation in _TWO_ARG else (x,)
     return [ResidualReport(relation, samples, w, arg)
             for relation, w, arg in zip(relations, worst, argmax)]
 

@@ -686,6 +686,16 @@ GOLDEN_DIGESTS = {
         "2e1d6805f66ffe58b71084caa0664b56327ac0711d6e1dd257dd82570f9c78d2",
     "funceq --alpha 1.5 --trials 50 --seed 1 --format text":
         "f9ae8c55cc87c76589c112a66c5d89bca93d57d40762176beeceb64e4a5844d0",
+    # funceq's two benchmark specs at full size, and the mpf_pow branches of a
+    # general alpha and a negative integer one
+    "funceq --alpha 1.5 --trials 1000 --seed 60493":
+        "787f7edb4e3fc74d798c63c20b61cccd7a77bdb360bcb073b2216ea7a44c11c2",
+    "funceq --alpha 0.75 --imaginary --trials 1000 --seed 60493":
+        "be396dc51740d073e2ef2765e9104ec491db483c95b9ff2f7d8852d825803fe1",
+    "funceq --alpha 0.3 --trials 200 --seed 5":
+        "4f5cf197299053c108ff25df8be9d55cde6cf92bcb1182b168cbe9354c5d3489",
+    "funceq --alpha -3 --relation 6.16 --trials 200 --seed 5":
+        "f9559b25cc11f453edb965adb2cafcd874a5b88b3ffba26e46bdf42e5747443c",
 }
 
 

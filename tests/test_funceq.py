@@ -8,6 +8,7 @@ from collections import Counter
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from spiraldet import funceq
 from spiraldet.funceq import (
@@ -40,6 +41,10 @@ ACCEPTED_SPECS = {
 REFERENCE_SPECS = {
     **{f"alpha={alpha}": FamilySpec(POWER, alpha=alpha, c1=0.3, c2=-1.7)
        for alpha in (0.0, -2.5, 20.0, 400.0, math.nan, math.inf)},
+    # each branch of mpf_pow: +-1/2, integers, general exponents, and a
+    # half-integer past the default digits (7.5 works at 43)
+    **{f"alpha={alpha}": FamilySpec(POWER, alpha=alpha, c1=0.3, c2=-1.7)
+       for alpha in (0.5, -0.5, 1.0, -3.0, 0.3, -1.7, 7.5)},
     "alpha=1.5": FamilySpec(POWER, alpha=1.5),
     "alpha=2.5 c2=-1": FamilySpec(POWER, alpha=2.5, c2=-1.0),
     **{f"imaginary t={t}": FamilySpec(POWER, alpha=t, imaginary=True, c1=1.0, c2=2.5)
@@ -204,6 +209,53 @@ class TestCheckRelations:
             assert _outcome(eval_f, spec, x) == _outcome(_reference_f, spec, x, math), x
             assert _outcome(eval_g, spec, x) == _outcome(_reference_g, spec, x, math), x
 
+    @pytest.mark.parametrize("spec", (FamilySpec(POWER, alpha=1.5),
+                                      FamilySpec(POWER, alpha=0.75, imaginary=True)),
+                             ids=("real", "imaginary"))
+    def test_benchmark_specs_equal_the_reference(self, spec):
+        # the two specs perfbench's aux_checks runs, with the CLI's c1 = c2 = 1
+        expected = [repr(_reference_check(spec, rel, 200, 60493)) for rel in RELATIONS]
+        assert [repr(rep) for rep in check_relations(spec, RELATIONS, 200, 60493)] == expected
+
+    @pytest.mark.parametrize("spec", (FamilySpec(POWER, alpha=1.5, c1=0.3, c2=-1.7),
+                                      FamilySpec(POWER, alpha=0.3),
+                                      FamilySpec(POWER, alpha=0.75, imaginary=True),
+                                      FamilySpec(FamilyKind.LOG_AFFINE, c1=1.0, c2=2.0)),
+                             ids=("half-integer", "general", "imaginary", "log-affine"))
+    def test_reports_ignore_the_callers_mpmath_context(self, spec):
+        reports = []
+        for dps in (15, 100):
+            with mpmath.workdps(dps):
+                before = (mpmath.mp.prec, mpmath.mp.dps, tuple(mpmath.mp._prec_rounding))
+                reports.append([repr(rep) for rep in check_relations(spec, RELATIONS, 20, 4)])
+                assert (mpmath.mp.prec, mpmath.mp.dps, tuple(mpmath.mp._prec_rounding)) == before
+        assert reports[0] == reports[1]
+
+    # one alpha per branch of mpf_pow that _mp_arithmetic's powers follows:
+    # integer, +-1/2, other half-integers, general, zero and the non-finite
+    POWER_BRANCHES = {
+        "integer": (1.0, 2.0, -3.0, 20.0), "half": (0.5, -0.5),
+        "half-integer": (1.5, -1.5, 7.5, -2.5), "general": (0.3, -1.7, 0.75, 1e-300),
+        "zero": (0.0,), "non-finite": (math.inf, -math.inf, math.nan),
+    }
+
+    @pytest.mark.parametrize("dps", (40, 120))
+    @pytest.mark.parametrize("branch", POWER_BRANCHES)
+    def test_powers_equal_mpf_pow(self, branch, dps):
+        prec = libmp.dps_to_prec(dps)
+        powers = funceq._mp_arithmetic(prec).powers
+        with mpmath.workdps(dps):
+            for alpha in self.POWER_BRANCHES[branch]:
+                for x in (0.1, 0.5, 1.0, 2.0, 3.7, 9.99, 1e-300, 1e300):
+                    x_mp, alpha_mp = mpmath.mpf(x), mpmath.mpf(alpha)
+                    up, down = powers(x_mp._mpf_, alpha_mp._mpf_)
+                    # mpf's ** operator, and the libmp call it makes
+                    assert (up, down) == ((x_mp ** alpha_mp)._mpf_, (x_mp ** -alpha_mp)._mpf_)
+                    assert (up, down) == (
+                        libmp.mpf_pow(x_mp._mpf_, alpha_mp._mpf_, prec, libmp.round_nearest),
+                        libmp.mpf_pow(x_mp._mpf_, libmp.mpf_neg(alpha_mp._mpf_), prec,
+                                      libmp.round_nearest)), (alpha, x)
+
     @pytest.mark.parametrize("dps", (funceq._MP_DPS, 3 * funceq._MP_DPS))
     def test_imaginary_fg_equals_separate_cos_and_sin(self, dps):
         # one cos_sin rounds each value as mpmath.cos and mpmath.sin do, also
@@ -211,15 +263,18 @@ class TestCheckRelations:
         with mpmath.workdps(dps):
             tiny = mpmath.mpf(2) ** -(mpmath.mp.prec + 20)
             special = 0
+            arithmetic = funceq._mp_arithmetic(mpmath.mp.prec)
             for alpha in (0.75, -1.3, 2.7, 50.0, 1e-300, tiny):
                 spec = FamilySpec(POWER, alpha=mpmath.mpf(alpha), imaginary=True,
                                   c1=mpmath.mpf(0.3), c2=mpmath.mpf(-1.7))
+                raw = FamilySpec(POWER, alpha=spec.alpha._mpf_, imaginary=True,
+                                 c1=spec.c1._mpf_, c2=spec.c2._mpf_)
                 for x in map(mpmath.mpf, (1, 0.1, 0.5, 2, 9.99)):
                     t = spec.alpha * mpmath.log(x)
                     special += abs(t) < mpmath.mpf(2) ** -(mpmath.mp.prec + 10)
                     cos, sin = mpmath.cos(t), mpmath.sin(t)
                     expected = (spec.c1 * cos + spec.c2 * sin, 2 * cos)
-                    assert [v._mpf_ for v in funceq._fg(spec, x, mpmath)] == \
+                    assert list(funceq._fg(raw, x._mpf_, arithmetic)) == \
                         [v._mpf_ for v in expected], (alpha, x)
             # t = 0 at x = 1 for each of 6 alphas, and tiny at the last two alphas
             assert special == 6 + 2 * 4
@@ -241,15 +296,15 @@ class TestCheckRelations:
         seen = []
         real = funceq._fg
 
-        def spy(family, v, lib):
+        def spy(family, v, m):
             seen.append(v)
-            return real(family, v, lib)
+            return real(family, v, m)
 
         monkeypatch.setattr(funceq, "_fg", spy)
         check_relations(spec, relations, 1, seed=3)
         with mpmath.workdps(funceq._working_digits(spec)):
             a, x = map(mpmath.mpf, funceq._sample_log_uniform(3, 0))
-            expected = points(a, x)
+            expected = [v._mpf_ for v in points(a, x)]
         assert len(set(expected)) == len(expected)
         # g(x^2) is evaluated at x^2, never derived from g(x)
         assert Counter(seen) == Counter(expected)
@@ -312,8 +367,14 @@ class TestLargeAlpha:
         assert json.loads(capsys.readouterr().out)["report"]["failures"] == 0
 
     @pytest.mark.parametrize("relation,off_by_one", (
-        ("6.16", lambda f, g, a, x: g(x ** 3) + 1 - (g(x) ** 3 - 3 * g(x))),
-        ("6.1", lambda f, g, a, x: f(a) * g(x) + 1 - f(a * x) - f(a / x)),
+        # g(x ** 3) + 1 - (g(x) ** 3 - 3 * g(x))
+        ("6.16", lambda f, g, a, x, m: m.sub(
+            m.add(g(m.pow_int(x, 3)), m.from_int(1)),
+            m.sub(m.pow_int(g(x), 3), m.mul_int(g(x), 3)))),
+        # f(a) * g(x) + 1 - f(a * x) - f(a / x)
+        ("6.1", lambda f, g, a, x, m: m.sub(
+            m.sub(m.add(m.mul(f(a), g(x)), m.from_int(1)), f(m.mul(a, x))),
+            f(m.div(a, x)))),
     ))
     def test_wrong_relation_still_fails(self, monkeypatch, relation, off_by_one):
         monkeypatch.setitem(funceq._RESIDUALS, relation, off_by_one)
@@ -356,14 +417,14 @@ class TestNonFiniteResiduals:
         real = funceq._RESIDUALS["6.15"]
         calls = []
 
-        def residual(f, g, a, x):
+        def residual(f, g, a, x, m):
             calls.append(x)
-            return mpmath.mpf("nan") if len(calls) == 4 else real(f, g, a, x)
+            return libmp.fnan if len(calls) == 4 else real(f, g, a, x, m)
 
         monkeypatch.setitem(funceq._RESIDUALS, "6.15", residual)
         report = check_relations(FamilySpec(POWER, alpha=1.0), ["6.15"], 10, seed=2)[0]
         assert math.isnan(report.max_residual)
-        assert report.argmax == (float(calls[3]),)
+        assert report.argmax == (libmp.to_float(calls[3]),)
 
     @pytest.mark.parametrize("oracle", (
         lambda x: math.nan,
