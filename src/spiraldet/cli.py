@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import closed_forms, determinant_engine, funceq, sequences, spiral_builder
+from . import closed_forms, determinant_engine, exponent_algebra, funceq, sequences, spiral_builder
 from .exponent_algebra import to_records, to_string
 
 _FAMILIES = ("additive", "bracket", "generalized", "qpower")
@@ -118,21 +118,24 @@ def _symbolic_checks(theorem: int, top: int) -> list[dict]:
 
 
 def _randomized_checks(theorem: int, sizes: range, trials: int, seed: int) -> list[dict]:
-    """The randomized check of every size, from one walk and one elimination per trial.
+    """The randomized check of every size, from one walk, one elimination and one
+    evaluation of the formulas per trial.
 
     In ``shell_ordered`` every size-k spiral is the leading k x k block of
     the largest one, with its own determinant, and the trial's point is the
     same at every size, so the leading minors of the largest matrix give
-    every size's determinant.  A failed check names its first failing point
+    every size's determinant.  The formulas of neighbouring sizes share most
+    of their factors; ``shared_evaluator`` finds the distinct ones once and
+    values each once per point.  A failed check names its first failing point
     and both values.
     """
-    formulas = [closed_forms.theorem(theorem, n) for n in sizes]
+    formulas = exponent_algebra.shared_evaluator([closed_forms.theorem(theorem, n)
+                                                  for n in sizes])
 
     def sides(point):
         minors = determinant_engine.leading_minors(spiral_builder.shell_ordered(
             spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)))
-        for n, formula in zip(sizes, formulas):
-            yield minors[n - 1], formula.evaluate(point)
+        return [(minors[n - 1], value) for n, value in zip(sizes, formulas(point))]
 
     checks = []
     for n, report in zip(sizes, determinant_engine.randomized_reports(sides, trials, seed)):

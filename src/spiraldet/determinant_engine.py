@@ -286,7 +286,7 @@ def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[
     """
     m, nums, dens = [], [], []
     for row in matrix:
-        row = [Fraction(v) for v in row]
+        row = [v if type(v) is Fraction else Fraction(v) for v in row]
         den = lcm(*(v.denominator for v in row))
         content = gcd(*(v.numerator for v in row))
         m.append([v.numerator * (den // v.denominator) // (content or 1) for v in row])

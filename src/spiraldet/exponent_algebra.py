@@ -18,7 +18,9 @@ for a monomial m, which satisfy  bracket(a)*angle(x) = bracket(a*x) +
 bracket(a/x)  and  bracket(a)*bracket(x) = angle(a*x) - angle(a/x).
 
 :class:`Factored` keeps a product of polynomials unexpanded and evaluates it
-factor by factor, multiplying the factors' integer pairs and reducing once.
+factor by factor, multiplying the factors' integer pairs and reducing once;
+:func:`shared_evaluator` values many such products at a point, each
+distinct factor once.
 
 Serialization is write-only: :func:`to_records`, :func:`to_string` and
 :func:`to_latex` write a polynomial for the CLI's JSON, text and LaTeX
@@ -314,11 +316,46 @@ class Factored:
         that variable.
         """
         coords = _coordinates(point)  # a wrong length or type raises even with no factors
-        num, den = self.sign, 1
-        for factor in self.factors:
-            n, d = _value(factor, coords)
-            num, den = num * n, den * d
-        return Fraction(num, den)
+        return _product(self.sign, [_value(factor, coords) for factor in self.factors])
+
+
+def shared_evaluator(formulas: Sequence[Factored]) -> Callable[[Sequence], list[Fraction]]:
+    """A function of a point giving each formula's exact value there.
+
+    The formulas of neighbouring sizes share most of their factors, as
+    separate but equal polynomials, so the distinct factors are found once,
+    here, by their terms and not by object.  Each call then values each
+    distinct factor once, and each formula multiplies its factors' integer
+    pairs and reduces once, as ``Factored.evaluate`` does.  A bad point
+    raises before any factor is valued, and a zero coordinate raises
+    ZeroCoordinateError exactly where some formula's ``evaluate`` would.
+    """
+    distinct: dict[frozenset, int] = {}
+    factors, plans = [], []
+    for formula in formulas:
+        slots = []
+        for factor in formula.factors:
+            key = frozenset(factor.terms.items())
+            if key not in distinct:
+                distinct[key] = len(factors)
+                factors.append(factor)
+            slots.append(distinct[key])
+        plans.append((formula.sign, slots))
+
+    def values(point: Sequence) -> list[Fraction]:
+        coords = _coordinates(point)  # a wrong length or type raises even with no formulas
+        pairs = [_value(factor, coords) for factor in factors]
+        return [_product(sign, [pairs[i] for i in slots]) for sign, slots in plans]
+
+    return values
+
+
+def _product(sign: int, pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """``sign`` times the product of the fractions num/den, reduced once."""
+    num, den = sign, 1
+    for n, d in pairs:
+        num, den = num * n, den * d
+    return Fraction(num, den)
 
 
 # -- serialization ----------------------------------------------------------

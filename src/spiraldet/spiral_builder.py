@@ -17,7 +17,8 @@ Four families share the path:
 * generalized bracket -- like bracket, but each up/down step multiplies by a
   caller-chosen monomial; horizontal steps multiply by x in both directions.
 
-The numeric builders walk the same path in the rationals, at a point, and
+The numeric builders walk the same path at a point, on ints where the point
+is integral and in the rationals elsewhere, and
 ``shell_ordered`` orders a grid's rows and columns so that every smaller
 spiral is a leading block with its own determinant.
 """
@@ -233,24 +234,27 @@ def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
 
 
 def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[Fraction]]:
-    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 rationals.
+    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 rationals, as Fractions.
 
-    Walks the spiral in the rationals instead of evaluating each entry: a
+    Walks the spiral at the point instead of evaluating each entry: a
     running sum for theorem 1, a running product for theorem 2 and, for
     theorem 3, a running product m with y set to x, each cell then m - 1/m.
-    A point raises exactly as ``numeric_matrix`` does: theorems 1 and 2 have
-    no negative power and take zero coordinates, and a theorem-3 cell whose
-    running product is 0 has 1/m at a zero coordinate, so it raises
-    ZeroCoordinateError.
+    Each integral coordinate walks as its int, so at a sample point of ints
+    the whole walk is on ints, and only the cells become Fractions; a
+    rational coordinate walks as its Fraction.  A point raises exactly as
+    ``numeric_matrix`` does: theorems 1 and 2 have no negative power and
+    take zero coordinates, and a theorem-3 cell whose running product is 0
+    has 1/m at a zero coordinate, so it raises ZeroCoordinateError.
     """
     check_theorem(theorem)
-    a, b, c, x, y = _coordinates(point)
+    a, b, c, x, y = (v.numerator if v.denominator == 1 else v for v in _coordinates(point))
     if theorem < 3:
-        return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
+        grid = _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
+        return [[Fraction(v) for v in row] for row in grid]
     grid = _spiral(n, a, b, c, x, x, mul)
     if any(0 in row for row in grid):
         raise ZeroCoordinateError()
-    return [[m - 1 / m for m in row] for row in grid]
+    return [[m - Fraction(1, m) for m in row] for row in grid]  # 1 / m of an int is a float
 
 
 def build_generalized_bracket(n: int, up_increments: Iterable,

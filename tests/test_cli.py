@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from spiraldet import closed_forms, determinant_engine, sequences, spiral_builder
+from spiraldet import closed_forms, determinant_engine, exponent_algebra, sequences, spiral_builder
 from spiraldet.cli import _cmd_verify, build_parser, main
 from spiraldet.exponent_algebra import Factored, LaurentPoly, exponents, to_records
 
@@ -153,7 +153,8 @@ class TestVerify:
         argv = ["verify", "--theorem", str(theorem), "--n-max", str(n_max),
                 "--trials", str(trials), "--seed", str(seed)]
         sizes = []
-        real_bareiss, real_theorem = determinant_engine.det_bareiss_rational, closed_forms.theorem
+        real_bareiss, real_evaluator = (determinant_engine.det_bareiss_rational,
+                                        exponent_algebra.shared_evaluator)
 
         def bareiss(matrix):
             sizes.append(len(matrix))
@@ -164,18 +165,14 @@ class TestVerify:
         assert sizes == []
         assert code == 0 and [c["match"] for c in blob["report"]["checks"]] == [True] * n_max
 
-        class OffByOne:
-            # the formula plus one differs from the determinant at every
+        def off_by_one(formulas):
+            # each formula plus one differs from the determinant at every
             # point, also where the determinant is 0 and a doubled formula
-            # would pass
-            def __init__(self, formula):
-                self.formula = formula
+            # would pass; only the randomized sizes past 8 evaluate formulas
+            values = real_evaluator(formulas)
+            return lambda point: [value + 1 for value in values(point)]
 
-            def evaluate(self, point):
-                return self.formula.evaluate(point) + 1
-
-        monkeypatch.setattr(closed_forms, "theorem", lambda k, n: real_theorem(k, n) if n <= 8
-                            else OffByOne(real_theorem(k, n)))
+        monkeypatch.setattr(exponent_algebra, "shared_evaluator", off_by_one)
         code, blob = run_json(argv, capsys)
         assert code == 1 and blob["report"]["failures"] == n_max - 8
         assert [(c["match"], c["failures"]) for c in blob["report"]["checks"][8:]] == \
@@ -185,22 +182,19 @@ class TestVerify:
     def test_failed_randomized_check_names_its_first_point(self, theorem, capsys,
                                                             monkeypatch):
         monkeypatch.delenv("SPIRALDET_SEED", raising=False)
-        real_theorem = closed_forms.theorem
+        real_evaluator = exponent_algebra.shared_evaluator
 
-        class OffByOne:
-            # differs from the determinant at every point
-            def __init__(self, formula):
-                self.formula = formula
-
-            def evaluate(self, point):
-                return self.formula.evaluate(point) + 1
+        def off_by_one(formulas):
+            # differs from the determinant at every point; only the
+            # randomized sizes past 8 evaluate formulas
+            values = real_evaluator(formulas)
+            return lambda point: [value + 1 for value in values(point)]
 
         argv = ["verify", "--theorem", str(theorem), "--n-max", "10", "--trials", "2"]
         code, blob = run_json(argv, capsys)
         assert code == 0 and all("witness" not in c for c in blob["report"]["checks"])
 
-        monkeypatch.setattr(closed_forms, "theorem", lambda k, n: real_theorem(k, n) if n <= 8
-                            else OffByOne(real_theorem(k, n)))
+        monkeypatch.setattr(exponent_algebra, "shared_evaluator", off_by_one)
         code, blob = run_json(argv, capsys)
         assert code == 1 and blob["report"]["failures"] == 2
         checks = blob["report"]["checks"]
@@ -240,6 +234,40 @@ class TestVerify:
                                "--trials", "3", "--seed", "0"], capsys)
         assert code == 0 and len(blob["report"]["checks"]) == 12
         assert walks == [12, 12, 12] and eliminations == []
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_each_trial_values_each_distinct_factor_once(self, theorem, capsys, monkeypatch):
+        # the formulas of sizes 9..12 share most of their factors
+        builds, evaluations, valued = [], [], []
+        real_evaluator, real_value = exponent_algebra.shared_evaluator, exponent_algebra._value
+
+        def shared_evaluator(formulas):
+            builds.append(len(formulas))
+            values = real_evaluator(formulas)
+
+            def evaluate(point):
+                evaluations.append(point)
+                return values(point)
+            return evaluate
+
+        def value(p, coords):
+            valued.append(frozenset(p.terms.items()))
+            return real_value(p, coords)
+
+        monkeypatch.setattr(exponent_algebra, "shared_evaluator", shared_evaluator)
+        monkeypatch.setattr(exponent_algebra, "_value", value)
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "12",
+                               "--trials", "3", "--seed", "0"], capsys)
+        assert code == 0 and len(blob["report"]["checks"]) == 12
+        factors = [frozenset(factor.terms.items()) for n in range(9, 13)
+                   for factor in closed_forms.theorem(theorem, n).factors]
+        distinct = set(factors)
+        assert len(distinct) < len(factors)
+        assert builds == [4]
+        assert evaluations == [determinant_engine.sample_point(0, t) for t in range(3)]
+        per_trial = len(distinct)
+        assert [set(valued[t * per_trial:(t + 1) * per_trial]) for t in range(3)] == [distinct] * 3
+        assert len(valued) == 3 * per_trial
 
     @pytest.mark.parametrize("theorem", (1, 2, 3))
     @pytest.mark.parametrize("n_max", (8, 5))

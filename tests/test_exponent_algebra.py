@@ -8,7 +8,9 @@ from math import gcd, prod
 
 import pytest
 
+from spiraldet import exponent_algebra
 from spiraldet.closed_forms import theorem
+from spiraldet.determinant_engine import sample_point
 from spiraldet.exponent_algebra import (
     Factored,
     LaurentPoly,
@@ -17,6 +19,7 @@ from spiraldet.exponent_algebra import (
     bracket,
     evaluate,
     exponents,
+    shared_evaluator,
     to_latex,
     to_records,
     to_string,
@@ -465,6 +468,93 @@ class TestZeroCoordinates:
         p = A * A * LaurentPoly.variable("b") - 3 * LaurentPoly.variable("c") + 5
         assert evaluate(p, (0, 7, 0, 1, 1)) == 5
         assert evaluate(p, (0, 0, 0, 0, 0)) == 5
+
+
+def spy_on_value(monkeypatch) -> list:
+    """Record each polynomial that ``exponent_algebra._value`` values from now on."""
+    valued = []
+    real = exponent_algebra._value
+
+    def value(p, coords):
+        valued.append(p)
+        return real(p, coords)
+
+    monkeypatch.setattr(exponent_algebra, "_value", value)
+    return valued
+
+
+class TestSharedEvaluator:
+    """Many formulas at one point, each distinct factor valued once."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_equals_each_formulas_value(self, k):
+        rng = random.Random(30 + k)
+        formulas = [theorem(k, n) for n in range(31)]
+        integral = sample_point(60493, k)
+        rational = tuple(Fraction(v * d + 1, d) for v, d in
+                         zip(random_point(rng), (2, 3, 5, 7, 9)))  # never integral
+        mixed = tuple(v if i % 2 else r for i, (v, r) in enumerate(zip(integral, rational)))
+        for point in (integral, rational, mixed):
+            values = shared_evaluator(formulas)(point)
+            assert all(type(v) is Fraction for v in values)
+            assert values == [f.evaluate(point) for f in formulas], point
+            assert values == [f.sign * prod((evaluate(factor, point) for factor in f.factors),
+                                            start=Fraction(1)) for f in formulas], point
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_zero_coordinate_raises_where_a_formula_does(self, k):
+        formulas = [theorem(k, n) for n in range(13)]
+        refused = set()
+        for var in range(5):
+            for base in ((3, -2, 5, -7, 4), (Fraction(3, 2), -2, Fraction(5, 7), -7, 4)):
+                point = base[:var] + (0,) + base[var + 1:]
+                each = [value_or_error(f.evaluate, point) for f in formulas]
+                for top in range(len(formulas) + 1):
+                    if ZeroCoordinateError in each[:top]:
+                        refused.add(var)
+                        with pytest.raises(ZeroCoordinateError):
+                            shared_evaluator(formulas[:top])(point)
+                    else:
+                        assert shared_evaluator(formulas[:top])(point) == each[:top]
+        # theorem 3 sets y = x, so its formulas have no y
+        assert refused == (set() if k < 3 else {0, 1, 2, 3})
+
+    def test_bad_point_raises_before_any_factor_is_valued(self, monkeypatch):
+        valued = spy_on_value(monkeypatch)
+        formulas = [theorem(3, n) for n in range(1, 6)]
+        for bad in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, "two", 4, 5), (1, 2, None, 4, 5)):
+            with pytest.raises((ValueError, TypeError)) as expected:
+                evaluate(X, bad)
+            for batch in ([], formulas):
+                with pytest.raises(expected.type) as raised:
+                    shared_evaluator(batch)(bad)
+                assert str(raised.value) == str(expected.value)
+        assert valued == []
+
+    def test_theorem_2_values_31_distinct_factors_per_point(self, monkeypatch):
+        # 12 prefactors and the tails 1 - b^i c^i x^(i+1) y^(i+1), i = 0..18
+        formulas = [theorem(2, n) for n in range(9, 21)]
+        valued = spy_on_value(monkeypatch)
+        values = shared_evaluator(formulas)
+        assert valued == []
+        for t in range(3):
+            point = sample_point(60493, t)
+            valued.clear()
+            values(point)
+            assert len(valued) == 31
+            valued.clear()
+            for formula in formulas:
+                formula.evaluate(point)
+            assert len(valued) == 174
+
+    def test_equal_factors_are_shared_whatever_their_object(self, monkeypatch):
+        p = 1 - X * X
+        q = LaurentPoly({exponents(): 1, exponents(x=2): -1})
+        assert p == q and p is not q and list(p.terms) != list(q.terms)
+        valued = spy_on_value(monkeypatch)
+        point = (2, 3, 5, 7, 11)
+        assert shared_evaluator([Factored(1, [p, A]), Factored(-1, [q])])(point) == [-96, 48]
+        assert valued == [p, A]
 
 
 class TestCoefficientTypes:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spiraldet import spiral_builder
 from spiraldet.closed_forms import qreduction_check, reduction, theorem, verify_reduction
 from spiraldet.determinant_engine import numeric_matrix, sample_point, verify_identity
 from spiraldet.exponent_algebra import LaurentPoly, ZeroCoordinateError, bracket, exponents
@@ -422,6 +423,59 @@ class TestNumericTheoremMatrix:
                     outcomes.add("value")
         # theorem 3 at n = 1 has only the centre a - 1/a, so b, c, x and y may be 0
         assert outcomes == ({"value"} if theorem < 3 else {"value", "refused"})
+
+    # qspiral's point q = 2^K at n = 12 (2^30), huge against the sample range
+    QSPIRAL = SequenceId.QSPIRAL.binding(12)[1]
+    MIXED_POINTS = (
+        QSPIRAL,
+        (QSPIRAL[0], -QSPIRAL[0], 3, -(1 << 70), 1),
+        (Fraction(-3, 2), Fraction(5, 7), Fraction(-2, 9), Fraction(4, 3), Fraction(-7, 5)),
+        (Fraction(-3, 2), 5, Fraction(-2, 9), 4, Fraction(-7, 5)),
+        (Fraction(8, 2), "-6/3", 2.0, Fraction(1, 3), QSPIRAL[0]),
+        (0, 5, -2, 4, -7),
+        (Fraction(-3, 2), 0, Fraction(-2, 9), 4, 0),
+        (3, -1, 2, 0, Fraction(1, 2)),
+    )
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_int_walk_equals_numeric_matrix_at_every_kind_of_point(self, theorem):
+        # integral, rational and mixed coordinates, huge ones and zeros: the
+        # walk gives the entries' values, or refuses where they do
+        outcomes = set()
+        for n in (1, 2, 3, 6, 9, 12):
+            symbolic = theorem_matrix(theorem, n)
+            for point in self.MIXED_POINTS:
+                try:
+                    expected = numeric_matrix(symbolic, point)
+                except ZeroCoordinateError as exc:
+                    with pytest.raises(ZeroCoordinateError) as walked:
+                        numeric_theorem_matrix(theorem, n, point)
+                    assert str(walked.value) == str(exc), (n, point)
+                    outcomes.add("refused")
+                    continue
+                walked = numeric_theorem_matrix(theorem, n, point)
+                assert walked == expected, (theorem, n, point)
+                assert all(type(v) is Fraction for row in walked for v in row)
+                outcomes.add("value")
+        assert outcomes == ({"value"} if theorem < 3 else {"value", "refused"})
+
+    @pytest.mark.parametrize("theorem", (1, 2, 3))
+    def test_an_integral_point_walks_on_ints(self, theorem, monkeypatch):
+        walked = []
+        real_spiral = spiral_builder._spiral
+
+        def spiral(*args, **kwargs):
+            grid = real_spiral(*args, **kwargs)
+            walked.append({type(v) for row in grid for v in row})
+            return grid
+
+        monkeypatch.setattr(spiral_builder, "_spiral", spiral)
+        # integral Fractions, strings and floats walk as ints too; a is in
+        # every cell, so a rational a makes every cell a Fraction
+        for point in (sample_point(0, 0), (Fraction(6, 3), 2, "4/2", 1.0, -1),
+                      (Fraction(1, 2), 2, 3, 4, 5)):
+            numeric_theorem_matrix(theorem, 6, point)
+        assert walked == [{int}, {int}, {Fraction}]
 
     @pytest.mark.parametrize("theorem", (0, 4, True, 2.0))
     def test_unknown_theorem(self, theorem):
