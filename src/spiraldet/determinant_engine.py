@@ -3,8 +3,11 @@
 Two determinant engines cross-check each other: a memoized cofactor expansion
 along columns, heaviest first, over packed monomial keys (used symbolically on
 Laurent-polynomial matrices, guarded to n <= 8), and, for numeric work at any
-size, Bareiss's fraction-free elimination on plain ints after the rational
-matrix's row and column contents are divided out.
+size, fraction-free elimination on primitive rows of plain ints after the
+rational matrix's row and column contents are divided out.  Each eliminated
+row is divided by the gcd of its entries, so it divides Bareiss's row entry
+by entry and no entry exceeds Bareiss's; a spiral's minors carry the closed
+form's large monomial head, which Bareiss's rows carry and these do not.
 
 Both engines give every leading principal minor at the cost of the full
 determinant.  In ``spiral_builder.shell_ordered`` every smaller spiral is a
@@ -16,11 +19,14 @@ leading k x k block, columns reversed.  ``leading_minor_residues`` compares
 each such minor with its closed form on the packed keys: the formula's
 factors are packed with the same base, which covers both sides, and
 multiplied there, so a match unpacks nothing and a mismatch unpacks only
-det - formula.  The elimination leaves every leading minor on its diagonal
-(``leading_minors``), up to the sign of its row swaps: a zero pivot swaps in
-the nearest row below with a nonzero entry in its column, and the blocks
-that swap skips over are singular.  The determinant
-(``det_bareiss_rational``) is the last of these minors.
+det - formula.  The elimination reads every leading minor off its pivots
+(``leading_minors``): each row's scale is the factor between it and its
+Gaussian row, and minor_{k+1} = minor_k * pivot_k / scale_k, up to the sign
+of its row swaps.  A zero pivot swaps in the nearest row below with a
+nonzero entry in its column, and the blocks that swap skips over are
+singular.  The determinant (``det_bareiss_rational``) is the last of these
+minors.  Its public name stays: the elimination refines Bareiss's, with the
+same zeros and row swaps and every row divided by its content.
 
 Every randomized check runs one sampling loop (``randomized_reports``): it
 checks the trial count and seed once, draws each trial's point, and keeps
@@ -301,23 +307,40 @@ def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[
     return m, nums, dens
 
 
-def _bareiss_minors(m: list[list[int]]) -> Iterator[int]:
+def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     """The leading 1 x 1, ..., n x n minors of the integer matrix, from one elimination in place.
 
-    Bareiss's fraction-free elimination leaves the k-th leading minor as its
-    k-th pivot, and with ``prev`` the previous pivot every division is exact
-    (Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 22, 1968).  At a zero pivot in step
-    k, the nearest row i > k with a nonzero entry in column k is swapped in.
-    Every block of size k+1..i is singular: by Sylvester's identity its
-    determinant is a multiple of that of its rows' eliminated entries, whose
-    column k is zero.  Every larger block holds both swapped rows, so it
-    keeps its determinant up to the sign of the swaps made so far.  With no
-    such row, every block from size k+1 on is singular and the elimination
+    Fraction-free elimination on primitive rows.  At step k, with pivot p
+    and h = gcd(p, head), each row i > k with a nonzero head (its entry in
+    column k) becomes (p/h)*row_i - (head/h)*row_k and is divided by the gcd
+    of its entries, as in Collins's primitive remainder sequences
+    ("Subresultants and reduced polynomial remainder sequences", JACM 14,
+    1967).  ``scale[i]``, 1 at the start, is row i over its Gaussian
+    (Schur-complement) row: the update multiplies it by p/h and the division
+    divides it by the content.  The Gaussian pivot is p/scale[k], so
+    minor_{k+1} = minor_k * p / scale[k], an exact division.
+
+    Bareiss's row at step k is the k-th leading minor times the Gaussian
+    row (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968), an integer vector in the
+    same direction as the primitive row, which therefore divides it entry
+    by entry: no entry here exceeds Bareiss's.  A spiral's minors carry the
+    closed form's large monomial head, which Bareiss's rows carry too and
+    these rows do not.
+
+    Every row is a nonzero multiple of its Gaussian row, so it has the same
+    zeros.  At a zero pivot in step k, the nearest row i > k with a nonzero
+    entry in column k is swapped in, with its scale.  Every block of size
+    k+1..i is singular: by Sylvester's identity its determinant is a
+    multiple of that of its rows' eliminated entries, whose column k is
+    zero.  Every larger block holds both swapped rows, so it keeps its
+    determinant up to the sign of the swaps made so far.  With no such
+    row, every block from size k+1 on is singular and the elimination
     stops.
     """
     n = len(m)
-    sign = prev = 1
+    scale = [Fraction(1)] * n
+    sign = minor = 1
     singular_to = 0  # the block of each step k < singular_to is singular
     for k in range(n):
         if m[k][k] == 0:
@@ -326,15 +349,24 @@ def _bareiss_minors(m: list[list[int]]) -> Iterator[int]:
                 yield from [0] * (n - k)
                 return
             m[k], m[i] = m[i], m[k]
+            scale[k], scale[i] = scale[i], scale[k]
             sign = -sign
             singular_to = max(singular_to, i)
         pivot = m[k][k]
-        yield 0 if k < singular_to else sign * pivot
+        minor = minor * pivot * scale[k].denominator // scale[k].numerator
+        yield 0 if k < singular_to else sign * minor
         tail_k = m[k][k + 1:]
-        for row_i in m[k + 1:]:
+        for i in range(k + 1, n):
+            row_i = m[i]
             head = row_i[k]
-            row_i[k + 1:] = [(pivot * a - head * b) // prev for a, b in zip(row_i[k + 1:], tail_k)]
-        prev = pivot
+            if not head:
+                continue
+            h = gcd(pivot, head)
+            a, b = pivot // h, head // h
+            tail = [a * x - b * y for x, y in zip(row_i[k + 1:], tail_k)]
+            content = gcd(*tail) or 1
+            row_i[k + 1:] = [x // content for x in tail] if content > 1 else tail
+            scale[i] = Fraction(scale[i].numerator * a, scale[i].denominator * content)
 
 
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
@@ -343,15 +375,18 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
     Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
     is the product of the row and column contents (see ``_remove_contents``)
     times the determinant of the content-free integer matrix, the last
-    minor of its one Bareiss elimination on plain ints (``_bareiss_minors``).
-    A q-power matrix at a sample point carries a large common monomial in
-    each row and column, so removing the content first keeps the eliminated
-    entries small.  A zero row or column has content 0, so it gives 0.
+    minor of its one elimination on primitive rows (``_primitive_minors``:
+    minor_{k+1} = minor_k * pivot_k / scale_k, every entry no larger than
+    Bareiss's).  A q-power matrix at a sample point carries a large common
+    monomial in each row and column, so removing the content first keeps
+    the eliminated entries small.  A zero row or column has content 0, so
+    it gives 0.  The name stays public; the elimination refines Bareiss's,
+    with the same zeros and row swaps and every row divided by its content.
     """
     _check_square(matrix)
     m, nums, dens = _remove_contents(matrix)
     det = 1
-    for det in _bareiss_minors(m):
+    for det in _primitive_minors(m):
         pass
     return Fraction(det * prod(nums), prod(dens))
 
@@ -359,16 +394,19 @@ def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
 def leading_minors(matrix: Sequence[Sequence]) -> list[Fraction]:
     """The determinants of the leading 1 x 1, 2 x 2, ..., n x n blocks, in one elimination.
 
-    The content-free integer matrix is eliminated once (``_bareiss_minors``,
-    which swaps in the nearest nonzero row at a zero pivot), and a running
-    product of the row and column contents scales each of its leading
-    minors back.  The last minor is ``det_bareiss_rational(matrix)``.
+    The content-free integer matrix is eliminated once on primitive rows
+    (``_primitive_minors``, which swaps in the nearest nonzero row at a zero
+    pivot): each row is divided by its content after every update, so no
+    entry exceeds Bareiss's, and each minor follows from the last as
+    minor_{k+1} = minor_k * pivot_k / scale_k.  A running product of the row
+    and column contents scales each minor back.  The last minor is
+    ``det_bareiss_rational(matrix)``.
     """
     _check_square(matrix)
     m, nums, dens = _remove_contents(matrix)
     minors = []
     num = den = 1
-    for k, minor in enumerate(_bareiss_minors(m)):
+    for k, minor in enumerate(_primitive_minors(m)):
         num *= nums[k]
         den *= dens[k]
         minors.append(Fraction(num * minor, den))
@@ -495,9 +533,14 @@ def _zero_cells(size: int):
 def _eliminate(z) -> tuple[list[list[LaurentPoly]], WedgeFactorization]:
     """C_j <- C_j - <x>*C_{j-1} + C_{j-2} for j = 3..N; a nonzero zero-map cell raises.
 
-    Rows 1 and N then vanish from column 3 on and the middle block keeps only
-    its antidiagonal, so det z is theorem 3's sign (-1)^m times the 2x2
-    corner of rows 1/N and columns 1-2 times that antidiagonal.
+    Rows 1 and N then vanish from column 3 on, so det z is, up to sign, the
+    2x2 corner of rows 1/N and columns 1-2 times the determinant of the
+    middle block, rows 2..N-1 and columns 3..N.  That block is not
+    antidiagonal: on the bracket spiral (N-2)(N-3)/2 of its cells off the
+    antidiagonal stay nonzero, the cells the zero map does not claim.  But
+    the zero map leaves the block one perfect matching, its antidiagonal,
+    so its determinant is that product up to sign.  The sign is set to
+    theorem 3's (-1)^m, not derived.
     """
     size = len(z)
     t = [[z[i][j] - _ANGLE_X * z[i][j - 1] + z[i][j - 2] if j >= 2 else z[i][j]

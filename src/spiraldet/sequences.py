@@ -6,7 +6,7 @@ Each sequence binds a theorem and a point (``SequenceId.binding``):
 * outward -- theorem 1 with all parameters 1: 1..n^2 winding from the centre out;
 * qspiral -- theorem 2 at q = 2^K, every exponent parameter 1: polynomials in q.
 
-A term is the closed form at the point, checked against the Bareiss
+A term is the closed form at the point, checked against the exact
 determinant of the matrix walked there, never against an outside table.  A
 qspiral determinant is a polynomial in q with nonnegative exponents, each
 coefficient a sum of at most n! terms +-1, so with 2^(K-1) > n! its balanced
@@ -15,13 +15,15 @@ base-2^K digits are the coefficients: equal values mean equal polynomials.
 Every brute-force term of one call comes from one elimination, two for
 inward (``_oracles``).  In ``shell_ordered`` every size-n spiral is the
 leading n x n block of the largest one, with its own determinant, so one
-Bareiss elimination of that matrix gives every size's determinant
-(``leading_minors``).  outward's point is the same at every size.  qspiral's
-is too, at the largest size's K: that K also has 2^(K-1) > n! for every
-smaller n, so its digits read back every row.  inward's point a = n^2 moves
-with n, but it is the one coordinate that enters every entry, with
-coefficient 1, so each leading block is M0 + a*J with J the all-ones matrix.
-J has rank 1, so by the matrix determinant lemma
+elimination of that matrix gives every size's determinant
+(``leading_minors``: fraction-free on primitive rows, each minor the last
+one times a pivot over its row's scale, no entry larger than Bareiss's).
+outward's point is the same at every size.  qspiral's is too, at the
+largest size's K: that K also has 2^(K-1) > n! for every smaller n, so its
+digits read back every row.  inward's point a = n^2 moves with n, but it is
+the one coordinate that enters every entry, with coefficient 1, so each
+leading block is M0 + a*J with J the all-ones matrix.  J has rank 1, so by
+the matrix determinant lemma
 det(M0 + a*J) = det(M0) + a * 1^T adj(M0) 1 is affine in a, and the two
 eliminations at a = 0 and a = 1 give row n as d0 + n^2 * (d1 - d0).
 """

@@ -96,6 +96,16 @@ class TestVerify:
         assert code == 0 and blob["report"]["failures"] == 0
         assert [c["n"] for c in blob["report"]["checks"]] == list(range(1, 13))
 
+    @pytest.mark.parametrize("theorem,n_max,trials", ((3, 24, 1), (2, 40, 2)))
+    def test_large_sizes_pass(self, theorem, n_max, trials, capsys):
+        code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", str(n_max),
+                               "--trials", str(trials)], capsys)
+        assert code == 0 and blob["report"]["failures"] == 0
+        checks = blob["report"]["checks"]
+        assert [c["n"] for c in checks] == list(range(1, n_max + 1))
+        assert all(c["match"] for c in checks)
+        assert all(c["failures"] == 0 for c in checks if c["mode"] == "randomized")
+
     @pytest.mark.parametrize("theorem", (1, 3))
     def test_symbolic_mismatch_names_a_witness(self, theorem, capsys, monkeypatch):
         real = determinant_engine.leading_minor_residues

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import repeat
@@ -779,6 +780,153 @@ class TestLeadingMinors:
                 det_bareiss_rational(numeric_theorem_matrix(k, size, point)), size
 
 
+def small_prime_product(rng, most):
+    return math.prod(rng.choice((2, 3, 5, 7)) for _ in range(rng.randint(0, most)))
+
+
+def planted_matrix(rng, n, number):
+    """A random matrix with a zero pivot, whose eliminated rows carry contents.
+
+    M = L*W, with W = [[U, X], [0, T]], U upper triangular k x k with a
+    nonzero diagonal, and L unit lower triangular with the identity as its
+    lower-right block.  Gaussian elimination then reaches T's rows at step
+    k.  Each is scaled by a product of small primes, and T[0][0] = 0, so the
+    leading (k+1) x (k+1) block is singular and step k swaps rows; T's own
+    zeros make more such steps.  Last, every row and column of M is scaled
+    by a product of small primes (by a ratio of two such products when
+    ``number`` is Fraction).
+    """
+    k = rng.randrange(n)
+
+    def entry():
+        return rng.choice((-2, -1, 0, 1, 3))
+
+    w = [[rng.choice((-2, -1, 1, 3)) if i == j < k else entry() if j >= min(i, k) else 0
+          for j in range(n)] for i in range(n)]
+    w[k][k] = 0
+    for i in range(k, n):
+        w[i] = [small_prime_product(rng, 4) * v for v in w[i]]
+    lower = [[entry() if j < min(i, k) else int(i == j) for j in range(n)] for i in range(n)]
+    product = [[sum(lower[i][t] * w[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    def content():
+        value = rng.choice((-1, 1)) * small_prime_product(rng, 6)
+        return value if number is int else Fraction(value, small_prime_product(rng, 3))
+
+    rows, cols = [content() for _ in range(n)], [content() for _ in range(n)]
+    return [[rows[i] * product[i][j] * cols[j] for j in range(n)] for i in range(n)]
+
+
+def integer_bareiss_rows(m):
+    """Reference: Bareiss's rows k+1.. on columns k+1.. after each step k, without pivoting."""
+    m = [list(row) for row in m]
+    prev = 1
+    for k in range(len(m) - 1):
+        pivot = m[k][k]
+        assert pivot
+        for row in m[k + 1:]:
+            head = row[k]
+            row[k + 1:] = [(pivot * a - head * b) // prev for a, b in zip(row[k + 1:], m[k][k + 1:])]
+        prev = pivot
+        yield [row[k + 1:] for row in m[k + 1:]]
+
+
+def gaussian_steps(m):
+    """Reference: the Fraction matrix at each step k, after its nearest-row swap.
+
+    Rows k.. on columns k.. are the Gaussian (Schur-complement) rows.  It
+    stops where no row has a nonzero entry in the pivot column.
+    """
+    m = [[Fraction(v) for v in row] for row in m]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return
+            m[k], m[i] = m[i], m[k]
+        yield m
+        for row in m[k + 1:]:
+            factor = row[k] / m[k][k]
+            row[k + 1:] = [a - factor * b for a, b in zip(row[k + 1:], m[k][k + 1:])]
+
+
+class TestPrimitiveRows:
+    """The elimination on primitive rows behind ``leading_minors`` and ``det_bareiss_rational``."""
+
+    @staticmethod
+    def planted_cases(seed, sizes, count):
+        rng = random.Random(seed)
+        for n in sizes:
+            for number in (int, Fraction):
+                for _ in range(count):
+                    yield planted_matrix(rng, n, number)
+
+    def test_planted_contents_against_per_block_cofactor(self):
+        inner_zero = 0
+        for m in self.planted_cases(3301, range(1, 9), 40):
+            minors = leading_minors(m)
+            assert minors == [det_cofactor(b) for b in leading_blocks(m)], m
+            assert det_bareiss_rational(m) == minors[-1]
+            inner_zero += 0 in minors[:-1] and minors[-1] != 0
+        assert inner_zero > 300  # a singular leading block before a regular whole
+
+    def test_planted_contents_against_fraction_bareiss(self):
+        for m in self.planted_cases(3302, range(9, 15), 3):
+            assert leading_minors(m) == [fraction_bareiss(b) for b in leading_blocks(m)], m
+
+    def test_rows_are_their_scales_times_their_gaussian_rows(self):
+        # at every step, after the swap: each row on the columns still to be
+        # eliminated is primitive and is scale[i] times its Gaussian row
+        unequal = 0
+        for m in self.planted_cases(3304, range(2, 9), 10):
+            rows = determinant_engine._remove_contents(m)[0]
+            reference = gaussian_steps([list(row) for row in rows])
+            steps = determinant_engine._primitive_minors(rows)
+            for k, (_, gaussian) in enumerate(zip(steps, reference)):
+                scale = steps.gi_frame.f_locals["scale"]
+                unequal += len(set(scale[k:])) > 1  # the rows' scales differ
+                for i in range(k, len(rows)):
+                    assert math.gcd(*rows[i][k:]) in (0, 1)
+                    assert rows[i][k:] == [scale[i] * v for v in gaussian[i][k:]], (m, k, i)
+        assert unequal > 100
+
+    def test_swapped_rows_keep_their_scales(self):
+        # step 0 multiplies rows 1 and 2 by the pivot 4 over a gcd, and skips
+        # row 3, whose head is 0; step 1 swaps rows 1 and 3, whose scales
+        # then differ by 4, and the minors after it depend on which is which
+        m = [[4, 0, 5, 0], [-1, 0, 0, 2], [6, 0, 0, 0], [0, 2, 0, 0]]
+        assert leading_minors(m) == [det_cofactor(b) for b in leading_blocks(m)] == [4, 0, 0, 120]
+
+    @pytest.mark.parametrize("k,n", ((2, 40), (3, 24)))
+    def test_every_leading_minor_of_a_large_spiral_is_its_formula(self, k, n):
+        rational = (Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 5), Fraction(-4, 3))
+        for point in (sample_point(0, 0), rational):
+            minors = leading_minors(shell_ordered(numeric_theorem_matrix(k, n, point)))
+            assert 0 not in minors
+            assert minors == [theorem(k, size).evaluate(point) for size in range(1, n + 1)], point
+
+    @pytest.mark.parametrize("k,n", ((1, 12), (2, 12), (3, 10)))
+    def test_each_row_is_primitive_and_divides_bareiss_s_row(self, k, n):
+        # without a zero pivot, step by step: every eliminated row is primitive
+        # and Bareiss's row is an integer multiple of it, so no entry is larger
+        rng = random.Random(3303)
+        matrices = [shell_ordered(numeric_theorem_matrix(k, n, sample_point(0, 1)))] + [
+            [[rng.randint(-99, 99) * rng.choice((1, 6, 35)) for _ in range(n)] for _ in range(n)]
+            for _ in range(5)]
+        for matrix in matrices:
+            m = determinant_engine._remove_contents(matrix)[0]
+            rows = [list(row) for row in m]
+            steps = determinant_engine._primitive_minors(rows)
+            assert next(steps)
+            for step, bareiss in enumerate(integer_bareiss_rows(m)):
+                assert next(steps)  # the elimination's step has now run
+                for row, theirs in zip((row[step + 1:] for row in rows[step + 1:]), bareiss):
+                    assert math.gcd(*row) == 1
+                    j = next(j for j, v in enumerate(row) if v)
+                    assert theirs == [theirs[j] // row[j] * v for v in row]
+
+
 class TestShellOrderedBlocks:
     """Each leading block of the shell-ordered spiral against that size's own matrix.
 
@@ -1088,6 +1236,21 @@ class TestZeroMap:
         allowed = {(i, j) for i in middle_rows for j in middle_cols} - zero
         assert perfect_matchings(middle_rows, middle_cols, allowed) == 1
         assert all((i, size + 2 - i) in allowed for i in middle_rows)
+
+    @pytest.mark.parametrize("size", range(3, 16))
+    def test_middle_block_keeps_cells_off_its_antidiagonal(self, size):
+        # every cell of the zero map vanishes, and every other cell of the
+        # middle block off its antidiagonal stays nonzero: (N-2)(N-3)/2 of them
+        eliminate = wedge_eliminate_odd if size % 2 else wedge_eliminate_even
+        t, _ = eliminate(build_bracket_xx(size))
+        zero = set(_zero_cells(size))
+        assert not any(t[i - 1][j - 1] for i, j in zero)
+        off = {(i, j) for i in range(2, size) for j in range(3, size + 1) if j != size + 2 - i}
+        nonzero = {(i, j) for i, j in off if t[i - 1][j - 1]}
+        assert nonzero == off - zero
+        assert len(nonzero) == (size - 2) * (size - 3) // 2
+        if size == 8:
+            assert len(nonzero) == 15 and {(3, 3), (3, 8)} <= nonzero
 
     @pytest.mark.parametrize("size", range(2, 39, 2))
     def test_even_sizes_keep_the_per_parity_map(self, size):
