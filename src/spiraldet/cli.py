@@ -10,6 +10,7 @@ usage error.  SPIRALDET_SEED provides a default seed; an explicit --seed wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -124,17 +125,19 @@ def _randomized_checks(theorem: int, sizes: range, trials: int, seed: int) -> li
     In ``shell_ordered`` every size-k spiral is the leading k x k block of
     the largest one, with its own determinant, and the trial's point is the
     same at every size, so the leading minors of the largest matrix give
-    every size's determinant.  The formulas of neighbouring sizes share most
-    of their factors; ``shared_evaluator`` finds the distinct ones once and
-    values each once per point.  A failed check names its first failing point
-    and both values.
+    every size's determinant.  The walk's cells go to the elimination as
+    they are: ints at the integral sample point for theorems 1 and 2.  The
+    formulas of neighbouring sizes share most of their factors;
+    ``shared_evaluator`` finds the distinct ones once and values each once
+    per point.  A failed check names its first failing point and both
+    values.
     """
     formulas = exponent_algebra.shared_evaluator([closed_forms.theorem(theorem, n)
                                                   for n in sizes])
 
     def sides(point):
         minors = determinant_engine.leading_minors(spiral_builder.shell_ordered(
-            spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)))
+            spiral_builder._numeric_walk(theorem, sizes[-1], point)))
         return [(minors[n - 1], value) for n, value in zip(sizes, formulas(point))]
 
     checks = []
@@ -232,7 +235,9 @@ def _cmd_bench(args, seed: int):
     return {"n_max": args.n_max}, args.trials, report, failures
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built at the first call, read-only after it."""
     parser = argparse.ArgumentParser(
         prog="spiraldet",
         description="Spiral-matrix determinant identities, verified in exact arithmetic.")

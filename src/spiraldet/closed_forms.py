@@ -28,6 +28,10 @@ so every factor has integer exponents only, and evaluates at a point.
 
 :func:`theorem` builds each formula as a :class:`Factored` product, which
 numeric checks evaluate factor by factor; the ``thm*`` functions expand it.
+Its per-index factors, theorem 1's linear factor i, theorem 2's tail factor
+i and theorem 3's run bracket, angle and paired factor k, are the same
+polynomials at every size, so each is built once per process and shared by
+every formula that holds it; a LaurentPoly is never mutated.
 
 The additive proof reduces size N to N - 1 by one step, :func:`reduction`,
 also written in (n, m): subtract the next row inward from the row on the side
@@ -42,6 +46,7 @@ is no separate dense-polynomial type.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .determinant_engine import VerificationReport, Witness, randomized_reports
@@ -80,8 +85,13 @@ def _thm1(size: int) -> Factored:
     quad = (_A * _X + n * n * _B * _X + n * (n - 1) * _C * _X + n * n * _X * _X
             + _A * _Y + m * m * _B * _Y + m * (m + 1) * _C * _Y
             + m * (m + 1) * _Y * _Y + n * (2 * m + 1) * _X * _Y)
-    linear = [i * (_B + _C) + (i + 1) * (_X + _Y) for i in range(1, size - 1)]
-    return Factored((-1) ** m, [quad, *linear])
+    return Factored((-1) ** m, [quad, *map(_linear, range(1, size - 1))])
+
+
+@functools.cache
+def _linear(i: int) -> LaurentPoly:
+    """i(b+c) + (i+1)(x+y), the i-th linear factor of theorem 1."""
+    return i * (_B + _C) + (i + 1) * (_X + _Y)
 
 
 def thm1_even(n: int) -> LaurentPoly:
@@ -104,9 +114,13 @@ def _thm2(size: int) -> Factored:
     bx = _square_sum(n) + _square_sum(m)
     cy = bx - n * (n - m)
     prefactor = LaurentPoly.monomial(exponents(a=size, b=bx, c=cy, x=bx, y=cy))
-    tail = [1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
-            for i in range(size - 1)]
-    return Factored((-1) ** n, [prefactor, *tail])
+    return Factored((-1) ** n, [prefactor, *map(_tail, range(size - 1))])
+
+
+@functools.cache
+def _tail(i: int) -> LaurentPoly:
+    """1 - b^i c^i x^(i+1) y^(i+1), the i-th tail factor of theorem 2."""
+    return 1 - LaurentPoly.monomial(exponents(b=i, c=i, x=i + 1, y=i + 1))
 
 
 def thm2_even(n: int) -> LaurentPoly:
@@ -119,15 +133,19 @@ def thm2_odd(n: int) -> LaurentPoly:
     return theorem(2, 2 * n + 1).expand()
 
 
+@functools.cache
 def _run_bracket(k: int) -> LaurentPoly:
     """[(bc)^k x^(2k+1)], the k-th factor of the bracket run."""
     return bracket(exponents(b=k, c=k, x=2 * k + 1))
 
 
+@functools.cache
 def _angle_first(k: int) -> LaurentPoly:
+    """<a b^(k(k+1)) c^(k^2) x^(k(2k+1))>, the k-th angle factor."""
     return angle(exponents(a=1, b=k * (k + 1), c=k * k, x=k * (2 * k + 1)))
 
 
+@functools.cache
 def _paired(k: int) -> LaurentPoly:
     """[(bc)^((2k-1)/2) x^(2k)] <a b^((2k^2-2k+1)/2) c^((2k^2-1)/2) x^(k(2k-1))>,
     written with integer exponents by [m]<m'> = [mm'] + [m/m']."""

@@ -285,17 +285,26 @@ def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[
 
     Each row is scaled to coprime integers (by the lcm of its denominators
     over the gcd of its numerators) and then each column's gcd is divided
-    out.  Row i and column i both enter every leading minor of size > i, so
-    their scales are kept together: the leading k x k minor of the matrix is
-    that of the integer one times prod(nums[:k]) / prod(dens[:k]).  A zero
-    row or column stays zero, with a scale of 0.
+    out.  A row of ints is taken as it is: its denominator is 1 and its
+    content the gcd of its entries, the triple the same row of Fractions
+    gives.  Row i and column i both enter every leading minor of size > i,
+    so their scales are kept together: the leading k x k minor of the
+    matrix is that of the integer one times prod(nums[:k]) / prod(dens[:k]).
+    A zero row or column stays zero, with a scale of 0.  The matrix is left
+    unchanged.
     """
     m, nums, dens = [], [], []
     for row in matrix:
-        row = [v if type(v) is Fraction else Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row))
-        content = gcd(*(v.numerator for v in row))
-        m.append([v.numerator * (den // v.denominator) // (content or 1) for v in row])
+        if all(type(v) is int for v in row):
+            den = 1
+            content = gcd(*row)
+            row = [v // content for v in row] if content > 1 else list(row)
+        else:
+            row = [v if type(v) is Fraction else Fraction(v) for v in row]
+            den = lcm(*(v.denominator for v in row))
+            content = gcd(*(v.numerator for v in row))
+            row = [v.numerator * (den // v.denominator) // (content or 1) for v in row]
+        m.append(row)
         nums.append(content)
         dens.append(den)
     for j in range(len(m)):
@@ -316,7 +325,8 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     of its entries, as in Collins's primitive remainder sequences
     ("Subresultants and reduced polynomial remainder sequences", JACM 14,
     1967).  ``scale[i]``, 1 at the start, is row i over its Gaussian
-    (Schur-complement) row: the update multiplies it by p/h and the division
+    (Schur-complement) row, kept as a reduced pair of ints (numerator,
+    denominator > 0): the update multiplies it by p/h and the division
     divides it by the content.  The Gaussian pivot is p/scale[k], so
     minor_{k+1} = minor_k * p / scale[k], an exact division.
 
@@ -339,7 +349,7 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     stops.
     """
     n = len(m)
-    scale = [Fraction(1)] * n
+    scale = [(1, 1)] * n
     sign = minor = 1
     singular_to = 0  # the block of each step k < singular_to is singular
     for k in range(n):
@@ -353,7 +363,8 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
             sign = -sign
             singular_to = max(singular_to, i)
         pivot = m[k][k]
-        minor = minor * pivot * scale[k].denominator // scale[k].numerator
+        num, den = scale[k]
+        minor = minor * pivot * den // num
         yield 0 if k < singular_to else sign * minor
         tail_k = m[k][k + 1:]
         for i in range(k + 1, n):
@@ -366,7 +377,10 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
             tail = [a * x - b * y for x, y in zip(row_i[k + 1:], tail_k)]
             content = gcd(*tail) or 1
             row_i[k + 1:] = [x // content for x in tail] if content > 1 else tail
-            scale[i] = Fraction(scale[i].numerator * a, scale[i].denominator * content)
+            num, den = scale[i]
+            num, den = num * a, den * content
+            g = gcd(num, den)
+            scale[i] = num // g, den // g
 
 
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
@@ -399,7 +413,10 @@ def leading_minors(matrix: Sequence[Sequence]) -> list[Fraction]:
     pivot): each row is divided by its content after every update, so no
     entry exceeds Bareiss's, and each minor follows from the last as
     minor_{k+1} = minor_k * pivot_k / scale_k.  A running product of the row
-    and column contents scales each minor back.  The last minor is
+    and column contents scales each minor back.  Entries are ints,
+    Fractions or floats; a row of ints, such as a spiral walked at an
+    integral point (``spiral_builder._numeric_walk``), goes to the integer
+    matrix without a Fraction.  The last minor is
     ``det_bareiss_rational(matrix)``.
     """
     _check_square(matrix)

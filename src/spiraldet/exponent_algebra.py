@@ -30,7 +30,7 @@ output, and nothing reads either form back.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add, mul as _mul
+from operator import add as _add, itemgetter, mul as _mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 VARIABLES = ("a", "b", "c", "x", "y")
@@ -43,6 +43,8 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 ExponentVector = tuple
 
 ZERO_VECTOR: ExponentVector = (0,) * NVARS
+# the i-th of these reads variable i's exponent off an exponent vector
+_EXPONENT_GETTERS = tuple(map(itemgetter, range(NVARS)))
 
 
 class ZeroCoordinateError(ValueError):
@@ -237,26 +239,38 @@ def _value(p: LaurentPoly, coords: Sequence[Fraction]) -> tuple[int, int]:
     variable maps each exponent of its column to the integer
     n^(e-low) * d^(high-e), so the terms add up as one integer sum and the
     common n^low / d^high goes on the pair once, at integral and rational
-    points alike.  A zero coordinate whose column has a negative exponent
-    raises ZeroCoordinateError; a zero with no negative power is n = 0 in the
-    same tables, with 0^0 = 1.
+    points alike.  A variable with one exponent e in every term needs no
+    table: v^e goes on the pair alone, and e = 0 leaves it as it is.  Each
+    term's product of table entries is built lazily and summed once, with
+    each exponent read off the term's key, so no column of exponents is
+    held beside the terms.  A zero coordinate whose column has a negative
+    exponent raises
+    ZeroCoordinateError, the variables checked in order; a zero with no
+    negative power is n = 0 in the same tables, with 0^0 = 1.
     """
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return 0, 1
     num = den = 1
-    tables = []
-    for column, v in zip(map(set, zip(*p.terms)), coords):
-        low, high = min(column), max(column)
+    products = terms.values()
+    for exponent, v in zip(_EXPONENT_GETTERS, coords):
+        exps = set(map(exponent, terms))
+        low, high = min(exps), max(exps)
         n, d = v.numerator, v.denominator
-        if low < 0 and n == 0:
-            raise ZeroCoordinateError()
-        tables.append({e: n ** (e - low) * d ** (high - e) for e in column})
-        num *= n ** max(low, 0) * d ** max(-high, 0)
-        den *= n ** max(-low, 0) * d ** max(high, 0)
-    ta, tb, tc, tx, ty = tables
-    total = sum(coeff * ta[a] * tb[b] * tc[c] * tx[x] * ty[y]
-                for (a, b, c, x, y), coeff in p.terms.items())
-    return total * num, den
+        if low < 0:
+            if n == 0:
+                raise ZeroCoordinateError()
+            den *= n ** -low
+        elif low:
+            num *= n ** low
+        if high < 0:
+            num *= d ** -high
+        elif high:
+            den *= d ** high
+        if low != high:
+            table = {e: n ** (e - low) * d ** (high - e) for e in exps}
+            products = map(_mul, products, map(table.__getitem__, map(exponent, terms)))
+    return sum(products) * num, den
 
 
 def evaluate(p: LaurentPoly, point: Sequence) -> Fraction:

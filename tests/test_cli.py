@@ -227,7 +227,7 @@ class TestVerify:
     def test_one_walk_and_no_per_size_elimination_per_trial(self, theorem, capsys, monkeypatch):
         # seed 0's first three points meet no zero pivot at size 12
         walks, eliminations = [], []
-        real_walk, real_bareiss = (spiral_builder.numeric_theorem_matrix,
+        real_walk, real_bareiss = (spiral_builder._numeric_walk,
                                    determinant_engine.det_bareiss_rational)
 
         def walk(k, n, point):
@@ -238,7 +238,7 @@ class TestVerify:
             eliminations.append(len(matrix))
             return real_bareiss(matrix)
 
-        monkeypatch.setattr(spiral_builder, "numeric_theorem_matrix", walk)
+        monkeypatch.setattr(spiral_builder, "_numeric_walk", walk)
         monkeypatch.setattr(determinant_engine, "det_bareiss_rational", bareiss)
         code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "12",
                                "--trials", "3", "--seed", "0"], capsys)
@@ -782,6 +782,30 @@ class TestContract:
             main(["verify", "--theorem", "1", "--n-max", "2"])
         assert excinfo.value.code == 2
         assert "SPIRALDET_SEED" in capsys.readouterr().err
+
+    def test_one_parser_serves_every_call_of_a_process(self, capsys, monkeypatch):
+        # each call in one process prints what the same call prints alone,
+        # in a fresh interpreter, a usage error between them included
+        calls = (["verify", "--theorem", "2", "--n-max", "10", "--trials", "2"],
+                 ["verify", "--theorem", "4"],
+                 ["seq", "--seq", "inward", "--n-max", "6", "--format", "csv"],
+                 ["funceq", "--trials", "50", "--format", "text"])
+        monkeypatch.delenv("SPIRALDET_SEED", raising=False)
+        build_parser.cache_clear()
+        together = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            together.append((code, captured.out, captured.err))
+        assert build_parser.cache_info().misses == 1
+        env = dict(os.environ, PYTHONPATH=SRC)
+        alone = [subprocess.run([sys.executable, "-m", "spiraldet", *argv], capture_output=True,
+                                text=True, env=env) for argv in calls]
+        assert together == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
 
     def test_cli_import_leaves_mpmath_unloaded(self):
         # only funceq.check_relations uses mpmath, and imports it when called

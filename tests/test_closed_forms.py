@@ -165,6 +165,44 @@ class TestFactoredTheorems:
             thm3_even(-1)
 
 
+#: The per-index factor builders that ``theorem`` shares across sizes.
+FACTOR_BUILDERS = ("_linear", "_tail", "_run_bracket", "_angle_first", "_paired")
+
+
+class TestFactorCache:
+    """Each per-index factor is built once and shared by every size that holds it."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_equals_a_fresh_uncached_build(self, k, monkeypatch):
+        cached = [theorem(k, n) for n in range(1, 41)]
+        with monkeypatch.context() as patch:
+            for name in FACTOR_BUILDERS:
+                patch.setattr(closed_forms, name, getattr(closed_forms, name).__wrapped__)
+            fresh = [theorem(k, n) for n in range(1, 41)]
+        for n, (ours, theirs) in enumerate(zip(cached, fresh), start=1):
+            assert ours.sign == theirs.sign and len(ours.factors) == len(theirs.factors)
+            if n <= 8:
+                assert ours.expand() == theirs.expand(), n
+            else:
+                for point in (sample_point(32, 0), sample_point(32, 1), RATIONAL_POINT):
+                    assert ours.evaluate(point) == theirs.evaluate(point), (n, point)
+        # sizes 20 and 40 share every per-index factor as one object; only
+        # the first factor (quadratic, prefactor or head) is the size's own
+        first, last = cached[19].factors, cached[39].factors
+        assert [any(f is g for g in last) for f in first] == [False] + [True] * (len(first) - 1)
+
+    def test_verify_leaves_every_cached_factor_unchanged(self, capsys):
+        built = [(name, i, getattr(closed_forms, name)(i))
+                 for name in FACTOR_BUILDERS for i in range(41)]
+        snapshot = [dict(factor.terms) for _, _, factor in built]
+        for k in (1, 2, 3):
+            assert main(["verify", "--theorem", str(k), "--n-max", "12", "--trials", "2"]) == 0
+        capsys.readouterr()
+        for (name, i, factor), terms in zip(built, snapshot):
+            assert getattr(closed_forms, name)(i) is factor, (name, i)
+            assert factor.terms == terms, (name, i)
+
+
 # -- the closed forms as the paper states them, once per parity --------------
 # A reference copy of the per-parity builders; ``theorem(k, size)`` must
 # return the same sign and the same factors, in the same order, as these.

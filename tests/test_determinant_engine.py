@@ -39,6 +39,7 @@ from spiraldet.closed_forms import (
 from spiraldet.exponent_algebra import (
     Factored,
     LaurentPoly,
+    ZeroCoordinateError,
     angle,
     bracket,
     evaluate,
@@ -884,7 +885,7 @@ class TestPrimitiveRows:
             reference = gaussian_steps([list(row) for row in rows])
             steps = determinant_engine._primitive_minors(rows)
             for k, (_, gaussian) in enumerate(zip(steps, reference)):
-                scale = steps.gi_frame.f_locals["scale"]
+                scale = [Fraction(*pair) for pair in steps.gi_frame.f_locals["scale"]]
                 unequal += len(set(scale[k:])) > 1  # the rows' scales differ
                 for i in range(k, len(rows)):
                     assert math.gcd(*rows[i][k:]) in (0, 1)
@@ -953,6 +954,89 @@ class TestShellOrderedBlocks:
         assert 0 not in minors
         assert minors == [det_bareiss_rational(numeric_theorem_matrix(k, size, point))
                           for size in range(1, top + 1)]
+
+
+class TestIntWalk:
+    """The walk's own cells, ints at an integral point, against the same matrix as Fractions."""
+
+    INTEGRAL = (sample_point(0, 0), sample_point(60493, 1))
+    RATIONAL = ((Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 5), Fraction(-4, 3)),)
+    MIXED = ((-3, Fraction(5, 2), 7, Fraction(-2, 9), 4),)
+    # theorems 1 and 2 take a zero coordinate; theorem 3 refuses it on both paths
+    ZEROS = ((0, -1, -1, -1, -1), (2, 0, -3, 5, 0))
+
+    @staticmethod
+    def minors_both_ways(k, n, point):
+        walked = spiral_builder._numeric_walk(k, n, point)
+        as_fractions = numeric_theorem_matrix(k, n, point)
+        assert walked == as_fractions
+        return (leading_minors(shell_ordered(walked)),
+                leading_minors(shell_ordered(as_fractions)))
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_theorems_1_and_2_walk_on_ints_to_40(self, k):
+        for n in (1, 2, 9, 16, 27, 40):
+            for point in self.INTEGRAL + self.ZEROS:
+                assert all(type(v) is int for row in spiral_builder._numeric_walk(k, n, point)
+                           for v in row)
+            for point in self.INTEGRAL + self.RATIONAL + self.MIXED + self.ZEROS:
+                ints, fractions = self.minors_both_ways(k, n, point)
+                assert all(type(v) is Fraction for v in ints)
+                assert ints == fractions, (k, n, point)
+
+    def test_theorem_3_keeps_fraction_cells_to_24(self):
+        for n in (1, 2, 9, 24):
+            points = self.INTEGRAL + self.RATIONAL + self.MIXED if n < 24 else self.INTEGRAL[:1]
+            for point in points:
+                assert all(type(v) is Fraction
+                           for row in spiral_builder._numeric_walk(3, n, point) for v in row)
+                ints, fractions = self.minors_both_ways(3, n, point)
+                assert ints == fractions, (n, point)
+            for point in self.ZEROS:
+                if n == 1 and point[0]:  # the one cell is a - 1/a
+                    continue
+                with pytest.raises(ZeroCoordinateError):
+                    spiral_builder._numeric_walk(3, n, point)
+
+    def test_zero_point_minors_are_their_formulas(self):
+        # theorem 1 at a = 0 starts on a zero pivot and swaps; theorem 2's
+        # minors from size 2 on are 0 at a zero coordinate
+        for k in (1, 2):
+            for point in self.ZEROS:
+                minors = leading_minors(shell_ordered(spiral_builder._numeric_walk(k, 12, point)))
+                assert minors == [theorem(k, n).evaluate(point) for n in range(1, 13)]
+
+    def test_int_rows_give_the_fraction_rows_triple(self):
+        rng = random.Random(3205)
+        kinds = set()
+        for n in range(1, 10):
+            for _ in range(30):
+                common = rng.choice((1, 1, 2, 6, 35, 2 ** 70))
+                m = [[common * rng.choice((0, 1, -1)) * rng.randint(0, 50) for _ in range(n)]
+                     for _ in range(n)]
+                if rng.random() < 0.3:
+                    m[rng.randrange(n)] = [0] * n
+                if rng.random() < 0.3:
+                    j = rng.randrange(n)
+                    for row in m:
+                        row[j] = 0
+                original = [list(row) for row in m]
+                ints = determinant_engine._remove_contents(m)
+                fractions = determinant_engine._remove_contents(
+                    [[Fraction(v) for v in row] for row in m])
+                assert ints == fractions, m
+                assert m == original  # the matrix is left unchanged
+                kinds.update("zero row" if not any(row) else
+                             "content 1" if math.gcd(*row) == 1 else "content > 1" for row in m)
+                kinds.update("negative" for row in m if min(row) < 0)
+        assert kinds == {"zero row", "content 1", "content > 1", "negative"}
+
+    def test_mixed_rows(self):
+        # an int row beside a Fraction row: each row takes its own route
+        m = [[6, -4, 0], [Fraction(1, 2), Fraction(3, 4), 1], [0, 0, 0]]
+        assert determinant_engine._remove_contents(m) == determinant_engine._remove_contents(
+            [[Fraction(v) for v in row] for row in m]) == ([[3, -2, 0], [2, 3, 1], [0, 0, 0]],
+                                                           [2, 1, 0], [1, 4, 1])
 
 
 class TestVerifyIdentity:

@@ -470,6 +470,82 @@ class TestZeroCoordinates:
         assert evaluate(p, (0, 0, 0, 0, 0)) == 5
 
 
+def table_value(p, coords):
+    """Reference pair: ``_value`` as it stood with a table for every variable."""
+    if not p.terms:
+        return 0, 1
+    num = den = 1
+    tables = []
+    for column, v in zip(map(set, zip(*p.terms)), coords):
+        low, high = min(column), max(column)
+        n, d = v.numerator, v.denominator
+        if low < 0 and n == 0:
+            raise ZeroCoordinateError()
+        tables.append({e: n ** (e - low) * d ** (high - e) for e in column})
+        num *= n ** max(low, 0) * d ** max(-high, 0)
+        den *= n ** max(-low, 0) * d ** max(high, 0)
+    ta, tb, tc, tx, ty = tables
+    total = sum(coeff * ta[a] * tb[b] * tc[c] * tx[x] * ty[y]
+                for (a, b, c, x, y), coeff in p.terms.items())
+    return total * num, den
+
+
+def shaped_poly(rng):
+    """Each column all zero, one nonzero exponent in every term, or mixed."""
+    shapes = [rng.choice(("zero", "single", "mixed")) for _ in range(5)]
+    singles = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(5)]
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        vec = tuple(0 if shape == "zero" else single if shape == "single"
+                    else rng.randint(-40, 40) for shape, single in zip(shapes, singles))
+        terms[vec] = terms.get(vec, 0) + rng.choice((1, -1)) * rng.randint(1, 10**9)
+    return LaurentPoly(terms), shapes
+
+
+def shaped_points(rng):
+    """An integral, a rational, a huge and a zero-coordinate point."""
+    def nonzero():
+        v = rng.randint(-30, 29)
+        return v if v < 0 else v + 1
+    yield tuple(nonzero() for _ in range(5))
+    yield tuple(Fraction(nonzero(), rng.randint(1, 30)) for _ in range(5))
+    yield tuple(Fraction(nonzero() * 10**40 + rng.randint(0, 99), 3 ** rng.randint(0, 60))
+                for _ in range(5))
+    zeros = rng.sample(range(5), rng.randint(1, 3))
+    yield tuple(0 if i in zeros else Fraction(nonzero(), rng.randint(1, 5)) for i in range(5))
+
+
+class TestValueWithoutTables:
+    """``_value`` skips an all-zero column and tables no column of one exponent."""
+
+    def test_same_pair_as_a_table_for_every_variable(self):
+        rng = random.Random(3201)
+        shapes, outcomes = set(), set()
+        for _ in range(300):
+            p, kinds = shaped_poly(rng)
+            shapes.update(kinds)
+            for point in shaped_points(rng):
+                coords = exponent_algebra._coordinates(point)
+                expected = value_or_error(table_value, p, coords)
+                assert value_or_error(exponent_algebra._value, p, coords) == expected, (p, point)
+                if expected is ZeroCoordinateError:
+                    outcomes.add("refused")
+                    assert zero_rule_reference(p, point) is ZeroCoordinateError
+                else:
+                    outcomes.add("value")
+                    assert Fraction(*expected) == termwise_value(p, point), (p, point)
+        assert shapes == {"zero", "single", "mixed"} and outcomes == {"value", "refused"}
+
+    def test_constant_and_monomial(self):
+        coords = exponent_algebra._coordinates((0, Fraction(2, 3), 5, -1, 7))
+        assert exponent_algebra._value(LaurentPoly.constant(-4), coords) == (-4, 1)
+        monomial = LaurentPoly.monomial(exponents(b=-3, c=2, x=5), 6)
+        assert exponent_algebra._value(monomial, coords) == table_value(monomial, coords)
+        assert evaluate(monomial, (0, Fraction(2, 3), 5, -1, 7)) == Fraction(-6 * 27 * 25, 8)
+        with pytest.raises(ZeroCoordinateError):
+            exponent_algebra._value(LaurentPoly.monomial(exponents(a=-1)), coords)
+
+
 def spy_on_value(monkeypatch) -> list:
     """Record each polynomial that ``exponent_algebra._value`` values from now on."""
     valued = []
