@@ -137,7 +137,7 @@ def _randomized_checks(theorem: int, sizes: range, trials: int, seed: int) -> li
 
     def sides(point):
         minors = determinant_engine.leading_minors(spiral_builder.shell_ordered(
-            spiral_builder._numeric_walk(theorem, sizes[-1], point)))
+            spiral_builder.numeric_theorem_matrix(theorem, sizes[-1], point)))
         return [(minors[n - 1], value) for n, value in zip(sizes, formulas(point))]
 
     checks = []
@@ -209,7 +209,7 @@ def _cmd_bench(args, seed: int):
     failures = 0
     for n in range(1, args.n_max + 1):
         point = determinant_engine.sample_point(seed, n)
-        matrix = spiral_builder.numeric_theorem_matrix(1, n, point)
+        matrix = spiral_builder.numeric_theorem_matrix(1, n, point)  # ints, as verify eliminates
         formula = closed_forms.theorem(1, n)
         methods = {"bareiss": lambda: determinant_engine.det_bareiss_rational(matrix),
                    "formula": lambda: formula.evaluate(point)}

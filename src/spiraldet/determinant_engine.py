@@ -3,11 +3,11 @@
 Two determinant engines cross-check each other: a memoized cofactor expansion
 along columns, heaviest first, over packed monomial keys (used symbolically on
 Laurent-polynomial matrices, guarded to n <= 8), and, for numeric work at any
-size, fraction-free elimination on primitive rows of plain ints after the
-rational matrix's row and column contents are divided out.  Each eliminated
-row is divided by the gcd of its entries, so it divides Bareiss's row entry
-by entry and no entry exceeds Bareiss's; a spiral's minors carry the closed
-form's large monomial head, which Bareiss's rows carry and these do not.
+size, fraction-free elimination on primitive rows of plain ints.  Every row
+is divided by the gcd of its entries, before the first step and after every
+update, so it divides Bareiss's row entry by entry and no entry exceeds
+Bareiss's; a spiral's minors carry the closed form's large monomial head,
+which Bareiss's rows carry and these do not.
 
 Both engines give every leading principal minor at the cost of the full
 determinant.  In ``spiral_builder.shell_ordered`` every smaller spiral is a
@@ -280,53 +280,47 @@ def _packed_residue(terms: list[tuple[int, object]], sign: int, formula: Factore
     return LaurentPoly._raw({_unpack(w, base): c for w, c in out.items() if c})
 
 
-def _remove_contents(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int], list[int]]:
-    """The content-free integer matrix, with the scale each index divides out.
+def _cleared_rows(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row as integers, with the denominator it was multiplied by.
 
-    Each row is scaled to coprime integers (by the lcm of its denominators
-    over the gcd of its numerators) and then each column's gcd is divided
-    out.  A row of ints is taken as it is: its denominator is 1 and its
-    content the gcd of its entries, the triple the same row of Fractions
-    gives.  Row i and column i both enter every leading minor of size > i,
-    so their scales are kept together: the leading k x k minor of the
-    matrix is that of the integer one times prod(nums[:k]) / prod(dens[:k]).
-    A zero row or column stays zero, with a scale of 0.  The matrix is left
-    unchanged.
+    A row of Fractions (or of floats, taken exactly) is multiplied by the
+    lcm of its denominators.  A row of ints is copied as it is, with
+    denominator 1, the pair the same row of Fractions gives.  So the leading
+    k x k minor of the matrix is that of the integer one over
+    prod(dens[:k]).  The matrix is left unchanged.
     """
-    m, nums, dens = [], [], []
+    m, dens = [], []
     for row in matrix:
         if all(type(v) is int for v in row):
             den = 1
-            content = gcd(*row)
-            row = [v // content for v in row] if content > 1 else list(row)
+            row = list(row)
         else:
             row = [v if type(v) is Fraction else Fraction(v) for v in row]
             den = lcm(*(v.denominator for v in row))
-            content = gcd(*(v.numerator for v in row))
-            row = [v.numerator * (den // v.denominator) // (content or 1) for v in row]
+            row = [v.numerator * (den // v.denominator) for v in row]
         m.append(row)
-        nums.append(content)
         dens.append(den)
-    for j in range(len(m)):
-        content = gcd(*(row[j] for row in m))
-        if content > 1:
-            for row in m:
-                row[j] //= content
-        nums[j] *= content
-    return m, nums, dens
+    return m, dens
+
+
+def _primitive(row: list[int]) -> tuple[list[int], int]:
+    """The row divided by the gcd of its entries, and that gcd; a zero row has content 1."""
+    content = gcd(*row) or 1
+    return ([x // content for x in row] if content > 1 else row), content
 
 
 def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     """The leading 1 x 1, ..., n x n minors of the integer matrix, from one elimination in place.
 
-    Fraction-free elimination on primitive rows.  At step k, with pivot p
-    and h = gcd(p, head), each row i > k with a nonzero head (its entry in
+    Fraction-free elimination on primitive rows.  Every row is first divided
+    by the gcd of its entries (``_primitive``).  At step k, with pivot p and
+    h = gcd(p, head), each row i > k with a nonzero head (its entry in
     column k) becomes (p/h)*row_i - (head/h)*row_k and is divided by the gcd
-    of its entries, as in Collins's primitive remainder sequences
+    of its entries again, as in Collins's primitive remainder sequences
     ("Subresultants and reduced polynomial remainder sequences", JACM 14,
-    1967).  ``scale[i]``, 1 at the start, is row i over its Gaussian
-    (Schur-complement) row, kept as a reduced pair of ints (numerator,
-    denominator > 0): the update multiplies it by p/h and the division
+    1967).  ``scale[i]`` is row i over its Gaussian (Schur-complement) row,
+    kept as a reduced pair of ints (numerator, denominator > 0): it starts
+    at (1, content), the update multiplies it by p/h and the division
     divides it by the content.  The Gaussian pivot is p/scale[k], so
     minor_{k+1} = minor_k * p / scale[k], an exact division.
 
@@ -336,7 +330,8 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     same direction as the primitive row, which therefore divides it entry
     by entry: no entry here exceeds Bareiss's.  A spiral's minors carry the
     closed form's large monomial head, which Bareiss's rows carry too and
-    these rows do not.
+    these rows do not; a q-power row's common monomial goes with its
+    content before step 0.
 
     Every row is a nonzero multiple of its Gaussian row, so it has the same
     zeros.  At a zero pivot in step k, the nearest row i > k with a nonzero
@@ -349,7 +344,10 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
     stops.
     """
     n = len(m)
-    scale = [(1, 1)] * n
+    scale = []
+    for i in range(n):
+        m[i], content = _primitive(m[i])
+        scale.append((1, content))
     sign = minor = 1
     singular_to = 0  # the block of each step k < singular_to is singular
     for k in range(n):
@@ -374,9 +372,8 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
                 continue
             h = gcd(pivot, head)
             a, b = pivot // h, head // h
-            tail = [a * x - b * y for x, y in zip(row_i[k + 1:], tail_k)]
-            content = gcd(*tail) or 1
-            row_i[k + 1:] = [x // content for x in tail] if content > 1 else tail
+            row_i[k + 1:], content = _primitive([a * x - b * y
+                                                 for x, y in zip(row_i[k + 1:], tail_k)])
             num, den = scale[i]
             num, den = num * a, den * content
             g = gcd(num, den)
@@ -386,55 +383,49 @@ def _primitive_minors(m: list[list[int]]) -> Iterator[int]:
 def det_bareiss_rational(matrix: Sequence[Sequence]) -> Fraction:
     """Exact rational determinant of a matrix of ints, Fractions or floats.
 
-    Since det(D_r * M * D_c) = det(D_r) * det(M) * det(D_c), the determinant
-    is the product of the row and column contents (see ``_remove_contents``)
-    times the determinant of the content-free integer matrix, the last
-    minor of its one elimination on primitive rows (``_primitive_minors``:
-    minor_{k+1} = minor_k * pivot_k / scale_k, every entry no larger than
-    Bareiss's).  A q-power matrix at a sample point carries a large common
-    monomial in each row and column, so removing the content first keeps
-    the eliminated entries small.  A zero row or column has content 0, so
-    it gives 0.  The name stays public; the elimination refines Bareiss's,
-    with the same zeros and row swaps and every row divided by its content.
+    The last of ``leading_minors``: the determinant of the row-cleared
+    integer matrix (``_cleared_rows``), from its one elimination on
+    primitive rows (``_primitive_minors``), over the product of the
+    denominators.  The name stays public; the elimination refines
+    Bareiss's, with the same zeros and row swaps and every row divided by
+    its content.
     """
     _check_square(matrix)
-    m, nums, dens = _remove_contents(matrix)
+    m, dens = _cleared_rows(matrix)
     det = 1
     for det in _primitive_minors(m):
         pass
-    return Fraction(det * prod(nums), prod(dens))
+    return Fraction(det, prod(dens))
 
 
 def leading_minors(matrix: Sequence[Sequence]) -> list[Fraction]:
     """The determinants of the leading 1 x 1, 2 x 2, ..., n x n blocks, in one elimination.
 
-    The content-free integer matrix is eliminated once on primitive rows
-    (``_primitive_minors``, which swaps in the nearest nonzero row at a zero
-    pivot): each row is divided by its content after every update, so no
-    entry exceeds Bareiss's, and each minor follows from the last as
-    minor_{k+1} = minor_k * pivot_k / scale_k.  A running product of the row
-    and column contents scales each minor back.  Entries are ints,
-    Fractions or floats; a row of ints, such as a spiral walked at an
-    integral point (``spiral_builder._numeric_walk``), goes to the integer
-    matrix without a Fraction.  The last minor is
-    ``det_bareiss_rational(matrix)``.
+    Each row's denominators are cleared (``_cleared_rows``), and the integer
+    matrix is eliminated once on primitive rows (``_primitive_minors``,
+    which swaps in the nearest nonzero row at a zero pivot and divides every
+    row by its content before step 0 and after every update, so no entry
+    exceeds Bareiss's).  Minor k is scaled back by the running product of
+    the first k denominators.  Entries are ints, Fractions or floats; a row
+    of ints, such as a spiral walked at an integral point
+    (``spiral_builder.numeric_theorem_matrix``), goes to the integer matrix
+    without a Fraction.  The last minor is ``det_bareiss_rational(matrix)``.
     """
     _check_square(matrix)
-    m, nums, dens = _remove_contents(matrix)
+    m, dens = _cleared_rows(matrix)
     minors = []
-    num = den = 1
+    den = 1
     for k, minor in enumerate(_primitive_minors(m)):
-        num *= nums[k]
         den *= dens[k]
-        minors.append(Fraction(num * minor, den))
+        minors.append(Fraction(minor, den))
     return minors
 
 
 def numeric_matrix(matrix: Sequence[Sequence[LaurentPoly]], point) -> list[list[Fraction]]:
-    """Evaluate every polynomial entry at the point.
+    """Evaluate every polynomial entry at the point, each cell a Fraction.
 
     The reference that ``spiral_builder.numeric_theorem_matrix``, which walks
-    the spiral in the rationals instead, is cross-checked against.
+    the spiral at the point instead, is cross-checked against.
     """
     return [[evaluate(entry, point) for entry in row] for row in matrix]
 

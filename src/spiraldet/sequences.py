@@ -18,16 +18,17 @@ leading n x n block of the largest one, with its own determinant, so one
 elimination of that matrix gives every size's determinant
 (``leading_minors``: fraction-free on primitive rows, each minor the last
 one times a pivot over its row's scale, no entry larger than Bareiss's).
-Every binding's point is integral, so the matrix is walked on ints and goes
-to the elimination as it is.
-outward's point is the same at every size.  qspiral's is too, at the
-largest size's K: that K also has 2^(K-1) > n! for every smaller n, so its
-digits read back every row.  inward's point a = n^2 moves with n, but it is
-the one coordinate that enters every entry, with coefficient 1, so each
-leading block is M0 + a*J with J the all-ones matrix.  J has rank 1, so by
-the matrix determinant lemma
-det(M0 + a*J) = det(M0) + a * 1^T adj(M0) 1 is affine in a, and the two
-eliminations at a = 0 and a = 1 give row n as d0 + n^2 * (d1 - d0).
+Every binding's point is integral, so ``numeric_theorem_matrix`` walks the
+matrix on ints, and it goes to the elimination as it is.
+
+outward's point is the same at every size.  qspiral's is too, at the largest
+size's K: that K also has 2^(K-1) > n! for every smaller n, so its digits
+read back every row.  inward's point a = n^2 moves with n, but it is the one
+coordinate that enters every entry, with coefficient 1, so each leading
+block is M0 + a*J with J the all-ones matrix.  J has rank 1, so by the
+matrix determinant lemma det(M0 + a*J) = det(M0) + a * 1^T adj(M0) 1 is
+affine in a, and the two eliminations at a = 0 and a = 1 give row n as
+d0 + n^2 * (d1 - d0).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import factorial
 from .closed_forms import theorem
 from .determinant_engine import VerificationReport, Witness, leading_minors
 from .exponent_algebra import _format_terms
-from .spiral_builder import _numeric_walk, check_int, check_size, shell_ordered
+from .spiral_builder import check_int, check_size, numeric_theorem_matrix, shell_ordered
 
 
 class SequenceId(Enum):
@@ -98,7 +99,7 @@ def _oracles(seq: SequenceId, count: int) -> list:
     k, point = seq.binding(count)
 
     def minors(at):
-        return leading_minors(shell_ordered(_numeric_walk(k, count, at)))
+        return leading_minors(shell_ordered(numeric_theorem_matrix(k, count, at)))
 
     if seq is SequenceId.INWARD:
         at0, at1 = minors((0,) + point[1:]), minors((1,) + point[1:])

@@ -17,10 +17,10 @@ Four families share the path:
 * generalized bracket -- like bracket, but each up/down step multiplies by a
   caller-chosen monomial; horizontal steps multiply by x in both directions.
 
-The numeric builders walk the same path at a point, on ints where the point
-is integral and in the rationals elsewhere, and
-``shell_ordered`` orders a grid's rows and columns so that every smaller
-spiral is a leading block with its own determinant.
+``numeric_theorem_matrix`` walks the same path at a point, on ints where the
+point is integral and in the rationals elsewhere, and ``shell_ordered``
+orders a grid's rows and columns so that every smaller spiral is a leading
+block with its own determinant.
 """
 
 from __future__ import annotations
@@ -233,39 +233,31 @@ def theorem_matrix(theorem: int, n: int) -> list[list[LaurentPoly]]:
     return build_bracket_xx(n)
 
 
-def _numeric_walk(theorem: int, n: int, point: Sequence) -> list[list]:
+def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list]:
     """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 rationals, as walked.
 
     Walks the spiral at the point instead of evaluating each entry: a
     running sum for theorem 1, a running product for theorem 2 and, for
     theorem 3, a running product m with y set to x, each cell then m - 1/m.
-    Each integral coordinate walks as its int, so at a sample point of ints
-    every cell of theorems 1 and 2 is an int; a rational coordinate walks as
-    its Fraction, and a theorem-3 cell is always a Fraction.  A point raises
-    exactly as ``numeric_matrix`` does: theorems 1 and 2 have no negative
-    power and take zero coordinates, and a theorem-3 cell whose running
-    product is 0 has 1/m at a zero coordinate, so it raises
-    ZeroCoordinateError.
+    At a point whose coordinates are all integral the walk is on ints, so
+    every cell of theorems 1 and 2 is an int; otherwise every coordinate
+    walks as its Fraction, and a theorem-3 cell is always a Fraction.
+    ``leading_minors`` takes the cells as they are.  A point raises exactly
+    as ``numeric_matrix`` does: theorems 1 and 2 have no negative power and
+    take zero coordinates, and a theorem-3 cell whose running product is 0
+    has 1/m at a zero coordinate, so it raises ZeroCoordinateError.
     """
     check_theorem(theorem)
-    a, b, c, x, y = (v.numerator if v.denominator == 1 else v for v in _coordinates(point))
+    coords = _coordinates(point)
+    if all(v.denominator == 1 for v in coords):
+        coords = [v.numerator for v in coords]
+    a, b, c, x, y = coords
     if theorem < 3:
         return _spiral(n, a, b, c, x, y, add if theorem == 1 else mul)
     grid = _spiral(n, a, b, c, x, x, mul)
     if any(0 in row for row in grid):
         raise ZeroCoordinateError()
     return [[m - Fraction(1, m) for m in row] for row in grid]  # 1 / m of an int is a float
-
-
-def numeric_theorem_matrix(theorem: int, n: int, point: Sequence) -> list[list[Fraction]]:
-    """``theorem_matrix(theorem, n)`` at a point (a, b, c, x, y) of 5 rationals, as Fractions.
-
-    The cells of ``_numeric_walk``, each made a Fraction: the walk is on
-    ints at an integral point and raises exactly as ``numeric_matrix`` does.
-    ``leading_minors`` takes the walk's cells as they are, and the
-    randomized checks and the sequences' oracles pass it those.
-    """
-    return [[Fraction(v) for v in row] for row in _numeric_walk(theorem, n, point)]
 
 
 def build_generalized_bracket(n: int, up_increments: Iterable,

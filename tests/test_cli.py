@@ -227,7 +227,7 @@ class TestVerify:
     def test_one_walk_and_no_per_size_elimination_per_trial(self, theorem, capsys, monkeypatch):
         # seed 0's first three points meet no zero pivot at size 12
         walks, eliminations = [], []
-        real_walk, real_bareiss = (spiral_builder._numeric_walk,
+        real_walk, real_bareiss = (spiral_builder.numeric_theorem_matrix,
                                    determinant_engine.det_bareiss_rational)
 
         def walk(k, n, point):
@@ -238,7 +238,7 @@ class TestVerify:
             eliminations.append(len(matrix))
             return real_bareiss(matrix)
 
-        monkeypatch.setattr(spiral_builder, "_numeric_walk", walk)
+        monkeypatch.setattr(spiral_builder, "numeric_theorem_matrix", walk)
         monkeypatch.setattr(determinant_engine, "det_bareiss_rational", bareiss)
         code, blob = run_json(["verify", "--theorem", str(theorem), "--n-max", "12",
                                "--trials", "3", "--seed", "0"], capsys)

@@ -590,7 +590,7 @@ class TestDetBareiss:
 
 
 class TestBareissContentRemoval:
-    """The integer elimination on the content-free matrix against the Fraction reference."""
+    """The integer elimination on primitive rows against the Fraction reference."""
 
     def test_matches_fraction_reference(self):
         rng = random.Random(4049)
@@ -881,7 +881,7 @@ class TestPrimitiveRows:
         # eliminated is primitive and is scale[i] times its Gaussian row
         unequal = 0
         for m in self.planted_cases(3304, range(2, 9), 10):
-            rows = determinant_engine._remove_contents(m)[0]
+            rows = determinant_engine._cleared_rows(m)[0]
             reference = gaussian_steps([list(row) for row in rows])
             steps = determinant_engine._primitive_minors(rows)
             for k, (_, gaussian) in enumerate(zip(steps, reference)):
@@ -898,6 +898,22 @@ class TestPrimitiveRows:
         # then differ by 4, and the minors after it depend on which is which
         m = [[4, 0, 5, 0], [-1, 0, 0, 2], [6, 0, 0, 0], [0, 2, 0, 0]]
         assert leading_minors(m) == [det_cofactor(b) for b in leading_blocks(m)] == [4, 0, 0, 120]
+
+    def test_raw_rows_are_made_primitive_before_the_first_step(self):
+        # the elimination alone, on int rows that still carry their contents:
+        # it divides them out itself, with each row's scale starting at 1/content
+        rng = random.Random(3305)
+        carried = 0
+        for n in range(1, 9):
+            for _ in range(20):
+                m = planted_matrix(rng, n, int)
+                carried += sum(math.gcd(*row) > 1 for row in m)
+                rows = [list(row) for row in m]
+                steps = determinant_engine._primitive_minors(rows)
+                first = next(steps)
+                assert all(math.gcd(*row) in (0, 1) for row in rows), m
+                assert [first, *steps] == [det_cofactor(b) for b in leading_blocks(m)], m
+        assert carried > 500
 
     @pytest.mark.parametrize("k,n", ((2, 40), (3, 24)))
     def test_every_leading_minor_of_a_large_spiral_is_its_formula(self, k, n):
@@ -916,7 +932,7 @@ class TestPrimitiveRows:
             [[rng.randint(-99, 99) * rng.choice((1, 6, 35)) for _ in range(n)] for _ in range(n)]
             for _ in range(5)]
         for matrix in matrices:
-            m = determinant_engine._remove_contents(matrix)[0]
+            m = determinant_engine._cleared_rows(matrix)[0]
             rows = [list(row) for row in m]
             steps = determinant_engine._primitive_minors(rows)
             assert next(steps)
@@ -957,7 +973,7 @@ class TestShellOrderedBlocks:
 
 
 class TestIntWalk:
-    """The walk's own cells, ints at an integral point, against the same matrix as Fractions."""
+    """The walk's cells, ints at an integral point, against the same matrix as Fractions."""
 
     INTEGRAL = (sample_point(0, 0), sample_point(60493, 1))
     RATIONAL = ((Fraction(3, 2), Fraction(-5, 7), Fraction(2, 3), Fraction(7, 5), Fraction(-4, 3)),)
@@ -967,9 +983,8 @@ class TestIntWalk:
 
     @staticmethod
     def minors_both_ways(k, n, point):
-        walked = spiral_builder._numeric_walk(k, n, point)
-        as_fractions = numeric_theorem_matrix(k, n, point)
-        assert walked == as_fractions
+        walked = numeric_theorem_matrix(k, n, point)
+        as_fractions = [[Fraction(v) for v in row] for row in walked]
         return (leading_minors(shell_ordered(walked)),
                 leading_minors(shell_ordered(as_fractions)))
 
@@ -977,7 +992,7 @@ class TestIntWalk:
     def test_theorems_1_and_2_walk_on_ints_to_40(self, k):
         for n in (1, 2, 9, 16, 27, 40):
             for point in self.INTEGRAL + self.ZEROS:
-                assert all(type(v) is int for row in spiral_builder._numeric_walk(k, n, point)
+                assert all(type(v) is int for row in numeric_theorem_matrix(k, n, point)
                            for v in row)
             for point in self.INTEGRAL + self.RATIONAL + self.MIXED + self.ZEROS:
                 ints, fractions = self.minors_both_ways(k, n, point)
@@ -989,21 +1004,21 @@ class TestIntWalk:
             points = self.INTEGRAL + self.RATIONAL + self.MIXED if n < 24 else self.INTEGRAL[:1]
             for point in points:
                 assert all(type(v) is Fraction
-                           for row in spiral_builder._numeric_walk(3, n, point) for v in row)
+                           for row in numeric_theorem_matrix(3, n, point) for v in row)
                 ints, fractions = self.minors_both_ways(3, n, point)
                 assert ints == fractions, (n, point)
             for point in self.ZEROS:
                 if n == 1 and point[0]:  # the one cell is a - 1/a
                     continue
                 with pytest.raises(ZeroCoordinateError):
-                    spiral_builder._numeric_walk(3, n, point)
+                    numeric_theorem_matrix(3, n, point)
 
     def test_zero_point_minors_are_their_formulas(self):
         # theorem 1 at a = 0 starts on a zero pivot and swaps; theorem 2's
         # minors from size 2 on are 0 at a zero coordinate
         for k in (1, 2):
             for point in self.ZEROS:
-                minors = leading_minors(shell_ordered(spiral_builder._numeric_walk(k, 12, point)))
+                minors = leading_minors(shell_ordered(numeric_theorem_matrix(k, 12, point)))
                 assert minors == [theorem(k, n).evaluate(point) for n in range(1, 13)]
 
     def test_int_rows_give_the_fraction_rows_triple(self):
@@ -1021,10 +1036,11 @@ class TestIntWalk:
                     for row in m:
                         row[j] = 0
                 original = [list(row) for row in m]
-                ints = determinant_engine._remove_contents(m)
-                fractions = determinant_engine._remove_contents(
+                ints = determinant_engine._cleared_rows(m)
+                fractions = determinant_engine._cleared_rows(
                     [[Fraction(v) for v in row] for row in m])
-                assert ints == fractions, m
+                assert ints == fractions == (original, [1] * n), m
+                assert all(row is not copy for row, copy in zip(m, ints[0]))
                 assert m == original  # the matrix is left unchanged
                 kinds.update("zero row" if not any(row) else
                              "content 1" if math.gcd(*row) == 1 else "content > 1" for row in m)
@@ -1034,9 +1050,9 @@ class TestIntWalk:
     def test_mixed_rows(self):
         # an int row beside a Fraction row: each row takes its own route
         m = [[6, -4, 0], [Fraction(1, 2), Fraction(3, 4), 1], [0, 0, 0]]
-        assert determinant_engine._remove_contents(m) == determinant_engine._remove_contents(
-            [[Fraction(v) for v in row] for row in m]) == ([[3, -2, 0], [2, 3, 1], [0, 0, 0]],
-                                                           [2, 1, 0], [1, 4, 1])
+        assert determinant_engine._cleared_rows(m) == determinant_engine._cleared_rows(
+            [[Fraction(v) for v in row] for row in m]) == ([[6, -4, 0], [2, 3, 4], [0, 0, 0]],
+                                                           [1, 4, 1])
 
 
 class TestVerifyIdentity:

@@ -357,8 +357,16 @@ class TestSpecialize:
             assert numeric_theorem_matrix(1, n, point) == entrywise
 
     def test_entries_are_fractions(self):
-        matrix = numeric_theorem_matrix(1, 3, (1, 2, 3, 4, 5))
-        assert all(type(v) is Fraction for row in matrix for v in row)
+        # ints at an integral point, Fractions at a rational one
+        for point in ((1, 2, 3, 4, 5), (1, 2, 3, 4, Fraction(5, 2))):
+            matrix = numeric_theorem_matrix(1, 3, point)
+            assert all(type(v) is walked_type(1, point) for row in matrix for v in row)
+
+
+def walked_type(theorem, point):
+    """The type of every walked cell: int for theorems 1 and 2 at an integral point."""
+    integral = all(Fraction(v).denominator == 1 for v in point)
+    return int if theorem < 3 and integral else Fraction
 
 
 def reference_linear_form_value(form, point):
@@ -368,7 +376,7 @@ def reference_linear_form_value(form, point):
 
 
 class TestNumericTheoremMatrix:
-    """The rational walk against entrywise evaluation of the symbolic matrix."""
+    """The walk against entrywise evaluation of the symbolic matrix."""
 
     POINTS = (sample_point(0, 0), sample_point(60493, 2),
               (Fraction(-3, 2), Fraction(5, 7), Fraction(-2, 9), Fraction(4, 3), Fraction(-7, 5)))
@@ -380,7 +388,7 @@ class TestNumericTheoremMatrix:
             for point in self.POINTS:
                 walked = numeric_theorem_matrix(theorem, n, point)
                 assert walked == numeric_matrix(symbolic, point), (theorem, n, point)
-                assert all(type(v) is Fraction for row in walked for v in row)
+                assert all(type(v) is walked_type(theorem, point) for row in walked for v in row)
 
     @pytest.mark.parametrize("theorem", (1, 2, 3))
     def test_bad_points_raise_as_numeric_matrix_does(self, theorem):
@@ -455,7 +463,7 @@ class TestNumericTheoremMatrix:
                     continue
                 walked = numeric_theorem_matrix(theorem, n, point)
                 assert walked == expected, (theorem, n, point)
-                assert all(type(v) is Fraction for row in walked for v in row)
+                assert all(type(v) is walked_type(theorem, point) for row in walked for v in row)
                 outcomes.add("value")
         assert outcomes == ({"value"} if theorem < 3 else {"value", "refused"})
 
