@@ -5,18 +5,20 @@ JSON outputs carry a top-level {"version": "1", "config": {...}, "report":
 {...}} envelope; the seed and trial count in effect are always echoed in the
 config.  Exit code 0 means zero failures, 1 means a verification failure, 2 a
 usage error.  SPIRALDET_SEED provides a default seed; an explicit --seed wins.
+
+Importing this module and building the parser loads only what every command
+needs: ``bench`` imports hashlib and statistics, and ``funceq`` mpmath, when
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
 import random
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -205,6 +207,8 @@ def _cmd_funceq(args, seed: int):
 
 
 def _cmd_bench(args, seed: int):
+    import hashlib, statistics  # only here, so no other command loads them
+
     rows = []
     failures = 0
     for n in range(1, args.n_max + 1):
@@ -250,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="write output to a file")
 
     p = sub.add_parser("gen", help="emit a spiral matrix")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--family", choices=_FAMILIES, default="additive")
     common(p, ("json", "latex", "text"))
 
     p = sub.add_parser("det", help="symbolic determinant of a spiral matrix")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--family", choices=_FAMILIES, default="additive")
     common(p, ("json", "text"))
 

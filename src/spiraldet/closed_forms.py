@@ -47,7 +47,7 @@ is no separate dense-polynomial type.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .determinant_engine import VerificationReport, Witness, randomized_reports
 from .exponent_algebra import (
@@ -199,8 +199,8 @@ def thm3_odd(n: int) -> LaurentPoly:
 # -- reduction procedures ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(namedtuple("ReductionData", "size centre_numerator pivot up_increment "
+                                          "down_increment scalar_factor row_difference border")):
     """The step from the size x size additive determinant to size - 1.
 
     The determinant is scalar_factor times the determinant of the size - 1
@@ -210,17 +210,11 @@ class ReductionData:
 
     On the matrix, the last side's row minus its next row (:func:`_last_side`)
     is row_difference in every column but the pivot column, where it is pivot;
-    border is the pivot column's entry in the centre row.
+    border is the pivot column's entry in the centre row.  A named tuple:
+    size is an int, every other field a LaurentPoly.
     """
 
-    size: int
-    centre_numerator: LaurentPoly
-    pivot: LaurentPoly
-    up_increment: LaurentPoly
-    down_increment: LaurentPoly
-    scalar_factor: LaurentPoly
-    row_difference: LaurentPoly
-    border: LaurentPoly
+    __slots__ = ()
 
 
 def _last_side(size: int) -> tuple[int, int, int]:

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .exponent_algebra import (
     NVARS,
@@ -433,21 +433,19 @@ def numeric_matrix(matrix: Sequence[Sequence[LaurentPoly]], point) -> list[list[
 # -- randomized identity verification ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
-    point: tuple
-    lhs: object
-    rhs: object
+class Witness(namedtuple("Witness", "point lhs rhs")):
+    """A point (a tuple) at which the two sides' values lhs and rhs differ."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"point": [str(v) for v in self.point], "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    trials: int
-    witnesses: tuple[Witness, ...]
+class VerificationReport(namedtuple("VerificationReport", "seed trials witnesses")):
+    """The seed and trial count of a randomized check and a tuple of its failing Witnesses."""
+
+    __slots__ = ()
 
     @property
     def failures(self) -> int:
@@ -511,13 +509,14 @@ def verify_identity(lhs_gen: Callable[[tuple], Sequence[Sequence]],
 # -- wedge elimination -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WedgeFactorization:
-    """sign * corner_factor * prod(antidiagonal_factors) equals the determinant."""
+class WedgeFactorization(namedtuple("WedgeFactorization",
+                                    "sign corner_factor antidiagonal_factors")):
+    """sign * corner_factor * prod(antidiagonal_factors) equals the determinant.
 
-    sign: int
-    corner_factor: LaurentPoly
-    antidiagonal_factors: tuple[LaurentPoly, ...]
+    A named tuple of an int, a LaurentPoly and a tuple of LaurentPolys.
+    """
+
+    __slots__ = ()
 
     def product(self) -> LaurentPoly:
         return Factored(self.sign, (self.corner_factor, *self.antidiagonal_factors)).expand()

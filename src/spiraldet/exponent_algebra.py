@@ -29,9 +29,9 @@ output, and nothing reads either form back.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add as _add, itemgetter, mul as _mul
-from typing import Callable, Iterable, Mapping, Sequence
 
 VARIABLES = ("a", "b", "c", "x", "y")
 NVARS = len(VARIABLES)

@@ -50,10 +50,10 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
 from types import SimpleNamespace
-from typing import Callable
 
 from .spiral_builder import check_int, check_size
 
@@ -101,23 +101,20 @@ class UnclassifiableError(ValueError):
     """The oracle is outside the characterized solution families."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One solution family; alpha is the exponent (magnitude t when imaginary)."""
+class FamilySpec(namedtuple("FamilySpec", "kind alpha imaginary c1 c2",
+                            defaults=(0.0, False, 1.0, 1.0))):
+    """One solution family; alpha is the exponent (magnitude t when imaginary).
 
-    kind: FamilyKind
-    alpha: float = 0.0
-    imaginary: bool = False
-    c1: float = 1.0
-    c2: float = 1.0
+    A named tuple of a FamilyKind, a float, a bool and the floats c1 and c2.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    relation: str
-    samples: int
-    max_residual: float
-    argmax: tuple[float, ...]
+class ResidualReport(namedtuple("ResidualReport", "relation samples max_residual argmax")):
+    """A relation's sample count, its largest residual and the point, (a, x) or (x,), of it."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """JSON-ready fields; a non-finite residual is the string "inf" or "nan"."""
@@ -267,8 +264,8 @@ def check_relations(spec: FamilySpec, relations, samples: int,
     m = _mp_arithmetic(prec)
     from_float, le, gt = libmp.from_float, libmp.mpf_le, libmp.mpf_gt
     # a double converts exactly at any working precision
-    family = replace(spec, alpha=from_float(spec.alpha),
-                     c1=from_float(spec.c1), c2=from_float(spec.c2))
+    family = spec._replace(alpha=from_float(spec.alpha),
+                           c1=from_float(spec.c1), c2=from_float(spec.c2))
     memo: dict = {}  # (f, g) at each point of the current sample, keyed on the tuple
 
     def fg(v):

@@ -25,11 +25,11 @@ block with its own determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .exponent_algebra import (
     ExponentVector,
@@ -147,14 +147,10 @@ def _spiral(n: int, a=_A, b=_B, c=_C, x=_X, y=_Y, combine: Callable = _vector_ad
     return _walk(n, a, repeat(x), repeat(b), repeat(y), repeat(c), combine)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """The additive entry a + e_b*b + e_c*c + e_x*x + e_y*y."""
+class LinearForm(namedtuple("LinearForm", "e_b e_c e_x e_y")):
+    """The additive entry a + e_b*b + e_c*c + e_x*x + e_y*y, a named tuple of the four ints."""
 
-    e_b: int
-    e_c: int
-    e_x: int
-    e_y: int
+    __slots__ = ()
 
     def to_poly(self) -> LaurentPoly:
         poly = LaurentPoly.variable("a")
@@ -286,7 +282,7 @@ def build_generalized_bracket(n: int, up_increments: Iterable,
 
 def _cell_json(cell):
     if isinstance(cell, LinearForm):
-        return {"e_b": cell.e_b, "e_c": cell.e_c, "e_x": cell.e_x, "e_y": cell.e_y}
+        return cell._asdict()
     if isinstance(cell, LaurentPoly):
         return to_records(cell)
     return str(Fraction(cell))

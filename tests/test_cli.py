@@ -58,6 +58,15 @@ class TestGen:
                              "--seed", "5", "--format", "text"], capsys)
         assert first == second
 
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_n_below_one_is_refused_by_its_subparser(self, n, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen", "--n", n])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: spiraldet gen ")
+        assert f"spiraldet gen: error: argument --n: must be >= 1, got {n}" in captured.err
+
 
 class TestDet:
     def test_qpower_2_text(self, capsys):
@@ -70,6 +79,15 @@ class TestDet:
         with pytest.raises(SystemExit) as excinfo:
             main(["det", "--family", "additive", "--n", "9"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_n_below_one_is_refused_by_its_subparser(self, n, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["det", "--n", n])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: spiraldet det ")
+        assert f"spiraldet det: error: argument --n: must be >= 1, got {n}" in captured.err
 
 
 class TestVerify:
@@ -814,6 +832,19 @@ class TestContract:
         proc = subprocess.run([sys.executable, "-I", "-c", code, SRC],
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "False\n"
+
+    def test_cli_import_loads_no_unused_stdlib_module(self):
+        # records are named tuples (no dataclasses, so no inspect), annotations
+        # come from collections.abc (no typing), and only bench loads hashlib
+        # and statistics; -S keeps site's own imports out of the baseline
+        code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+                "import spiraldet.cli; spiraldet.cli.build_parser(); "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and "spiraldet.cli" in proc.stdout.split()
+        unused = {"dataclasses", "inspect", "hashlib", "statistics", "typing", "mpmath"}
+        assert unused.isdisjoint(proc.stdout.split())
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=SRC)
